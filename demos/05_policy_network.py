@@ -11,7 +11,7 @@ import numpy as np
 from coopgraph import build_targets, init_params, layout_for, random_topology
 from coopgraph.env import PrimitiveSet, config_for_task, reset
 from coopgraph.graph import action_masks
-from coopgraph.policy import act, encode, latent, node_batch, reconstruct, value
+from coopgraph.policy import act_batch, encode, latent, node_batch, reconstruct, value
 
 cfg = config_for_task("CSI-12/2/3", n_bases=2)
 targets = build_targets(cfg.primitive_set, True, cfg.m_invaders, cfg.n_bases)
@@ -32,10 +32,11 @@ print(f"\nper-cluster embeddings e_h {e_h.shape} -> shared latent z {z.shape}")
 print(f"critic value: {float(value(z, params).data[0]):+.4f}")
 
 masks = action_masks(graph)
-decision = act(batch, masks, params, np.random.default_rng(0))
-print(f"\nsampled operator action: {decision.action.as_tuple()}")
-print(f"  per-head log-probs {decision.log_probs.round(2)}  entropies {decision.entropy.round(2)}")
-print(f"  op1 respected the nonempty-cluster mask: {bool(masks.cluster_mask[decision.action.src_cluster])}")
+cmask, tmask = masks.cluster_mask[None], masks.target_mask[None]
+actions, log_probs, _ = act_batch(batch, cmask, tmask, params, [np.random.default_rng(0)])
+print(f"\nsampled operator action: {tuple(actions[0].tolist())}")
+print(f"  per-head log-probs {log_probs[0].round(2)}")
+print(f"  op1 respected the nonempty-cluster mask: {bool(masks.cluster_mask[actions[0, 0]])}")
 
 agent_hat, cluster_hat, target_hat, l_ae = reconstruct(e_h, batch, params)
 print(f"\ndecoder reconstructions: agents {agent_hat.shape}, clusters {cluster_hat.shape}, "
@@ -43,6 +44,6 @@ print(f"\ndecoder reconstructions: agents {agent_hat.shape}, clusters {cluster_h
 print(f"reconstruction loss at init: {float(l_ae.data):.4f}")
 
 # greedy mode is deterministic, used for evaluation
-again = act(batch, masks, params, None, mode="argmax")
-assert again.action == act(batch, masks, params, None, mode="argmax").action
-print("\nargmax decisions are reproducible:", again.action.as_tuple())
+again, _, _ = act_batch(batch, cmask, tmask, params, [None], mode="argmax")
+assert (again == act_batch(batch, cmask, tmask, params, [None], mode="argmax")[0]).all()
+print("\nargmax decisions are reproducible:", tuple(again[0].tolist()))

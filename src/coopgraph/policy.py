@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Literal
 
@@ -33,7 +33,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .commands import COMMAND_REPR_WIDTH, command_raw_repr
 from .env import EnvConfig, EnvState, obs_dim, observe_all
-from .graph import ActionMasks, CooperationGraph, OperatorAction
+from .graph import CooperationGraph
 
 CHECKPOINT_MAGIC = b"CGCK"
 
@@ -223,6 +223,13 @@ class NodeBatch:
     agent_to_cluster: np.ndarray   # (B, n_lower)
     cluster_to_target: np.ndarray  # (B, n_clusters)
 
+    @classmethod
+    def concat(cls, parts: list["NodeBatch"]) -> "NodeBatch":
+        """Join batches along the leading axis."""
+        return cls(*(
+            np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)
+        ))
+
 
 def target_raw_reps(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> np.ndarray:
     """Target rows: one-hot of the target id for primitives, structured
@@ -349,72 +356,6 @@ def _one_hot(idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class OperatorDecision:
-    """One joint operator decision with everything PPO needs to learn from it."""
-
-    action: OperatorAction
-    log_probs: np.ndarray  # (4,) per-head log-probabilities of the chosen indices
-    value: float
-    entropy: np.ndarray    # (4,) per-head entropies of the masked distributions
-
-
-def act(
-    batch: NodeBatch,
-    masks: ActionMasks,
-    params: PolicyParams,
-    rng: np.random.Generator | None,
-    mode: Literal["sample", "argmax"] = "sample",
-) -> OperatorDecision:
-    """Run the sequential masked heads for one step (B = 1 inputs).
-
-    Heads op1/op3 are masked to nonempty sources; op2/op4 are unmasked.
-    Each later head sees the earlier choices as one-hot conditioning.
-    """
-    if mode == "sample" and rng is None:
-        raise ValueError("sampling mode needs a generator")
-    lay = params.layout
-    cluster_mask = masks.cluster_mask.astype(np.float64)[None]
-    target_mask = masks.target_mask.astype(np.float64)[None]
-    assert cluster_mask.any() and target_mask.any(), "graph with agents cannot fully mask a head"
-
-    with ad.no_grad():
-        e_h = encode(batch, params)
-        z = latent(e_h, params)
-        v = float(value(z, params).data[0])
-
-        choices: list[int] = []
-        log_probs = np.empty(4)
-        entropies = np.empty(4)
-        cond = z
-        head_masks = (cluster_mask, None, target_mask, None)
-        head_sizes = (lay.n_clusters, lay.n_clusters, lay.n_targets, lay.n_targets)
-        for i in range(4):
-            logits = _masked(_head_logits(cond, params, i + 1), head_masks[i]).data[0]
-            shifted = logits - logits.max()
-            probs = np.exp(shifted)
-            probs /= probs.sum()
-            if mode == "argmax":
-                a = int(np.argmax(probs))
-            else:
-                a = int(np.searchsorted(np.cumsum(probs), rng.random()))
-                a = min(a, head_sizes[i] - 1)
-            logp = shifted - np.log(np.exp(shifted).sum())
-            log_probs[i] = logp[a]
-            entropies[i] = float(-(probs * np.where(probs > 0, logp, 0.0)).sum())
-            choices.append(a)
-            one_hot = np.zeros((1, head_sizes[i]))
-            one_hot[0, a] = 1.0
-            cond = ad.concat([cond, Tensor(one_hot)], axis=-1)
-
-    return OperatorDecision(
-        action=OperatorAction(*choices),
-        log_probs=log_probs,
-        value=v,
-        entropy=entropies,
-    )
-
-
 def act_batch(
     batch: NodeBatch,
     cluster_masks: np.ndarray,
@@ -423,15 +364,19 @@ def act_batch(
     rngs: list[np.random.Generator | None],
     mode: Literal["sample", "argmax"] = "sample",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized act() over a batch of independent episode steps.
+    """Run the sequential masked heads for a batch of independent episode steps.
 
-    Row i draws its samples from rngs[i] (one uniform per head, in head
-    order), so per-episode streams stay reproducible no matter how episodes
-    are batched together. Returns (actions (B, 4), log_probs (B, 4),
-    values (B,)).
+    Heads op1/op3 are masked to nonempty sources; op2/op4 are unmasked.
+    Each later head sees the earlier choices as one-hot conditioning. In
+    sample mode row i draws its samples from rngs[i] (one uniform per head,
+    in head order), so per-episode streams stay reproducible no matter how
+    episodes are batched together; argmax mode draws nothing. Returns
+    (actions (B, 4), log_probs (B, 4), values (B,)).
     """
     lay = params.layout
     B = batch.obs.shape[0]
+    assert cluster_masks.any(axis=1).all() and target_masks.any(axis=1).all(), \
+        "graph with agents cannot fully mask a head"
     head_masks = (
         cluster_masks.astype(np.float64),
         None,

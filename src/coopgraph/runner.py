@@ -24,7 +24,6 @@ from .graph import (
     CooperationGraph,
     OperatorAction,
     TargetNode,
-    action_masks,
     apply_operator_action,
     build_targets,
     extend,
@@ -48,6 +47,7 @@ from .training import (
     TrainSettings,
     Trainer,
     evaluate_policy,
+    rollout,
 )
 
 
@@ -582,8 +582,6 @@ def cmd_export_topology(
     Step 0 is the frozen initial topology (identical across episodes); steps
     beyond the episode end are skipped with a warning.
     """
-    from .training import play_episode
-
     params, _, header = load_checkpoint(checkpoint)
     graph0 = from_json_dict(header["initial_topology"])
     env_config = build_env_config(rc)
@@ -604,10 +602,7 @@ def cmd_export_topology(
             wanted.discard(t)
 
     rng = np.random.default_rng(episode_seed * EPISODE_SEED_STRIDE)
-    play_episode(
-        graph0, params, env_config, rng,
-        mode="argmax", p_interference=0.0, record_steps=False, on_step=on_step,
-    )
+    rollout(graph0, params, env_config, [rng], mode="argmax", record_steps=False, on_step=on_step)
     for t in sorted(wanted):
         print(f"warning: step {t} is beyond the episode end; skipped", file=sys.stderr)
     return written

@@ -15,14 +15,14 @@ reconstruction loss, over minibatches of shuffled timesteps.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .env import EnvConfig, EnvState, PrimitiveSet, reset, step, trajectory_record
+from .env import EnvConfig, PrimitiveSet, reset, step, trajectory_record
 from .graph import (
     CooperationGraph,
     OperatorAction,
@@ -35,9 +35,8 @@ from .graph import (
 )
 from .policy import (
     NodeBatch,
-    OperatorDecision,
     PolicyParams,
-    act,
+    act_batch,
     evaluate_actions,
     load_checkpoint,
     node_batch,
@@ -75,7 +74,10 @@ class TrainConfig:
 
 @dataclass
 class RolloutBatch:
-    """Flat per-step arrays for one batch of episodes (episode order)."""
+    """Flat per-step arrays for one batch of episodes (episode order).
+
+    ``rollout`` records each step as one tuple in this field order.
+    """
 
     obs: np.ndarray                # (T, n_env, d_obs)
     target_reps: np.ndarray        # (T, n_targets, d_raw)
@@ -110,71 +112,79 @@ class RolloutBatch:
         )
 
 
-def play_episode(
+def rollout(
     graph0: CooperationGraph,
     params: PolicyParams,
     env_config: EnvConfig,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     mode: str = "sample",
     p_interference: float = 0.0,
     record_steps: bool = True,
     on_step=None,
-    trajectory: list | None = None,
+    trajectories: list[list] | None = None,
 ):
-    """Run one episode from the frozen start topology.
+    """Run one episode per generator in lockstep from the frozen start topology.
 
-    ``on_step(t, graph, state)`` fires at the start of each step, before the
-    operators act (so t=0 sees the frozen initial topology). Returns
-    (per-step record dict or None, terminal reward, episode length).
+    Every step batches the policy forward over the still-alive episodes.
+    Episode e consumes rngs[e] in a fixed order (reset, then per step: four
+    head samples in sample mode, the interference draw and any fake-action
+    indices), so its result does not depend on which episodes run beside it.
+
+    ``on_step(t, graph, state)`` fires for each alive episode at the start of
+    each step, before the operators act (so t=0 sees the frozen initial
+    topology). ``trajectories[e]`` collects episode e's post-step records.
+    Returns (per-episode step tuples in RolloutBatch field order, or None;
+    terminal rewards; episode lengths).
     """
-    state = reset(env_config, rng)
-    graph = graph0
-    rec: dict[str, list] | None = {k: [] for k in (
-        "obs", "treps", "a2c", "c2t", "cmask", "tmask",
-        "action", "logp", "value", "reward", "done", "interfered",
-    )} if record_steps else None
+    B = len(rngs)
+    states = [reset(env_config, rng) for rng in rngs]
+    graphs: list[CooperationGraph] = [graph0] * B
+    steps: list[list[tuple]] | None = [[] for _ in range(B)] if record_steps else None
+    terminals = [0.0] * B
+    lengths = [0] * B
+    alive = list(range(B))
 
-    terminal = 0.0
-    steps = 0
-    done = False
-    while not done:
+    while alive:
         if on_step is not None:
-            on_step(state.t, graph, state)
-        batch = node_batch(graph, state, env_config)
-        masks = action_masks(graph)
-        decision: OperatorDecision = act(batch, masks, params, rng, mode=mode)
+            for e in alive:
+                on_step(states[e].t, graphs[e], states[e])
+        batch = NodeBatch.concat([node_batch(graphs[e], states[e], env_config) for e in alive])
+        masks = [action_masks(graphs[e]) for e in alive]
+        cmask = np.stack([m.cluster_mask for m in masks])
+        tmask = np.stack([m.target_mask for m in masks])
+        actions, log_probs, values = act_batch(
+            batch, cmask, tmask, params, [rngs[e] for e in alive], mode=mode,
+        )
 
-        interfered = rng.random() < p_interference
-        if interfered:
-            graph, fake = interfere(graph, rng)
-            applied_action = fake
-        else:
-            graph, _ = apply_operator_action(graph, decision.action)
-            applied_action = decision.action
-
-        actions = resolve_agent_actions(graph, state, env_config)
-        state, outcome = step(state, actions, env_config)
-        if trajectory is not None:
-            trajectory.append(trajectory_record(state, outcome.reward))
-
-        if rec is not None:
-            rec["obs"].append(batch.obs[0])
-            rec["treps"].append(batch.target_reps[0])
-            rec["a2c"].append(batch.agent_to_cluster[0])
-            rec["c2t"].append(batch.cluster_to_target[0])
-            rec["cmask"].append(masks.cluster_mask)
-            rec["tmask"].append(masks.target_mask)
-            rec["action"].append(np.array(applied_action.as_tuple()))
-            rec["logp"].append(np.zeros(4) if interfered else decision.log_probs)
-            rec["value"].append(decision.value)
-            rec["reward"].append(outcome.reward)
-            rec["done"].append(outcome.done)
-            rec["interfered"].append(interfered)
-
-        terminal = outcome.reward
-        steps += 1
-        done = outcome.done
-    return rec, terminal, steps
+        next_alive = []
+        for row, e in enumerate(alive):
+            # drawn even at p=0, so every mode consumes the same stream
+            interfered = rngs[e].random() < p_interference
+            if interfered:
+                graphs[e], applied = interfere(graphs[e], rngs[e])
+            else:
+                applied = OperatorAction(*actions[row])
+                graphs[e], _ = apply_operator_action(graphs[e], applied)
+            env_actions = resolve_agent_actions(graphs[e], states[e], env_config)
+            states[e], outcome = step(states[e], env_actions, env_config)
+            if trajectories is not None:
+                trajectories[e].append(trajectory_record(states[e], outcome.reward))
+            if steps is not None:
+                steps[e].append((
+                    batch.obs[row], batch.target_reps[row],
+                    batch.agent_to_cluster[row], batch.cluster_to_target[row],
+                    cmask[row], tmask[row],
+                    np.array(applied.as_tuple()),
+                    np.zeros(4) if interfered else log_probs[row],
+                    values[row], outcome.reward, outcome.done, interfered,
+                ))
+            lengths[e] += 1
+            if outcome.done:
+                terminals[e] = outcome.reward
+            else:
+                next_alive.append(e)
+        alive = next_alive
+    return steps, terminals, lengths
 
 
 def collect(
@@ -187,95 +197,21 @@ def collect(
 ) -> RolloutBatch:
     """Roll out one batch of full episodes with the current policy snapshot.
 
-    Episode e uses its own generator seeded with
-    master_seed * 10^6 + episode_offset + e, consumed in a fixed per-episode
-    order (reset, then per step: four head samples, the interference draw
-    and any fake-action indices), so batches are reproducible no matter how
-    the episodes are interleaved. Execution runs all episodes in lockstep
-    and batches the policy forward over the still-alive ones.
+    Runs the lockstep engine in sample mode with interference and recording
+    on. Episode e uses its own generator seeded with
+    master_seed * 10^6 + episode_offset + e, so batches are reproducible no
+    matter how the episodes are interleaved.
     """
-    from .policy import act_batch, agent_rows, target_raw_reps
-
-    B = config.batch_episodes
     rngs = [
         np.random.default_rng(master_seed * EPISODE_SEED_STRIDE + episode_offset + e)
-        for e in range(B)
+        for e in range(config.batch_episodes)
     ]
-    states = [reset(env_config, rngs[e]) for e in range(B)]
-    graphs: list[CooperationGraph] = [graph0] * B
-    recs: list[dict[str, list]] = [
-        {k: [] for k in (
-            "obs", "treps", "a2c", "c2t", "cmask", "tmask",
-            "action", "logp", "value", "reward", "done", "interfered",
-        )}
-        for _ in range(B)
-    ]
-    terminals = [0.0] * B
-    lengths = [0] * B
-    alive = list(range(B))
-
-    while alive:
-        obs = np.stack([agent_rows(graphs[e], states[e], env_config) for e in alive])
-        treps = np.stack([target_raw_reps(graphs[e], states[e], env_config) for e in alive])
-        a2c = np.stack([graphs[e].agent_to_cluster for e in alive])
-        c2t = np.stack([graphs[e].cluster_to_target for e in alive])
-        masks = [action_masks(graphs[e]) for e in alive]
-        cmask = np.stack([m.cluster_mask for m in masks])
-        tmask = np.stack([m.target_mask for m in masks])
-        actions, log_probs, values = act_batch(
-            NodeBatch(obs, treps, a2c, c2t), cmask, tmask, params,
-            [rngs[e] for e in alive],
-        )
-
-        next_alive = []
-        for row, e in enumerate(alive):
-            interfered = rngs[e].random() < config.p_interference
-            if interfered:
-                graphs[e], applied = interfere(graphs[e], rngs[e])
-            else:
-                applied = OperatorAction(*actions[row])
-                graphs[e], _ = apply_operator_action(graphs[e], applied)
-            env_actions = resolve_agent_actions(graphs[e], states[e], env_config)
-            states[e], outcome = step(states[e], env_actions, env_config)
-
-            rec = recs[e]
-            rec["obs"].append(obs[row])
-            rec["treps"].append(treps[row])
-            rec["a2c"].append(a2c[row])
-            rec["c2t"].append(c2t[row])
-            rec["cmask"].append(cmask[row])
-            rec["tmask"].append(tmask[row])
-            rec["action"].append(np.array(applied.as_tuple()))
-            rec["logp"].append(np.zeros(4) if interfered else log_probs[row])
-            rec["value"].append(values[row])
-            rec["reward"].append(outcome.reward)
-            rec["done"].append(outcome.done)
-            rec["interfered"].append(interfered)
-            lengths[e] += 1
-            if outcome.done:
-                terminals[e] = outcome.reward
-            else:
-                next_alive.append(e)
-        alive = next_alive
-
-    def cat(key, dtype=None):
-        rows = [np.asarray(v) for rec in recs for v in rec[key]]
-        out = np.stack(rows)
-        return out.astype(dtype) if dtype is not None else out
-
+    steps, terminals, lengths = rollout(
+        graph0, params, env_config, rngs, p_interference=config.p_interference,
+    )
+    columns = zip(*(s for episode in steps for s in episode))
     return RolloutBatch(
-        obs=cat("obs"),
-        target_reps=cat("treps"),
-        agent_to_cluster=cat("a2c", np.int64),
-        cluster_to_target=cat("c2t", np.int64),
-        cluster_masks=cat("cmask", bool),
-        target_masks=cat("tmask", bool),
-        actions=cat("action", np.int64),
-        log_probs=cat("logp"),
-        values=cat("value"),
-        rewards=cat("reward"),
-        dones=cat("done", bool),
-        interfered=cat("interfered", bool),
+        *(np.stack(column) for column in columns),
         episode_lengths=lengths,
         success_rate=float(np.mean([t > 0 for t in terminals])),
         mean_return=float(np.mean(terminals)),
@@ -327,7 +263,6 @@ def ppo_update(
     T = batch.n_steps
     old_logp_sum = batch.log_probs.sum(axis=1)
     report = {"L_policy": 0.0, "L_value": 0.0, "L_ae": 0.0, "entropy": 0.0}
-    passes = 0
 
     # per-op finiteness validation is hoisted to the loss level here: the
     # total loss aggregates every branch, so non-finite values still abort,
@@ -413,27 +348,25 @@ def evaluate_policy(
     episodes: int,
     trajectory_path: str | Path | None = None,
 ) -> float:
-    """Greedy success rate over seeded episodes (no interference, frozen
-    normalizer); optionally dumps per-step trajectories as JSONL."""
-    wins = 0
-    traj_file = open(trajectory_path, "w") if trajectory_path else None
-    try:
-        for e in range(episodes):
-            rng = np.random.default_rng(seed * EPISODE_SEED_STRIDE + e)
-            traj: list | None = [] if traj_file else None
-            _, terminal, _ = play_episode(
-                graph0, params, env_config, rng,
-                mode="argmax", p_interference=0.0, record_steps=False,
-                trajectory=traj,
-            )
-            wins += terminal > 0
-            if traj_file:
-                for row in traj:
+    """Greedy success rate over seeded episodes.
+
+    Runs the lockstep engine in argmax mode with no interference, the frozen
+    normalizer and no step records. Episode e uses the generator seeded with
+    seed * 10^6 + e. With a path, writes the per-step trajectory rows as
+    JSONL in episode order.
+    """
+    rngs = [np.random.default_rng(seed * EPISODE_SEED_STRIDE + e) for e in range(episodes)]
+    trajectories = [[] for _ in range(episodes)] if trajectory_path else None
+    _, terminals, _ = rollout(
+        graph0, params, env_config, rngs,
+        mode="argmax", record_steps=False, trajectories=trajectories,
+    )
+    if trajectory_path:
+        with open(trajectory_path, "w") as traj_file:
+            for rows in trajectories:
+                for row in rows:
                     traj_file.write(json.dumps(row) + "\n")
-    finally:
-        if traj_file:
-            traj_file.close()
-    return wins / episodes
+    return sum(t > 0 for t in terminals) / episodes
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from coopgraph.graph import (
 from coopgraph.policy import (
     NodeBatch,
     PolicyLayout,
-    act,
+    act_batch,
     encode,
     evaluate_actions,
     init_params,
@@ -130,20 +130,21 @@ def test_act_masking_forces_single_choice():
     masks = action_masks(g)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        decision = act(batch, masks, params, rng)
-        assert decision.action.src_cluster == 2
-        assert decision.action.src_target == 4
+        actions, _, _ = act_batch(batch, masks.cluster_mask[None], masks.target_mask[None], params, [rng])
+        assert actions[0, 0] == 2
+        assert actions[0, 2] == 4
 
 
 def test_act_argmax_deterministic():
     cfg, graph, params, state = make_setup(seed=7)
     batch = node_batch(graph, state, cfg)
     masks = action_masks(graph)
-    d1 = act(batch, masks, params, None, mode="argmax")
-    d2 = act(batch, masks, params, None, mode="argmax")
-    assert d1.action == d2.action
-    np.testing.assert_array_equal(d1.log_probs, d2.log_probs)
-    assert d1.value == d2.value
+    cm, tm = masks.cluster_mask[None], masks.target_mask[None]
+    a1, lp1, v1 = act_batch(batch, cm, tm, params, [None], mode="argmax")
+    a2, lp2, v2 = act_batch(batch, cm, tm, params, [None], mode="argmax")
+    np.testing.assert_array_equal(a1, a2)
+    np.testing.assert_array_equal(lp1, lp2)
+    np.testing.assert_array_equal(v1, v2)
 
 
 def test_masked_probability_exactly_zero():
@@ -168,9 +169,9 @@ def test_mask_soundness_sampled():
         batch = node_batch(graph, state, cfg)
         masks = action_masks(graph)
         for _ in range(200):
-            d = act(batch, masks, params, rng)
-            assert masks.cluster_mask[d.action.src_cluster]
-            assert masks.target_mask[d.action.src_target]
+            actions, _, _ = act_batch(batch, masks.cluster_mask[None], masks.target_mask[None], params, [rng])
+            assert masks.cluster_mask[actions[0, 0]]
+            assert masks.target_mask[actions[0, 2]]
 
 
 def test_act_and_evaluate_logprobs_agree():
@@ -178,18 +179,11 @@ def test_act_and_evaluate_logprobs_agree():
     cfg, graph, params, state = make_setup(seed=10)
     batch = node_batch(graph, state, cfg)
     masks = action_masks(graph)
-    rng = np.random.default_rng(1)
-    decision = act(batch, masks, params, rng)
-    out = evaluate_actions(
-        batch,
-        np.array([decision.action.as_tuple()]),
-        masks.cluster_mask[None],
-        masks.target_mask[None],
-        params,
-    )
-    np.testing.assert_allclose(out["log_prob"].data[0], decision.log_probs, atol=1e-10)
-    np.testing.assert_allclose(out["entropy"].data[0], decision.entropy, atol=1e-10)
-    assert float(out["value"].data[0]) == pytest.approx(decision.value, abs=1e-12)
+    cm, tm = masks.cluster_mask[None], masks.target_mask[None]
+    actions, log_probs, values = act_batch(batch, cm, tm, params, [np.random.default_rng(1)])
+    out = evaluate_actions(batch, actions, cm, tm, params)
+    np.testing.assert_allclose(out["log_prob"].data[0], log_probs[0], atol=1e-10)
+    assert float(out["value"].data[0]) == pytest.approx(values[0], abs=1e-12)
 
 
 def test_sequential_conditioning_sensitivity():

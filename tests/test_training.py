@@ -11,7 +11,7 @@ from coopgraph.graph import action_masks, build_targets, random_topology
 from coopgraph.policy import (
     NodeBatch,
     PolicyLayout,
-    act,
+    act_batch,
     evaluate_actions,
     init_params,
 )
@@ -189,6 +189,10 @@ def bandit_layout(hidden=16):
     )
 
 
+# both clusters nonempty and both targets connected: no head is masked
+BANDIT_MASK = np.ones((1, 2), dtype=bool)
+
+
 def _bandit_node_batch(contexts: np.ndarray) -> NodeBatch:
     B = len(contexts)
     obs = np.repeat(contexts[:, None, None].astype(np.float64), 2, axis=1)
@@ -205,14 +209,11 @@ def _bandit_node_batch(contexts: np.ndarray) -> NodeBatch:
 
 
 def bandit_greedy_accuracy(params) -> float:
-    from coopgraph.graph import ActionMasks
-
-    masks = ActionMasks(np.ones(2, dtype=bool), np.ones(2, dtype=bool))
     hits = 0
     for c in (0, 1):
         nb = _bandit_node_batch(np.array([c]))
-        d = act(nb, masks, params, None, mode="argmax")
-        hits += d.action.src_cluster == c
+        actions, _, _ = act_batch(nb, BANDIT_MASK, BANDIT_MASK, params, [None], mode="argmax")
+        hits += int(actions[0, 0] == c)
     return hits / 2.0
 
 
@@ -224,9 +225,6 @@ def run_bandit(seed: int, updates: int = 200, episodes: int = 128, target: float
     opt = Adam(dict(params.tensors), lr=cfg.lr)
     rng = np.random.default_rng(seed + 1000)
     accuracy = []
-    from coopgraph.graph import ActionMasks
-
-    masks = ActionMasks(np.ones(2, dtype=bool), np.ones(2, dtype=bool))
     for update in range(updates):
         contexts = rng.integers(0, 2, size=episodes)
         nb = _bandit_node_batch(contexts)
@@ -237,11 +235,11 @@ def run_bandit(seed: int, updates: int = 200, episodes: int = 128, target: float
         for e in range(episodes):
             single = NodeBatch(nb.obs[e:e + 1], nb.target_reps[e:e + 1],
                                nb.agent_to_cluster[e:e + 1], nb.cluster_to_target[e:e + 1])
-            d = act(single, masks, params, rng)
-            actions[e] = d.action.as_tuple()
-            log_probs[e] = d.log_probs
-            values[e] = d.value
-            rewards[e] = 1.0 if d.action.src_cluster == contexts[e] else 0.0
+            a, lp, v = act_batch(single, BANDIT_MASK, BANDIT_MASK, params, [rng])
+            actions[e] = a[0]
+            log_probs[e] = lp[0]
+            values[e] = v[0]
+            rewards[e] = 1.0 if a[0, 0] == contexts[e] else 0.0
         batch = RolloutBatch(
             obs=nb.obs, target_reps=nb.target_reps,
             agent_to_cluster=nb.agent_to_cluster, cluster_to_target=nb.cluster_to_target,
