@@ -1,15 +1,15 @@
-"""Inside the operator policy: edge-masked attention, masked heads, decoder.
+"""Inside the operator policy: member attention, target gather, masked heads, decoder.
 
-Cluster rows attend over their member agents and over their selected target,
-so the per-cluster embeddings carry the live topology. Four sequential heads
-pick the rewiring action; an attention decoder reconstructs the raw node
-representations as an auxiliary loss.
+Cluster rows attend over their member agents and gather the value row of
+their one selected target, so the per-cluster embeddings carry the live
+topology. Four sequential heads pick the rewiring action; an attention
+decoder reconstructs the raw node representations as an auxiliary loss.
 """
 
 import numpy as np
 
 from coopgraph import build_targets, init_params, layout_for, random_topology
-from coopgraph.env import PrimitiveSet, config_for_task, reset
+from coopgraph.env import config_for_task, reset
 from coopgraph.graph import action_masks
 from coopgraph.policy import act_batch, encode, latent, node_batch, reconstruct, value
 

@@ -209,15 +209,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), bwd, "relu")
 
 
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * (1.0 - data * data), fresh=True)
-
-    return _make(data, (a,), bwd, "tanh")
-
-
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
@@ -225,15 +216,6 @@ def exp(a: Tensor) -> Tensor:
         _accumulate(a, g * data, fresh=True)
 
     return _make(data, (a,), bwd, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bwd(g):
-        _accumulate(a, g / a.data, fresh=True)
-
-    return _make(data, (a,), bwd, "log")
 
 
 def square(a: Tensor) -> Tensor:
@@ -423,22 +405,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return _make(data, (a,), bwd, "log_softmax")
-
-
-def layer_normalize(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row (last axis) to zero mean, unit variance."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    data = xc * inv
-
-    def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * data).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv * (g - gm - data * gy), fresh=True)
-
-    return _make(data, (a,), bwd, "layer_normalize")
 
 
 def scaled_dot_attention(

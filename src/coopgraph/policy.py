@@ -2,11 +2,12 @@
 
 The network reads the graph as three node families. Agent rows are the raw
 per-agent observations, cluster rows are one-hot codes, target rows carry a
-one-hot (primitive) or a structured command descriptor (cooperative). Two
-cluster-oriented attention layers follow the graph edges: each cluster
-attends over its member agents and over its currently selected target, so
-the resulting per-cluster embeddings encode the live topology. A trunk then
-produces per-cluster embeddings e_h, which feed
+one-hot (primitive) or a structured command descriptor (cooperative). The
+encoder follows the graph edges: each cluster attends over its member agents
+and gathers the value row of its one selected target (attention over a
+single live key is exactly that row), so the resulting per-cluster
+embeddings encode the live topology. A trunk then produces per-cluster
+embeddings e_h, which feed
 
   1. a flattened shared latent z for the critic and the four action heads
      (each head conditions on the choices of the heads before it), and
@@ -145,6 +146,12 @@ def _init_attention(tensors, rng, name, h):
         tensors[f"{name}.{part}"] = Tensor(np.zeros(h), requires_grad=True)
 
 
+def _init_merge(tensors, rng, h):
+    tensors["merge.q"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(1, h)), requires_grad=True)
+    tensors["merge.Wk"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)), requires_grad=True)
+    tensors["merge.bk"] = Tensor(np.zeros(h), requires_grad=True)
+
+
 def _init_decoder(tensors, rng, name, n_queries, h, d_out):
     tensors[f"{name}.Q"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(n_queries, h)), requires_grad=True)
     for part in ("Wk", "Wv"):
@@ -164,7 +171,12 @@ def init_params(layout: PolicyLayout, rng: np.random.Generator) -> PolicyParams:
     _init_linear(tensors, rng, "proj.cluster", n_k, h)
     _init_linear(tensors, rng, "proj.target", layout.d_raw, h)
     _init_attention(tensors, rng, "ac", h)
-    _init_attention(tensors, rng, "ct", h)
+    # the cluster->target edge keeps only its value projection; draw and
+    # drop the two retired query/key matrices so every seed's other tensors
+    # stay what they were
+    rng.normal(0.0, 1.0 / np.sqrt(h), size=(2, h, h))
+    tensors["ct.Wv"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)), requires_grad=True)
+    tensors["ct.bv"] = Tensor(np.zeros(h), requires_grad=True)
     _init_linear(tensors, rng, "trunk", 2 * h, h)
     _init_linear(tensors, rng, "latent", n_k * h, h)
     _init_linear(tensors, rng, "value.fc1", h, h)
@@ -178,9 +190,7 @@ def init_params(layout: PolicyLayout, rng: np.random.Generator) -> PolicyParams:
     _init_decoder(tensors, rng, "ae_c", n_k, h, n_k)
     _init_decoder(tensors, rng, "ae_t", n_t, h, layout.d_raw)
     if layout.fan_out > 1:
-        tensors["merge.q"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(1, h)), requires_grad=True)
-        tensors["merge.Wk"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)), requires_grad=True)
-        tensors["merge.bk"] = Tensor(np.zeros(h), requires_grad=True)
+        _init_merge(tensors, rng, h)
     return PolicyParams(layout=layout, tensors=tensors, normalizer=ObsNormalizer(layout.d_obs))
 
 
@@ -196,11 +206,8 @@ def surgery_for_extension(
     if fan_out < 1:
         raise ValueError("fan_out must be >= 1")
     new = params.copy()
-    h = params.layout.hidden
     new.layout = PolicyLayout(**{**asdict(params.layout), "fan_out": fan_out})
-    new.tensors["merge.q"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(1, h)), requires_grad=True)
-    new.tensors["merge.Wk"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)), requires_grad=True)
-    new.tensors["merge.bk"] = Tensor(np.zeros(h), requires_grad=True)
+    _init_merge(new.tensors, rng, params.layout.hidden)
     return new
 
 
@@ -214,8 +221,9 @@ class NodeBatch:
     """Raw network inputs for a batch of steps (leading axis B).
 
     ``obs`` holds one row per environment agent; with an extension present
-    the rows of each group are consecutive. The two edge arrays are what the
-    attention masks are built from.
+    the rows of each group are consecutive. ``agent_to_cluster`` builds the
+    member attention mask; ``cluster_to_target`` picks each cluster's target
+    row.
     """
 
     obs: np.ndarray                # (B, n_env, d_obs)
@@ -267,15 +275,6 @@ def node_batch(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> N
     )
 
 
-def membership_masks(
-    agent_to_cluster: np.ndarray, cluster_to_target: np.ndarray, n_clusters: int, n_targets: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 attention masks: cluster->member-agents and cluster->its-target."""
-    member = (agent_to_cluster[:, None, :] == np.arange(n_clusters)[None, :, None]).astype(np.float64)
-    edge = (cluster_to_target[:, :, None] == np.arange(n_targets)[None, None, :]).astype(np.float64)
-    return member, edge
-
-
 # ---------------------------------------------------------------------------
 # forward pieces
 # ---------------------------------------------------------------------------
@@ -300,26 +299,35 @@ def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
     intermediate (via the op-level checks in the autodiff engine).
     """
     lay = params.layout
-    member_mask, edge_mask = membership_masks(
-        batch.agent_to_cluster, batch.cluster_to_target, lay.n_clusters, lay.n_targets
-    )
+    p = params.tensors
+    B = batch.obs.shape[0]
+    # 0/1 mask (B, n_k, n_lower): cluster k attends over its member agents
+    member_mask = (
+        batch.agent_to_cluster[:, None, :] == np.arange(lay.n_clusters)[None, :, None]
+    ).astype(np.float64)
 
     obs_n = params.normalizer.normalize(batch.obs)
     agents = _linear(Tensor(obs_n), params, "proj.agent")  # (B, n_env, h)
     if lay.fan_out > 1 and not params.has_merge:
         raise ValueError("extended inputs need a merge block; run surgery first")
     if params.has_merge:
-        B = agents.data.shape[0]
         grouped = ad.reshape(agents, (B * lay.n_lower, lay.fan_out, lay.hidden))
-        keys = ad.add(ad.matmul(grouped, params.tensors["merge.Wk"]), params.tensors["merge.bk"])
-        merged = ad.scaled_dot_attention(params.tensors["merge.q"], keys, grouped)
+        keys = ad.add(ad.matmul(grouped, p["merge.Wk"]), p["merge.bk"])
+        merged = ad.scaled_dot_attention(p["merge.q"], keys, grouped)
         agents = ad.reshape(merged, (B, lay.n_lower, lay.hidden))
 
-    clusters = ad.add(params.tensors["proj.cluster.W"], params.tensors["proj.cluster.b"])  # (n_k, h)
+    clusters = ad.add(p["proj.cluster.W"], p["proj.cluster.b"])  # (n_k, h)
     targets = _linear(Tensor(batch.target_reps), params, "proj.target")  # (B, n_t, h)
 
     h_ac = _attend(params, "ac", clusters, agents, member_mask)  # (B, n_k, h)
-    h_ct = _attend(params, "ct", clusters, targets, edge_mask)   # (B, n_k, h)
+    # a cluster has exactly one target edge, so attention over it is
+    # one-hot: take the selected target's value row. Project all n_t rows
+    # before the gather: projecting only the selected rows would change the
+    # gradient's summation order, and so the bits of existing seeds' runs.
+    v = ad.add(ad.matmul(targets, p["ct.Wv"]), p["ct.bv"])  # (B, n_t, h)
+    rows = (np.arange(B)[:, None] * lay.n_targets + batch.cluster_to_target).reshape(-1)
+    picked = ad.gather_rows(ad.reshape(v, (B * lay.n_targets, lay.hidden)), rows)
+    h_ct = ad.reshape(picked, (B, lay.n_clusters, lay.hidden))
     mixed = ad.concat([h_ac, h_ct], axis=-1)
     return ad.relu(_linear(mixed, params, "trunk"))
 
@@ -356,6 +364,19 @@ def _one_hot(idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _heads(
+    layout: PolicyLayout, cluster_masks: np.ndarray, target_masks: np.ndarray
+) -> tuple[tuple[np.ndarray | None, int], ...]:
+    """(logit mask or None, choice count) of each head, in head order."""
+    n_k, n_t = layout.n_clusters, layout.n_targets
+    return (
+        (cluster_masks.astype(np.float64), n_k),
+        (None, n_k),
+        (target_masks.astype(np.float64), n_t),
+        (None, n_t),
+    )
+
+
 def act_batch(
     batch: NodeBatch,
     cluster_masks: np.ndarray,
@@ -373,17 +394,9 @@ def act_batch(
     episodes are batched together; argmax mode draws nothing. Returns
     (actions (B, 4), log_probs (B, 4), values (B,)).
     """
-    lay = params.layout
     B = batch.obs.shape[0]
     assert cluster_masks.any(axis=1).all() and target_masks.any(axis=1).all(), \
         "graph with agents cannot fully mask a head"
-    head_masks = (
-        cluster_masks.astype(np.float64),
-        None,
-        target_masks.astype(np.float64),
-        None,
-    )
-    head_sizes = (lay.n_clusters, lay.n_clusters, lay.n_targets, lay.n_targets)
     actions = np.empty((B, 4), dtype=np.int64)
     log_probs = np.empty((B, 4))
 
@@ -391,8 +404,8 @@ def act_batch(
         z = latent(encode(batch, params), params)
         values = value(z, params).data.copy()
         cond = z
-        for i in range(4):
-            logits = _masked(_head_logits(cond, params, i + 1), head_masks[i]).data
+        for i, (mask, size) in enumerate(_heads(params.layout, cluster_masks, target_masks)):
+            logits = _masked(_head_logits(cond, params, i + 1), mask).data
             shifted = logits - logits.max(axis=1, keepdims=True)
             expo = np.exp(shifted)
             probs = expo / expo.sum(axis=1, keepdims=True)
@@ -404,11 +417,11 @@ def act_batch(
                 chosen = np.empty(B, dtype=np.int64)
                 for b in range(B):
                     chosen[b] = min(
-                        int(np.searchsorted(cums[b], rngs[b].random())), head_sizes[i] - 1
+                        int(np.searchsorted(cums[b], rngs[b].random())), size - 1
                     )
             actions[:, i] = chosen
             log_probs[:, i] = logp[np.arange(B), chosen]
-            cond = ad.concat([cond, Tensor(_one_hot(chosen, head_sizes[i]))], axis=-1)
+            cond = ad.concat([cond, Tensor(_one_hot(chosen, size))], axis=-1)
     return actions, log_probs, values
 
 
@@ -459,31 +472,23 @@ def evaluate_actions(
     Returns log_prob (B, 4), entropy (B, 4), value (B,) and the scalar
     reconstruction loss, all on the tape.
     """
-    lay = params.layout
     B = batch.obs.shape[0]
     e_h = encode(batch, params)
     z = latent(e_h, params)
     v = value(z, params)
     _, _, _, l_ae = reconstruct(e_h, batch, params)
 
-    head_masks = (
-        cluster_masks.astype(np.float64),
-        None,
-        target_masks.astype(np.float64),
-        None,
-    )
-    head_sizes = (lay.n_clusters, lay.n_clusters, lay.n_targets, lay.n_targets)
     cond = z
     logps: list[Tensor] = []
     ents: list[Tensor] = []
-    for i in range(4):
-        logits = _masked(_head_logits(cond, params, i + 1), head_masks[i])
+    for i, (mask, size) in enumerate(_heads(params.layout, cluster_masks, target_masks)):
+        logits = _masked(_head_logits(cond, params, i + 1), mask)
         logp_all = ad.log_softmax(logits, axis=-1)
         p_all = ad.softmax(logits, axis=-1)
         logps.append(ad.reshape(ad.take_per_row(logp_all, actions[:, i]), (B, 1)))
         ent = ad.mul(ad.sum_(ad.mul(p_all, logp_all), axis=-1, keepdims=True), Tensor(-1.0))
         ents.append(ent)
-        cond = ad.concat([cond, Tensor(_one_hot(actions[:, i], head_sizes[i]))], axis=-1)
+        cond = ad.concat([cond, Tensor(_one_hot(actions[:, i], size))], axis=-1)
 
     return {
         "log_prob": ad.concat(logps, axis=-1),

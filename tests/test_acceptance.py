@@ -6,7 +6,6 @@ resume from checkpoints if interrupted, so repeated invocations continue
 rather than restart. Everything else runs in the default suite.
 """
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -16,18 +15,15 @@ import pytest
 
 from coopgraph.env import EnvConfig, PrimitiveSet, reset
 from coopgraph.graph import build_targets, random_topology, select_initial_topology, topology_entropy
-from coopgraph.policy import NodeBatch, act_batch, init_params, layout_for, load_checkpoint
+from coopgraph.policy import NodeBatch, act_batch, init_params, layout_for
 from coopgraph.runner import (
-    RunConfig,
-    build_env_config,
     cmd_eval,
     cmd_oracle,
     cmd_train,
     cmd_transfer,
-    frozen_topology,
     parse_run_config,
 )
-from coopgraph.training import TrainConfig, TrainSettings, Trainer, evaluate_policy
+from coopgraph.training import TrainSettings, Trainer
 
 from test_autodiff import run_gradient_oracle
 from test_commands import run_gather_scatter_properties, test_discretize_brute_force_oracle

@@ -59,16 +59,6 @@ def test_attention_fully_masked_rows_are_zero():
     assert np.abs(out.data[0]).max() > 0.0
 
 
-def test_layer_normalize_row():
-    out = ad.layer_normalize(Tensor([[2.0, 4.0, 6.0]])).data[0]
-    # oracle: plain numpy standardization with the same epsilon
-    x = np.array([2.0, 4.0, 6.0])
-    expected = (x - x.mean()) / np.sqrt(x.var() + 1e-5)
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-    assert abs(out.mean()) < 1e-12
-    assert abs(out.var() - 1.0) < 1e-4
-
-
 def test_determinism_bit_identical():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(6, 6))
@@ -76,7 +66,7 @@ def test_determinism_bit_identical():
 
     def run():
         t = ad.scaled_dot_attention(Tensor(a), Tensor(b), Tensor(b))
-        return ad.mean(ad.tanh(ad.matmul(t, Tensor(a)))).data.copy()
+        return ad.mean(ad.exp(ad.matmul(t, Tensor(a)))).data.copy()
 
     assert np.array_equal(run(), run())
 
@@ -178,9 +168,7 @@ def op_cases(rng):
             lambda t: ad.sum_(ad.relu(t[0])),
             [np.where(np.abs(x := arr(n, m)) < 0.1, x + 0.25, x)],
         ),
-        "tanh": (lambda t: ad.sum_(ad.tanh(t[0])), [arr(n, m)]),
         "exp": (lambda t: ad.sum_(ad.exp(t[0])), [arr(n, m)]),
-        "log": (lambda t: ad.sum_(ad.log(t[0])), [arr(n, m, lo=0.5, hi=3.0)]),
         "square": (lambda t: ad.sum_(ad.square(t[0])), [arr(n, m)]),
         "maximum": (lambda t: ad.sum_(ad.maximum(t[0], t[1])), [arr(n, m), arr(n, m) + 0.3]),
         "minimum": (lambda t: ad.sum_(ad.minimum(t[0], t[1])), [arr(n, m), arr(n, m) + 0.3]),
@@ -192,7 +180,6 @@ def op_cases(rng):
             lambda t: ad.sum_(ad.mul(ad.log_softmax(t[0], axis=-1), t[1])),
             [arr(n, m), arr(n, m)],
         ),
-        "layer_normalize": (lambda t: ad.sum_(ad.square(ad.layer_normalize(t[0]))), [arr(n, m)]),
         "attention": (
             lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2]))),
             [arr(n, m), arr(k, m), arr(k, m)],

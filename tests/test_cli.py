@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from coopgraph.cli import main
 
 

@@ -1,5 +1,7 @@
 """Policy network: encoding, masked sequential heads, decoder, surgery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,6 @@ def test_empty_cluster_rows_are_zero():
 
 def _attention_ac_rows(batch, params):
     """The member-side attention block in isolation (via a zeroed target path)."""
-    import copy
-
     p2 = params.copy()
     for name, t in p2.tensors.items():
         if name.startswith(("ct.", "proj.target")):
@@ -114,8 +114,63 @@ def _attention_ac_rows(batch, params):
             t.data[:h, :h] = np.eye(h)
         if name == "trunk.b":
             t.data[:] = 0.0
-    del copy
     return encode(batch, p2).data[0]
+
+
+def test_encode_reads_only_selected_target_rows():
+    """Each cluster sees exactly the target row its one edge selects."""
+    cfg, graph, params, state = make_setup(seed=41)
+    steps = []
+    for c2t in ([4, 4, 1], [0, 2, 2]):
+        g = type(graph)(
+            n_clusters=3,
+            targets=graph.targets,
+            agent_to_cluster=graph.agent_to_cluster,
+            cluster_to_target=np.array(c2t, dtype=np.int64),
+        )
+        steps.append(node_batch(g, state, cfg))
+    batch = NodeBatch.concat(steps)
+    base = encode(batch, params).data
+
+    def perturbed(b, t):
+        reps = batch.target_reps.copy()
+        reps[b, t] += 3.0
+        return encode(NodeBatch(batch.obs, reps, batch.agent_to_cluster, batch.cluster_to_target), params).data
+
+    # target 3 is selected in neither step; target 4 only in step 0
+    assert np.array_equal(perturbed(0, 3), base)
+    assert np.array_equal(perturbed(1, 4), base)
+    for b, t in ((0, 4), (0, 1), (1, 2)):
+        out = perturbed(b, t)
+        selecting = batch.cluster_to_target[b] == t
+        changed = (out != base).any(axis=-1)
+        assert not changed[1 - b].any()
+        np.testing.assert_array_equal(changed[b], selecting)
+
+
+# sha256 of init_params' tensors (sorted names and little-endian float64
+# bytes) recorded before the cluster->target query/key parameters were
+# retired: dropping them must leave every other tensor of a seed unchanged
+INIT_DIGESTS = [
+    (PolicyLayout(6, 1, 14, 3, 9, 9, 16), 1,
+     "800283428662e46f8eb7ab5b809086993447a8d4f02da7c291f84398fc3b25aa"),
+    (PolicyLayout(6, 2, 14, 3, 9, 9, 16), 41,
+     "f62507d9564dd11693dca72bcf247c04e69475defe67dcc9c67c087fad57a519"),
+    (PolicyLayout(12, 1, 20, 6, 11, 11, 64), 3,
+     "500dab72ba92cf6d68c62474eeaa2a12a09cd1953c711732d050920eda48be90"),
+]
+
+
+@pytest.mark.parametrize("layout,seed,digest", INIT_DIGESTS)
+def test_init_params_digest(layout, seed, digest):
+    params = init_params(layout, np.random.default_rng(seed))
+    assert not {"ct.Wq", "ct.Wk", "ct.bq", "ct.bk"} & params.tensors.keys()
+    assert {"ct.Wv", "ct.bv"} <= params.tensors.keys()
+    h = hashlib.sha256()
+    for name in sorted(params.tensors):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params.tensors[name].data, "<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_act_masking_forces_single_choice():

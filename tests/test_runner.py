@@ -6,12 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from coopgraph.env import PrimitiveSet
 from coopgraph.graph import from_json
 from coopgraph.policy import load_checkpoint
 from coopgraph.runner import (
     ConfigError,
-    RunConfig,
     build_env_config,
     build_run_targets,
     cmd_eval,

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from coopgraph.autodiff import Adam
-from coopgraph.env import EnvConfig, PrimitiveSet
-from coopgraph.graph import action_masks, build_targets, random_topology
 from coopgraph.policy import (
     NodeBatch,
     PolicyLayout,
