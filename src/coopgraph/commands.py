@@ -5,14 +5,25 @@ its own desired direction from a small hand-written controller, which is then
 snapped to the nearest primitive move direction. The same command therefore
 usually produces different primitive actions for different members.
 
+Translation is one array pass per step. Every member row of every
+cooperative cluster carries a (command kind, entity) code; intercept and
+defend rows are each computed in one array expression, gather and scatter
+rows per cluster against its member rows, and one batched snap turns all
+directions into move ids. ``desired_direction`` and ``translate`` are the
+one-agent and one-cluster cases of that pass, and ``command_raw_repr`` is
+the one-row case of ``command_rows``.
+
 Controllers never fail: a command aimed at a dead or out-of-range entity
 degrades to a zero direction (hold), which the tie rule turns into a dither
 around action id 0.
+
+The array forms are chosen to reproduce the one-vector arithmetic bit for
+bit: a row dot product is a batched ``matmul`` (a ``(x * y).sum(1)`` or
+``einsum`` sum rounds differently), and a norm is the square root of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +47,10 @@ class CommandKind(Enum):
     SCATTER = "scatter"
 
 
+# kind codes of the array pass, in CommandKind order (also the one-hot column)
+INTERCEPT, DEFEND, GATHER, SCATTER = range(len(CommandKind))
 _KIND_INDEX = {k: i for i, k in enumerate(CommandKind)}
+_KIND_CODES = np.arange(len(CommandKind))
 
 
 @dataclass(frozen=True)
@@ -56,9 +70,21 @@ class CoopCommand:
     def label(self) -> str:
         return self.kind.value if self.entity is None else f"{self.kind.value}({self.entity})"
 
+    @property
+    def code(self) -> tuple[int, int]:
+        """(kind code, entity) of the array pass; entity -1 when there is none."""
+        return _KIND_INDEX[self.kind], -1 if self.entity is None else self.entity
 
-def _lead_point(agent_pos: np.ndarray, j: int, state: EnvState, config: EnvConfig | None) -> np.ndarray:
-    """Predicted interception point for invader j.
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (n, 3) arrays, bit-equal to ``float(x[i] @ y[i])``."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _lead_points(
+    pos: np.ndarray, j: np.ndarray, state: EnvState, config: EnvConfig | None
+) -> np.ndarray:
+    """Predicted interception point of invader j[r] for the pursuer at pos[r].
 
     Without config (speeds unknown) this degrades to the invader's current
     position. The prediction assumes nominal invader speed along its attack
@@ -66,23 +92,88 @@ def _lead_point(agent_pos: np.ndarray, j: int, state: EnvState, config: EnvConfi
     base instead of convoying behind the target.
     """
     p = state.invader_pos[j]
-    if config is None:
+    a = config.v_inv**2 - config.v_def**2 if config is not None else 0.0
+    if a >= 0:  # no config, or a pursuer that is not faster: no lead
         return p
     to_base = state.base_pos[state.invader_target[j]] - p
-    dist = np.linalg.norm(to_base)
-    if dist < 1e-9:
-        return p
-    v = (to_base / dist) * config.v_inv
-    d = p - agent_pos
-    a = config.v_inv**2 - config.v_def**2
-    b = 2.0 * float(d @ v)
-    c = float(d @ d)
-    disc = b * b - 4.0 * a * c
-    if a >= 0 or disc < 0:
-        return p
-    tau = (b + math.sqrt(disc)) / (-2.0 * a)
-    tau = min(max(tau, 0.0), dist / config.v_inv)
-    return p + v * tau
+    dist = np.sqrt(_dot(to_base, to_base))
+    # every row takes the same arithmetic; the rows that hold (an invader on
+    # its base, no real root) are put back to p at the end
+    with np.errstate(all="ignore"):
+        v = (to_base / dist[:, None]) * config.v_inv
+        d = p - pos
+        b = 2.0 * _dot(d, v)
+        c = _dot(d, d)
+        disc = b * b - 4.0 * a * c
+        tau = (b + np.sqrt(disc)) / (-2.0 * a)
+        tau = np.where(0.0 > tau, 0.0, tau)  # max(tau, 0.0)
+        cap = dist / config.v_inv
+        tau = np.where(cap < tau, cap, tau)  # min(tau, cap)
+        lead = p + v * tau[:, None]
+    hold = (dist < 1e-9) | (disc < 0)
+    return np.where(hold[:, None], p, lead)
+
+
+def _formation(kind: np.ndarray, pos: np.ndarray, members: np.ndarray, out: np.ndarray) -> None:
+    """Write the gather and scatter rows of ``out`` for rows steering against
+    one cluster's (n, 3) member positions, in member order."""
+    g = kind == GATHER
+    if g.any():
+        out[g] = members.mean(axis=0) - pos[g]
+    s = np.flatnonzero(kind == SCATTER)
+    if s.size and len(members) > 1:
+        d = np.linalg.norm(members[None, :, :] - pos[s, None, :], axis=2)
+        d[d < 1e-9] = np.inf  # skip self (and co-located copies)
+        seen = np.isfinite(d).any(axis=1)
+        near = np.argmin(d, axis=1)[seen]
+        out[s[seen]] = pos[s[seen]] - members[near]
+
+
+def _live(selected: np.ndarray, entity: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the selected rows whose entity is in range and alive, and
+    those entities; every other command row holds."""
+    r = selected.nonzero()[0]
+    if not r.size:
+        return r, r
+    e = entity[r]
+    ok = (0 <= e) & (e < len(alive))
+    ok[ok] = alive[e[ok]]
+    return r[ok], e[ok]
+
+
+def _steer(
+    kind: np.ndarray,
+    entity: np.ndarray,
+    pos: np.ndarray,
+    state: EnvState,
+    config: EnvConfig | None,
+    formations,
+) -> np.ndarray:
+    """Raw steering vector of each row (kind code, entity, agent position).
+
+    Gather pulls toward the member centroid, Scatter pushes away from the
+    nearest other member, Intercept leads an invader's predicted path,
+    Defend closes on a base until inside the R_DEFEND ring. Gather and
+    scatter rows read ``formations``: (row slice, member positions) pairs,
+    one per cluster.
+    """
+    out = np.zeros_like(pos)
+    r, j = _live(kind == INTERCEPT, entity, state.invader_active)
+    if r.size:
+        out[r] = _lead_points(pos[r], j, state, config) - pos[r]
+    r, b = _live(kind == DEFEND, entity, state.base_alive)
+    if r.size:
+        to_base = state.base_pos[b] - pos[r]
+        far = ~(np.sqrt(_dot(to_base, to_base)) <= R_DEFEND)
+        out[r[far]] = to_base[far]
+    for rows, members in formations:
+        _formation(kind[rows], pos[rows], members, out[rows])
+    return out
+
+
+def _snap(directions: np.ndarray, move_dirs: np.ndarray) -> np.ndarray:
+    """Best-aligned move id per direction row; ties pick the lowest id."""
+    return np.argmax(np.matmul(move_dirs[None], directions[:, :, None])[..., 0], axis=1)
 
 
 def desired_direction(
@@ -92,48 +183,58 @@ def desired_direction(
     state: EnvState,
     config: EnvConfig | None = None,
 ) -> np.ndarray:
-    """Raw (unnormalized) steering vector for one member of a cluster.
-
-    Gather pulls toward the member centroid, Scatter pushes away from the
-    nearest other member, Intercept leads an invader's predicted path,
-    Defend closes on a base until inside the R_DEFEND ring.
-    """
+    """Raw (unnormalized) steering vector for one member of a cluster: the
+    one-row case of ``steer_rows``, against an explicit member set."""
     agent_pos = np.asarray(agent_pos, dtype=np.float64)
     members = np.asarray(members, dtype=np.float64)
     if members.ndim != 2 or len(members) == 0:
         raise ValueError("members must be a nonempty (n, 3) array")
-
-    if command.kind is CommandKind.GATHER:
-        return members.mean(axis=0) - agent_pos
-
-    if command.kind is CommandKind.SCATTER:
-        if len(members) == 1:
-            return np.zeros(3)
-        d = np.linalg.norm(members - agent_pos, axis=1)
-        d[d < 1e-9] = np.inf  # skip self (and co-located copies)
-        if not np.isfinite(d).any():
-            return np.zeros(3)
-        return agent_pos - members[int(np.argmin(d))]
-
-    if command.kind is CommandKind.INTERCEPT:
-        j = command.entity
-        if j is None or not 0 <= j < len(state.invader_pos) or not state.invader_active[j]:
-            return np.zeros(3)
-        return _lead_point(agent_pos, j, state, config) - agent_pos
-
-    b = command.entity
-    if b is None or not 0 <= b < len(state.base_pos) or not state.base_alive[b]:
-        return np.zeros(3)
-    to_base = state.base_pos[b] - agent_pos
-    if np.linalg.norm(to_base) <= R_DEFEND:
-        return np.zeros(3)
-    return to_base
+    kind, entity = (np.array([c]) for c in command.code)
+    return _steer(kind, entity, agent_pos[None], state, config, [(slice(None), members)])[0]
 
 
 def discretize(direction: np.ndarray, move_dirs: np.ndarray) -> int:
     """Snap a direction onto the best-aligned unit move; ties pick the lowest id."""
-    dots = move_dirs @ np.asarray(direction, dtype=np.float64)
-    return int(np.argmax(dots))
+    return int(_snap(np.asarray(direction, dtype=np.float64)[None], move_dirs)[0])
+
+
+def steer_rows(
+    kind: np.ndarray,
+    entity: np.ndarray,
+    cluster: np.ndarray,
+    pos: np.ndarray,
+    state: EnvState,
+    config: EnvConfig | None = None,
+) -> np.ndarray:
+    """Raw steering vector for each member row of any number of clusters.
+
+    Row r is an agent at ``pos[r]`` executing the command coded
+    (``kind[r]``, ``entity[r]``) in cluster ``cluster[r]``. The rows of one
+    cluster are contiguous and in member order; gather and scatter read
+    them as the member set.
+    """
+    groups = []
+    formation = kind >= GATHER
+    if formation.any():
+        edges = (np.flatnonzero(cluster[1:] != cluster[:-1]) + 1).tolist()
+        groups = [
+            (slice(lo, hi), pos[lo:hi])
+            for lo, hi in zip([0] + edges, edges + [len(cluster)])
+            if formation[lo]
+        ]
+    return _steer(kind, entity, pos, state, config, groups)
+
+
+def translate_rows(
+    kind: np.ndarray,
+    entity: np.ndarray,
+    cluster: np.ndarray,
+    pos: np.ndarray,
+    state: EnvState,
+    config: EnvConfig,
+) -> np.ndarray:
+    """Primitive action id for each row of ``steer_rows``, in one snap."""
+    return _snap(steer_rows(kind, entity, cluster, pos, state, config), config.move_dirs)
 
 
 def translate(
@@ -146,36 +247,41 @@ def translate(
     member_ids = np.asarray(member_ids, dtype=np.int64)
     if member_ids.size == 0:
         raise ValueError("translate requires a nonempty member set")
-    members = state.agent_pos[member_ids]
-    dirs = config.move_dirs
-    out = np.empty(member_ids.size, dtype=np.int64)
-    for i, pos in enumerate(members):
-        out[i] = discretize(desired_direction(command, pos, members, state, config), dirs)
-    return out
+    kind, entity = (np.full(member_ids.size, c) for c in command.code)
+    cluster = np.zeros(member_ids.size, dtype=np.int64)
+    return translate_rows(kind, entity, cluster, state.agent_pos[member_ids], state, config)
 
 
-def command_raw_repr(
-    command: CoopCommand, state: EnvState, config: EnvConfig, width: int
+def command_rows(
+    kind: np.ndarray, entity: np.ndarray, state: EnvState, config: EnvConfig, width: int
 ) -> np.ndarray:
-    """Structured node representation: kind one-hot, anchor position, alive flag.
+    """Structured node representation of each coded command: kind one-hot,
+    anchor position, alive flag; a row of kind -1 (no command) stays zero.
 
     Padded with zeros to ``width`` so cooperative and primitive target rows
     stack into one rectangular matrix.
     """
     if width < COMMAND_REPR_WIDTH:
         raise ValueError(f"repr width {width} < {COMMAND_REPR_WIDTH}")
-    rep = np.zeros(width, dtype=np.float64)
-    rep[_KIND_INDEX[command.kind]] = 1.0
-    if command.kind is CommandKind.INTERCEPT:
-        j = command.entity
-        if 0 <= j < len(state.invader_pos):
-            rep[4:7] = state.invader_pos[j] / config.world_extent
-            rep[7] = 1.0 if state.invader_active[j] else 0.0
-    elif command.kind is CommandKind.DEFEND:
-        b = command.entity
-        if 0 <= b < len(state.base_pos):
-            rep[4:7] = state.base_pos[b] / config.world_extent
-            rep[7] = 1.0 if state.base_alive[b] else 0.0
-    else:
-        rep[7] = 1.0
+    m, nb = len(state.invader_pos), len(state.base_pos)
+    # anchor slots: invaders, bases, then the alive-only slot of gather and
+    # scatter and the all-zero slot of an out-of-range entity
+    anchor = np.concatenate((state.invader_pos, state.base_pos, np.zeros((2, 3)))) / config.world_extent
+    alive = np.concatenate((state.invader_active, state.base_alive, (True, False)))
+    defend = kind == DEFEND
+    in_range = (0 <= entity) & (entity < np.where(defend, nb, m))
+    slot = np.where(in_range, entity + m * defend, m + nb + 1)
+    slot[kind >= GATHER] = m + nb
+    rep = np.zeros((len(kind), width), dtype=np.float64)
+    rep[:, :4] = kind[:, None] == _KIND_CODES
+    rep[:, 4:7] = anchor[slot]
+    rep[:, 7] = alive[slot]
     return rep
+
+
+def command_raw_repr(
+    command: CoopCommand, state: EnvState, config: EnvConfig, width: int
+) -> np.ndarray:
+    """One command's row of ``command_rows``."""
+    kind, entity = (np.array([c]) for c in command.code)
+    return command_rows(kind, entity, state, config, width)[0]

@@ -5,7 +5,7 @@ target nodes on top. Every agent belongs to exactly one cluster and every
 cluster executes exactly one target, so the two edge maps fully determine
 every agent's primitive action: primitive targets broadcast their action id
 to all member agents, cooperative targets run a command controller per
-member.
+member (one array pass over every cooperative member, see ``commands``).
 
 Four operator choices form one joint action: (src_cluster, dst_cluster)
 moves one agent between clusters and (src_target, dst_target) moves one
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .commands import CommandKind, CoopCommand, translate
+from .commands import CommandKind, CoopCommand, translate_rows
 from .env import EnvConfig, EnvState
 
 
@@ -45,6 +45,28 @@ class TargetNode:
 
     def label(self) -> str:
         return f"move{self.action_id}" if self.is_primitive else self.command.label()
+
+
+class TargetLayer(tuple):
+    """A graph's target nodes in id order, with their code table.
+
+    ``codes`` is an (n_targets, 3) int array of action id, command kind code
+    and entity per target, -1 where a field does not apply (see
+    ``CoopCommand.code``). Rewiring never changes the target layer, so every
+    graph rewired from one shares it and the table is built once, not on
+    every step.
+    """
+
+    codes: np.ndarray
+
+    def __new__(cls, nodes: Sequence[TargetNode]):
+        layer = super().__new__(cls, nodes)
+        layer.codes = np.array(
+            [(t.action_id, -1, -1) if t.is_primitive else (-1, *t.command.code) for t in layer],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        layer.codes.setflags(write=False)
+        return layer
 
 
 @dataclass(frozen=True)
@@ -77,12 +99,14 @@ class CooperationGraph:
     """
 
     n_clusters: int
-    targets: tuple[TargetNode, ...]
+    targets: TargetLayer  # any sequence of nodes is wrapped on construction
     agent_to_cluster: np.ndarray
     cluster_to_target: np.ndarray
     extension: np.ndarray | None = None  # (n_agents, fan_out) env agent ids
 
     def __post_init__(self):
+        if not isinstance(self.targets, TargetLayer):
+            object.__setattr__(self, "targets", TargetLayer(self.targets))
         self.agent_to_cluster.setflags(write=False)
         self.cluster_to_target.setflags(write=False)
         if self.extension is not None:
@@ -191,17 +215,26 @@ def action_masks(graph: CooperationGraph) -> ActionMasks:
 def resolve_agent_actions(
     graph: CooperationGraph, state: EnvState, config: EnvConfig
 ) -> np.ndarray:
-    """Primitive action id for every environment agent under the current graph."""
-    actions = np.zeros(graph.n_env_agents, dtype=np.int64)
-    for k in range(graph.n_clusters):
-        env_ids = graph.env_agents_of(k)
-        if env_ids.size == 0:
-            continue
-        target = graph.targets[graph.cluster_to_target[k]]
-        if target.is_primitive:
-            actions[env_ids] = target.action_id
-        else:
-            actions[env_ids] = translate(target.command, env_ids, state, config)
+    """Primitive action id for every environment agent under the current graph.
+
+    Env agents are laid out cluster by cluster, each cluster's members in
+    ``env_agents_of`` order; primitive rows take their target's action id and
+    all cooperative rows are translated in one pass.
+    """
+    order = np.argsort(graph.agent_to_cluster, kind="stable")
+    cluster = graph.agent_to_cluster[order]
+    if graph.extension is not None:
+        order = graph.extension[order].reshape(-1)
+        cluster = np.repeat(cluster, graph.fan_out)
+    codes = graph.targets.codes[graph.cluster_to_target[cluster]]
+    chosen = codes[:, 0]
+    coop = (chosen < 0).nonzero()[0]
+    if coop.size:
+        chosen[coop] = translate_rows(
+            codes[coop, 1], codes[coop, 2], cluster[coop], state.agent_pos[order[coop]], state, config
+        )
+    actions = np.empty(graph.n_env_agents, dtype=np.int64)
+    actions[order] = chosen
     return actions
 
 

@@ -23,6 +23,7 @@ into one row before the cluster attention.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -32,11 +33,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .commands import COMMAND_REPR_WIDTH, command_raw_repr
+from .commands import COMMAND_REPR_WIDTH, command_rows
 from .env import EnvConfig, EnvState, obs_dim, observe_all
 from .graph import CooperationGraph
 
 CHECKPOINT_MAGIC = b"CGCK"
+CHECKPOINT_VERSION = 1
+# the cluster->target query/key projections, retired when that edge became a
+# gather; checkpoints written before still hold them, and loading drops them
+RETIRED_TENSORS = frozenset({"ct.Wq", "ct.Wk", "ct.bq", "ct.bk"})
 
 
 def raw_repr_width(n_targets: int) -> int:
@@ -242,13 +247,10 @@ class NodeBatch:
 def target_raw_reps(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> np.ndarray:
     """Target rows: one-hot of the target id for primitives, structured
     command descriptors for cooperative nodes, one common width."""
-    width = raw_repr_width(graph.n_targets)
-    reps = np.zeros((graph.n_targets, width), dtype=np.float64)
-    for t in graph.targets:
-        if t.is_primitive:
-            reps[t.id, t.id] = 1.0
-        else:
-            reps[t.id] = command_raw_repr(t.command, state, config, width)
+    codes = graph.targets.codes
+    reps = command_rows(codes[:, 1], codes[:, 2], state, config, raw_repr_width(graph.n_targets))
+    prim = np.flatnonzero(codes[:, 0] >= 0)
+    reps[prim, prim] = 1.0
     return reps
 
 
@@ -527,7 +529,7 @@ def save_checkpoint(
         blobs.append(raw)
         offset += len(raw)
     header = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_VERSION,
         "layout": asdict(params.layout),
         "normalizer": params.normalizer.state_dict(),
         "manifest": manifest,
@@ -535,35 +537,59 @@ def save_checkpoint(
     if extra_header:
         header.update(extra_header)
     head_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(head_bytes)))
-        f.write(head_bytes)
-        for raw in blobs:
-            f.write(raw)
+    # written beside the target and renamed over it, so a reader never sees
+    # a partial file
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<Q", len(head_bytes)))
+            f.write(head_bytes)
+            for raw in blobs:
+                f.write(raw)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarray], dict]:
-    """Inverse of save_checkpoint: (params, extra tensors, full header)."""
+    """Inverse of save_checkpoint: (params, extra tensors, full header).
+
+    Rejects a foreign file, another format version and a truncated file;
+    drops the retired tensors of older checkpoints.
+    """
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a policy checkpoint")
-        (head_len,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(head_len).decode("utf-8"))
+        length = f.read(8)
+        if len(length) < 8:
+            raise ValueError(f"{path}: header truncated (no header length)")
+        (head_len,) = struct.unpack("<Q", length)
+        head_bytes = f.read(head_len)
+        if len(head_bytes) < head_len:
+            raise ValueError(f"{path}: header truncated ({len(head_bytes)} of {head_len} bytes)")
+        header = json.loads(head_bytes.decode("utf-8"))
         blob = f.read()
+    version = header.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint format version {version!r}, expected {CHECKPOINT_VERSION}")
+    counts = [int(np.prod(entry["shape"])) for entry in header["manifest"]]
+    needed = max((e["offset"] + 8 * n for e, n in zip(header["manifest"], counts)), default=0)
+    if len(blob) < needed:
+        raise ValueError(f"{path}: tensor data truncated ({len(blob)} of {needed} bytes)")
     layout = PolicyLayout(**header["layout"])
     tensors: dict[str, Tensor] = {}
     extra: dict[str, np.ndarray] = {}
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry, count in zip(header["manifest"], counts):
         arr = np.frombuffer(
             blob, dtype="<f8", count=count, offset=entry["offset"]
-        ).reshape(shape).astype(np.float64)
+        ).reshape(entry["shape"]).astype(np.float64)
         if entry["name"].startswith("extra."):
             extra[entry["name"][len("extra."):]] = arr
-        else:
+        elif entry["name"] not in RETIRED_TENSORS:
             tensors[entry["name"]] = Tensor(arr, requires_grad=True)
     params = PolicyParams(
         layout=layout,

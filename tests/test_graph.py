@@ -60,6 +60,8 @@ def test_apply_moves_lowest_agent_and_cluster():
     assert g2.cluster_to_target.tolist() == [1, 1]    # c0 (lowest on t0) retargeted
     # input untouched
     assert g.agent_to_cluster.tolist() == [0, 0, 1]
+    # the target layer and its code table carry over unchanged
+    assert g2.targets is g.targets and not g2.targets.codes.flags.writeable
 
 
 def test_apply_same_cluster_is_noop():
@@ -114,7 +116,6 @@ def test_masks_single_occupied_cluster():
 
 
 def test_masks_spread_and_concentrated():
-    rng = np.random.default_rng(0)
     targets = six_targets(6)
     g = CooperationGraph(
         n_clusters=14,
@@ -125,7 +126,6 @@ def test_masks_spread_and_concentrated():
     m = action_masks(g)
     assert m.cluster_mask.all()
     assert m.target_mask.tolist() == [False] * 5 + [True]
-    del rng
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Policy network: encoding, masked sequential heads, decoder, surgery."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from coopgraph import autodiff as ad
+from coopgraph import policy as policy_module
 from coopgraph.autodiff import Tensor
 from coopgraph.env import EnvConfig, PrimitiveSet, obs_dim, reset
 from coopgraph.graph import (
@@ -15,6 +17,7 @@ from coopgraph.graph import (
     random_topology,
 )
 from coopgraph.policy import (
+    RETIRED_TENSORS,
     NodeBatch,
     PolicyLayout,
     act_batch,
@@ -343,12 +346,10 @@ def test_extended_forward_needs_merge_block():
     assert params.has_merge  # init_params added it for an extended layout
     e_h = encode(batch, params)
     assert e_h.shape == (1, 3, 16)
-    lay = params.layout
     stripped = params.copy()
     del stripped.tensors["merge.q"], stripped.tensors["merge.Wk"], stripped.tensors["merge.bk"]
     with pytest.raises(ValueError, match="merge"):
         encode(batch, stripped)
-    del lay
 
 
 def test_noncontiguous_extension_groups_are_gathered():
@@ -422,6 +423,62 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_drops_retired_tensors(tmp_path):
+    """A checkpoint from before the cluster->target gather still holds the
+    retired query/key tensors; loading drops them, so saving again (and an
+    optimizer built on the loaded tensors) no longer carries them."""
+    cfg, graph, params, state = make_setup(seed=21)
+    old = params.copy()
+    h = params.layout.hidden
+    for name in RETIRED_TENSORS:
+        old.tensors[name] = Tensor(np.ones((h, h) if "W" in name else h), requires_grad=True)
+    save_checkpoint(tmp_path / "old.ckpt", old)
+    loaded, _, _ = load_checkpoint(tmp_path / "old.ckpt")
+    assert loaded.tensors.keys() == params.tensors.keys()
+    save_checkpoint(tmp_path / "again.ckpt", loaded)
+    save_checkpoint(tmp_path / "fresh.ckpt", params)
+    assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+
+
+def test_checkpoint_rejects_other_format_version(tmp_path):
+    cfg, graph, params, state = make_setup(seed=22)
+    path = tmp_path / "future.ckpt"
+    save_checkpoint(path, params, extra_header={"format_version": 2})
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 2"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep", [6, 20, -8])
+def test_checkpoint_rejects_truncated_file(tmp_path, keep):
+    """Cut inside the header length, inside the header or inside the tensor data."""
+    cfg, graph, params, state = make_setup(seed=23)
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(path, params)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    """A save that fails before the rename leaves the previous checkpoint
+    whole and no temporary file behind."""
+    cfg, graph, params, state = make_setup(seed=24)
+    path = tmp_path / "policy.ckpt"
+    save_checkpoint(path, params)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(policy_module.os, "replace", fail)
+    changed = params.copy()
+    changed.tensors["trunk.b"] = Tensor(changed.tensors["trunk.b"].data + 1.0)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, changed)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.ckpt"]
 
 
 # ---------------------------------------------------------------------------
