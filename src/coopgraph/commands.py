@@ -5,13 +5,16 @@ its own desired direction from a small hand-written controller, which is then
 snapped to the nearest primitive move direction. The same command therefore
 usually produces different primitive actions for different members.
 
-Translation is one array pass per step. Every member row of every
-cooperative cluster carries a (command kind, entity) code; intercept and
-defend rows are each computed in one array expression, gather and scatter
-rows per cluster against its member rows, and one batched snap turns all
-directions into move ids. ``desired_direction`` and ``translate`` are the
-one-agent and one-cluster cases of that pass, and ``command_raw_repr`` is
-the one-row case of ``command_rows``.
+Translation is one array pass per lockstep step, over every episode at
+once. Every member row of every cooperative cluster of every episode carries
+a (command kind, entity) code and its episode index into a ``stack_states``
+stack; intercept and defend rows are each computed in one array expression,
+gather and scatter rows per (episode, cluster) group against its member
+rows, and one batched snap turns all directions into move ids.
+``desired_direction`` and ``translate`` are the one-agent and one-cluster
+cases of that pass. ``command_rows`` builds the command target rows of every
+episode in one gather from an anchor-slot table that depends only on the
+target layer and the task size; ``command_raw_repr`` is its one-row case.
 
 Controllers never fail: a command aimed at a dead or out-of-range entity
 degrades to a zero direction (hold), which the tie rule turns into a dither
@@ -29,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .env import EnvConfig, EnvState
+from .env import EnvConfig, EnvState, stack_states
 
 # Defend holds a ring just outside the tracking radius so defenders meet
 # incoming invaders before base contact.
@@ -82,20 +85,21 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _lead_points(
-    pos: np.ndarray, j: np.ndarray, state: EnvState, config: EnvConfig | None
+    pos: np.ndarray, ep: np.ndarray, j: np.ndarray, states: EnvState, config: EnvConfig | None
 ) -> np.ndarray:
-    """Predicted interception point of invader j[r] for the pursuer at pos[r].
+    """Predicted interception point of invader j[r] of episode ep[r] for the
+    pursuer at pos[r].
 
     Without config (speeds unknown) this degrades to the invader's current
     position. The prediction assumes nominal invader speed along its attack
     line and is capped at the target base, so late pursuers cut toward the
     base instead of convoying behind the target.
     """
-    p = state.invader_pos[j]
+    p = states.invader_pos[ep, j]
     a = config.v_inv**2 - config.v_def**2 if config is not None else 0.0
     if a >= 0:  # no config, or a pursuer that is not faster: no lead
         return p
-    to_base = state.base_pos[state.invader_target[j]] - p
+    to_base = states.base_pos[ep, states.invader_target[ep, j]] - p
     dist = np.sqrt(_dot(to_base, to_base))
     # every row takes the same arithmetic; the rows that hold (an invader on
     # its base, no real root) are put back to p at the end
@@ -129,41 +133,46 @@ def _formation(kind: np.ndarray, pos: np.ndarray, members: np.ndarray, out: np.n
         out[s[seen]] = pos[s[seen]] - members[near]
 
 
-def _live(selected: np.ndarray, entity: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the selected rows whose entity is in range and alive, and
-    those entities; every other command row holds."""
+def _live(
+    selected: np.ndarray, ep: np.ndarray, entity: np.ndarray, alive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the selected rows whose entity is in range and alive in the
+    row's episode (``alive`` is (B, count)), and those entities; every other
+    command row holds."""
     r = selected.nonzero()[0]
     if not r.size:
         return r, r
     e = entity[r]
-    ok = (0 <= e) & (e < len(alive))
-    ok[ok] = alive[e[ok]]
+    ok = (0 <= e) & (e < alive.shape[1])
+    ok[ok] = alive[ep[r[ok]], e[ok]]
     return r[ok], e[ok]
 
 
 def _steer(
     kind: np.ndarray,
     entity: np.ndarray,
+    ep: np.ndarray,
     pos: np.ndarray,
-    state: EnvState,
+    states: EnvState,
     config: EnvConfig | None,
     formations,
 ) -> np.ndarray:
-    """Raw steering vector of each row (kind code, entity, agent position).
+    """Raw steering vector of each row (kind code, entity, episode, agent
+    position) against a ``stack_states`` stack.
 
     Gather pulls toward the member centroid, Scatter pushes away from the
     nearest other member, Intercept leads an invader's predicted path,
     Defend closes on a base until inside the R_DEFEND ring. Gather and
     scatter rows read ``formations``: (row slice, member positions) pairs,
-    one per cluster.
+    one per (episode, cluster) group.
     """
     out = np.zeros_like(pos)
-    r, j = _live(kind == INTERCEPT, entity, state.invader_active)
+    r, j = _live(kind == INTERCEPT, ep, entity, states.invader_active)
     if r.size:
-        out[r] = _lead_points(pos[r], j, state, config) - pos[r]
-    r, b = _live(kind == DEFEND, entity, state.base_alive)
+        out[r] = _lead_points(pos[r], ep[r], j, states, config) - pos[r]
+    r, b = _live(kind == DEFEND, ep, entity, states.base_alive)
     if r.size:
-        to_base = state.base_pos[b] - pos[r]
+        to_base = states.base_pos[ep[r], b] - pos[r]
         far = ~(np.sqrt(_dot(to_base, to_base)) <= R_DEFEND)
         out[r[far]] = to_base[far]
     for rows, members in formations:
@@ -190,7 +199,10 @@ def desired_direction(
     if members.ndim != 2 or len(members) == 0:
         raise ValueError("members must be a nonempty (n, 3) array")
     kind, entity = (np.array([c]) for c in command.code)
-    return _steer(kind, entity, agent_pos[None], state, config, [(slice(None), members)])[0]
+    return _steer(
+        kind, entity, np.zeros(1, dtype=np.int64), agent_pos[None], stack_states([state]), config,
+        [(slice(None), members)],
+    )[0]
 
 
 def discretize(direction: np.ndarray, move_dirs: np.ndarray) -> int:
@@ -201,40 +213,45 @@ def discretize(direction: np.ndarray, move_dirs: np.ndarray) -> int:
 def steer_rows(
     kind: np.ndarray,
     entity: np.ndarray,
+    episode: np.ndarray,
     cluster: np.ndarray,
     pos: np.ndarray,
-    state: EnvState,
+    states: EnvState,
     config: EnvConfig | None = None,
 ) -> np.ndarray:
-    """Raw steering vector for each member row of any number of clusters.
+    """Raw steering vector for each member row of any number of clusters of
+    any number of episodes.
 
-    Row r is an agent at ``pos[r]`` executing the command coded
-    (``kind[r]``, ``entity[r]``) in cluster ``cluster[r]``. The rows of one
-    cluster are contiguous and in member order; gather and scatter read
-    them as the member set.
+    Row r is an agent at ``pos[r]`` of episode ``episode[r]`` of the
+    ``stack_states`` stack, executing the command coded (``kind[r]``,
+    ``entity[r]``) in cluster ``cluster[r]``. The rows of one (episode,
+    cluster) group are contiguous and in member order; gather and scatter
+    read them as the member set.
     """
     groups = []
     formation = kind >= GATHER
     if formation.any():
-        edges = (np.flatnonzero(cluster[1:] != cluster[:-1]) + 1).tolist()
+        split = (episode[1:] != episode[:-1]) | (cluster[1:] != cluster[:-1])
+        edges = (np.flatnonzero(split) + 1).tolist()
         groups = [
             (slice(lo, hi), pos[lo:hi])
             for lo, hi in zip([0] + edges, edges + [len(cluster)])
             if formation[lo]
         ]
-    return _steer(kind, entity, pos, state, config, groups)
+    return _steer(kind, entity, episode, pos, states, config, groups)
 
 
 def translate_rows(
     kind: np.ndarray,
     entity: np.ndarray,
+    episode: np.ndarray,
     cluster: np.ndarray,
     pos: np.ndarray,
-    state: EnvState,
+    states: EnvState,
     config: EnvConfig,
 ) -> np.ndarray:
     """Primitive action id for each row of ``steer_rows``, in one snap."""
-    return _snap(steer_rows(kind, entity, cluster, pos, state, config), config.move_dirs)
+    return _snap(steer_rows(kind, entity, episode, cluster, pos, states, config), config.move_dirs)
 
 
 def translate(
@@ -248,34 +265,50 @@ def translate(
     if member_ids.size == 0:
         raise ValueError("translate requires a nonempty member set")
     kind, entity = (np.full(member_ids.size, c) for c in command.code)
-    cluster = np.zeros(member_ids.size, dtype=np.int64)
-    return translate_rows(kind, entity, cluster, state.agent_pos[member_ids], state, config)
+    zeros = np.zeros(member_ids.size, dtype=np.int64)
+    return translate_rows(
+        kind, entity, zeros, zeros, state.agent_pos[member_ids], stack_states([state]), config
+    )
+
+
+def anchor_slots(kind: np.ndarray, entity: np.ndarray, m: int, n_bases: int) -> np.ndarray:
+    """Row of the ``command_rows`` anchor table each coded command reads.
+
+    Slots: invaders, then bases, then the alive-only slot of gather and
+    scatter, then the all-zero slot of an out-of-range entity or of no
+    command (kind -1). Depends only on the codes, m and n_bases, so a target
+    layer computes it once.
+    """
+    defend = kind == DEFEND
+    in_range = (0 <= entity) & (entity < np.where(defend, n_bases, m))
+    slot = np.where(in_range, entity + m * defend, m + n_bases + 1)
+    slot[kind >= GATHER] = m + n_bases
+    return slot
 
 
 def command_rows(
-    kind: np.ndarray, entity: np.ndarray, state: EnvState, config: EnvConfig, width: int
+    kind: np.ndarray, slot: np.ndarray, state: EnvState, config: EnvConfig, width: int
 ) -> np.ndarray:
     """Structured node representation of each coded command: kind one-hot,
     anchor position, alive flag; a row of kind -1 (no command) stays zero.
 
-    Padded with zeros to ``width`` so cooperative and primitive target rows
-    stack into one rectangular matrix.
+    ``slot`` is the rows' ``anchor_slots``. Padded with zeros to ``width``
+    so cooperative and primitive target rows stack into one rectangular
+    matrix. A ``stack_states`` stack gives one matrix per episode.
     """
     if width < COMMAND_REPR_WIDTH:
         raise ValueError(f"repr width {width} < {COMMAND_REPR_WIDTH}")
-    m, nb = len(state.invader_pos), len(state.base_pos)
-    # anchor slots: invaders, bases, then the alive-only slot of gather and
-    # scatter and the all-zero slot of an out-of-range entity
-    anchor = np.concatenate((state.invader_pos, state.base_pos, np.zeros((2, 3)))) / config.world_extent
-    alive = np.concatenate((state.invader_active, state.base_alive, (True, False)))
-    defend = kind == DEFEND
-    in_range = (0 <= entity) & (entity < np.where(defend, nb, m))
-    slot = np.where(in_range, entity + m * defend, m + nb + 1)
-    slot[kind >= GATHER] = m + nb
-    rep = np.zeros((len(kind), width), dtype=np.float64)
-    rep[:, :4] = kind[:, None] == _KIND_CODES
-    rep[:, 4:7] = anchor[slot]
-    rep[:, 7] = alive[slot]
+    lead = state.invader_pos.shape[:-2]
+    anchor = np.concatenate(
+        (state.invader_pos, state.base_pos, np.zeros(lead + (2, 3))), axis=-2
+    ) / config.world_extent
+    alive = np.concatenate(
+        (state.invader_active, state.base_alive, np.broadcast_to((True, False), lead + (2,))), axis=-1
+    )
+    rep = np.zeros(lead + (len(kind), width), dtype=np.float64)
+    rep[..., :4] = kind[:, None] == _KIND_CODES
+    rep[..., 4:7] = anchor[..., slot, :]
+    rep[..., 7] = alive[..., slot]
     return rep
 
 
@@ -284,4 +317,5 @@ def command_raw_repr(
 ) -> np.ndarray:
     """One command's row of ``command_rows``."""
     kind, entity = (np.array([c]) for c in command.code)
-    return command_rows(kind, entity, state, config, width)[0]
+    slot = anchor_slots(kind, entity, len(state.invader_pos), len(state.base_pos))
+    return command_rows(kind, slot, state, config, width)[0]

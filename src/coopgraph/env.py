@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -169,6 +169,16 @@ class EnvState:
         return self.base_pos.mean(axis=0)
 
 
+def stack_states(states: list[EnvState]) -> EnvState:
+    """The states of B lockstep episodes of one config as one EnvState whose
+    every field carries a leading episode axis (``t`` becomes a (B,) array).
+
+    The observation, translation and target-row passes read such a stack as
+    B episodes at once; ``step`` takes one episode's state only.
+    """
+    return EnvState(*(np.stack([getattr(s, f.name) for s in states]) for f in fields(EnvState)))
+
+
 @dataclass
 class StepOutcome:
     reward: float
@@ -309,18 +319,17 @@ def observe_all(state: EnvState, config: EnvConfig) -> np.ndarray:
     Row layout: own position / extent, then per invader (relative position /
     extent, active flag), then per base (relative position / extent, alive
     flag). Constant length within a task family, which is what lets a policy
-    transfer across team sizes.
+    transfer across team sizes. A ``stack_states`` stack gives one matrix
+    per episode, (B, N, d_obs).
     """
     ext = config.world_extent
-    n = config.n_agents
-    own = state.agent_pos / ext
-    inv_rel = (state.invader_pos[None, :, :] - state.agent_pos[:, None, :]) / ext
-    inv_flag = np.broadcast_to(state.invader_active.astype(np.float64)[None, :, None], (n, config.m_invaders, 1))
-    inv_block = np.concatenate([inv_rel, inv_flag], axis=2).reshape(n, -1)
-    base_rel = (state.base_pos[None, :, :] - state.agent_pos[:, None, :]) / ext
-    base_flag = np.broadcast_to(state.base_alive.astype(np.float64)[None, :, None], (n, config.n_bases, 1))
-    base_block = np.concatenate([base_rel, base_flag], axis=2).reshape(n, -1)
-    return np.concatenate([own, inv_block, base_block], axis=1)
+    pos = state.agent_pos
+    blocks = [pos / ext]
+    for entity_pos, flag in ((state.invader_pos, state.invader_active), (state.base_pos, state.base_alive)):
+        rel = (entity_pos[..., None, :, :] - pos[..., :, None, :]) / ext
+        flags = np.broadcast_to(flag.astype(np.float64)[..., None, :, None], rel.shape[:-1] + (1,))
+        blocks.append(np.concatenate([rel, flags], axis=-1).reshape(pos.shape[:-1] + (-1,)))
+    return np.concatenate(blocks, axis=-1)
 
 
 def observe(state: EnvState, agent_id: int, config: EnvConfig) -> np.ndarray:

@@ -7,6 +7,11 @@ every agent's primitive action: primitive targets broadcast their action id
 to all member agents, cooperative targets run a command controller per
 member (one array pass over every cooperative member, see ``commands``).
 
+A lockstep rollout stacks the graphs of its B alive episodes into one graph
+whose edge maps carry a leading episode axis (``stack_graphs``).
+``action_masks`` and ``resolve_agent_actions`` take such a stack in one
+array pass; one graph is the B = 1 case of the same pass.
+
 Four operator choices form one joint action: (src_cluster, dst_cluster)
 moves one agent between clusters and (src_target, dst_target) moves one
 cluster between targets. Invalid pairs (empty source, or source == dest)
@@ -23,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .commands import CommandKind, CoopCommand, translate_rows
-from .env import EnvConfig, EnvState
+from .commands import CommandKind, CoopCommand, anchor_slots, translate_rows
+from .env import EnvConfig, EnvState, stack_states
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class TargetLayer(tuple):
     and entity per target, -1 where a field does not apply (see
     ``CoopCommand.code``). Rewiring never changes the target layer, so every
     graph rewired from one shares it and the table is built once, not on
-    every step.
+    every step; so is each task size's anchor-slot table.
     """
 
     codes: np.ndarray
@@ -66,7 +71,18 @@ class TargetLayer(tuple):
             dtype=np.int64,
         ).reshape(-1, 3)
         layer.codes.setflags(write=False)
+        layer._slots = {}
         return layer
+
+    def anchor_slots(self, m: int, n_bases: int) -> np.ndarray:
+        """``commands.anchor_slots`` of every target for m invaders and
+        n_bases bases, built on first use."""
+        slots = self._slots.get((m, n_bases))
+        if slots is None:
+            slots = anchor_slots(self.codes[:, 1], self.codes[:, 2], m, n_bases)
+            slots.setflags(write=False)
+            self._slots[m, n_bases] = slots
+        return slots
 
 
 @dataclass(frozen=True)
@@ -95,7 +111,8 @@ class CooperationGraph:
     ``agent_to_cluster`` maps the controllable bottom-layer nodes. Without an
     extension those are the environment agents themselves; with one, entry i
     is a group node statically bound to the environment agents in
-    ``extension[i]``.
+    ``extension[i]``. A ``stack_graphs`` stack holds B graphs at once: its
+    two edge maps carry a leading episode axis.
     """
 
     n_clusters: int
@@ -115,7 +132,7 @@ class CooperationGraph:
     @property
     def n_agents(self) -> int:
         """Controllable bottom-layer node count (group nodes once extended)."""
-        return len(self.agent_to_cluster)
+        return self.agent_to_cluster.shape[-1]
 
     @property
     def n_targets(self) -> int:
@@ -139,6 +156,20 @@ class CooperationGraph:
         if self.extension is None:
             return lower
         return self.extension[lower].reshape(-1)
+
+
+def stack_graphs(graphs: Sequence[CooperationGraph]) -> CooperationGraph:
+    """B graphs as one graph whose edge maps carry a leading episode axis.
+
+    The graphs must share the target layer and the extension, as every graph
+    rewired from one start topology does. ``action_masks`` and
+    ``resolve_agent_actions`` read such a stack as B episodes at once.
+    """
+    return replace(
+        graphs[0],
+        agent_to_cluster=np.stack([g.agent_to_cluster for g in graphs]),
+        cluster_to_target=np.stack([g.cluster_to_target for g in graphs]),
+    )
 
 
 class GraphInvariantError(AssertionError):
@@ -206,10 +237,15 @@ def apply_operator_action(
 
 
 def action_masks(graph: CooperationGraph) -> ActionMasks:
-    """Source masks: nonempty clusters and targets with a connected cluster."""
-    cluster_mask = np.bincount(graph.agent_to_cluster, minlength=graph.n_clusters) > 0
-    target_mask = np.bincount(graph.cluster_to_target, minlength=graph.n_targets) > 0
-    return ActionMasks(cluster_mask=cluster_mask, target_mask=target_mask)
+    """Source masks: nonempty clusters and targets with a connected cluster.
+
+    A ``stack_graphs`` stack gives (B, n) masks, one row per episode.
+    """
+    a2c, c2t = graph.agent_to_cluster, graph.cluster_to_target
+    return ActionMasks(
+        cluster_mask=(a2c[..., None] == np.arange(graph.n_clusters)).any(axis=-2),
+        target_mask=(c2t[..., None] == np.arange(graph.n_targets)).any(axis=-2),
+    )
 
 
 def resolve_agent_actions(
@@ -217,24 +253,32 @@ def resolve_agent_actions(
 ) -> np.ndarray:
     """Primitive action id for every environment agent under the current graph.
 
-    Env agents are laid out cluster by cluster, each cluster's members in
-    ``env_agents_of`` order; primitive rows take their target's action id and
-    all cooperative rows are translated in one pass.
+    ``graph`` and ``state`` may also be a ``stack_graphs`` and a
+    ``stack_states`` stack of B episodes; the result is then (B, n_env),
+    and one episode is the B = 1 case of the same pass. Each episode's env
+    agents are laid out cluster by cluster, each cluster's members in
+    ``env_agents_of`` order; primitive rows take their target's action id
+    and all cooperative rows of all episodes are translated in one pass,
+    each row carrying its episode index.
     """
-    order = np.argsort(graph.agent_to_cluster, kind="stable")
-    cluster = graph.agent_to_cluster[order]
+    if graph.agent_to_cluster.ndim == 1:
+        return resolve_agent_actions(stack_graphs([graph]), stack_states([state]), config)[0]
+    a2c = graph.agent_to_cluster
+    order = np.argsort(a2c, axis=1, kind="stable")
+    cluster = np.take_along_axis(a2c, order, axis=1)
     if graph.extension is not None:
-        order = graph.extension[order].reshape(-1)
-        cluster = np.repeat(cluster, graph.fan_out)
-    codes = graph.targets.codes[graph.cluster_to_target[cluster]]
-    chosen = codes[:, 0]
-    coop = (chosen < 0).nonzero()[0]
-    if coop.size:
-        chosen[coop] = translate_rows(
-            codes[coop, 1], codes[coop, 2], cluster[coop], state.agent_pos[order[coop]], state, config
+        order = graph.extension[order].reshape(len(a2c), -1)
+        cluster = np.repeat(cluster, graph.fan_out, axis=1)
+    codes = graph.targets.codes[np.take_along_axis(graph.cluster_to_target, cluster, axis=1)]
+    chosen = codes[..., 0]
+    ep, row = (chosen < 0).nonzero()
+    if ep.size:
+        chosen[ep, row] = translate_rows(
+            codes[ep, row, 1], codes[ep, row, 2], ep, cluster[ep, row],
+            state.agent_pos[ep, order[ep, row]], state, config,
         )
-    actions = np.empty(graph.n_env_agents, dtype=np.int64)
-    actions[order] = chosen
+    actions = np.empty_like(chosen)
+    np.put_along_axis(actions, order, chosen, axis=1)
     return actions
 
 

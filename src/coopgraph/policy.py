@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal
 
@@ -34,8 +34,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .commands import COMMAND_REPR_WIDTH, command_rows
-from .env import EnvConfig, EnvState, obs_dim, observe_all
-from .graph import CooperationGraph
+from .env import EnvConfig, EnvState, obs_dim, observe_all, stack_states
+from .graph import CooperationGraph, stack_graphs
 
 CHECKPOINT_MAGIC = b"CGCK"
 CHECKPOINT_VERSION = 1
@@ -236,21 +236,19 @@ class NodeBatch:
     agent_to_cluster: np.ndarray   # (B, n_lower)
     cluster_to_target: np.ndarray  # (B, n_clusters)
 
-    @classmethod
-    def concat(cls, parts: list["NodeBatch"]) -> "NodeBatch":
-        """Join batches along the leading axis."""
-        return cls(*(
-            np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)
-        ))
-
 
 def target_raw_reps(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> np.ndarray:
     """Target rows: one-hot of the target id for primitives, structured
-    command descriptors for cooperative nodes, one common width."""
+    command descriptors for cooperative nodes, one common width.
+
+    A ``stack_states`` stack gives one (n_targets, d_raw) matrix per episode;
+    every episode of a stack shares the graph's target layer.
+    """
     codes = graph.targets.codes
-    reps = command_rows(codes[:, 1], codes[:, 2], state, config, raw_repr_width(graph.n_targets))
+    slots = graph.targets.anchor_slots(state.invader_pos.shape[-2], state.base_pos.shape[-2])
+    reps = command_rows(codes[:, 1], slots, state, config, raw_repr_width(graph.n_targets))
     prim = np.flatnonzero(codes[:, 0] >= 0)
-    reps[prim, prim] = 1.0
+    reps[..., prim, prim] = 1.0
     return reps
 
 
@@ -259,21 +257,25 @@ def agent_rows(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> n
 
     Without an extension this is plain env-agent order; with one, row
     fan_out*i+j is member j of group node i, whatever the group's actual
-    agent ids are.
+    agent ids are. A ``stack_states`` stack gives one matrix per episode.
     """
     obs = observe_all(state, config)
     if graph.extension is None:
         return obs
-    return obs[graph.extension.reshape(-1)]
+    return obs[..., graph.extension.reshape(-1), :]
 
 
 def node_batch(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> NodeBatch:
-    """Single-step NodeBatch (B = 1) for the current graph and simulator state."""
+    """NodeBatch of one step (B = 1) for the current graph and simulator
+    state, or of a lockstep step of B episodes for a ``stack_graphs`` and a
+    ``stack_states`` stack."""
+    if graph.agent_to_cluster.ndim == 1:
+        graph, state = stack_graphs([graph]), stack_states([state])
     return NodeBatch(
-        obs=agent_rows(graph, state, config)[None],
-        target_reps=target_raw_reps(graph, state, config)[None],
-        agent_to_cluster=graph.agent_to_cluster[None],
-        cluster_to_target=graph.cluster_to_target[None],
+        obs=agent_rows(graph, state, config),
+        target_reps=target_raw_reps(graph, state, config),
+        agent_to_cluster=graph.agent_to_cluster,
+        cluster_to_target=graph.cluster_to_target,
     )
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .env import EnvConfig, PrimitiveSet, TaskNameError, parse_task_name
+from .env import EnvConfig, PrimitiveSet, TaskNameError, parse_task_name, reset, stack_states, step
 from .graph import (
     CooperationGraph,
     OperatorAction,
@@ -30,10 +30,10 @@ from .graph import (
     from_json_dict,
     resolve_agent_actions,
     select_initial_topology,
+    stack_graphs,
     to_dot,
     to_json,
 )
-from .env import reset, step
 from .policy import (
     PolicyParams,
     init_params,
@@ -436,7 +436,11 @@ def scripted_operator_action(
     c2t = graph.cluster_to_target
     counts = np.bincount(graph.agent_to_cluster, minlength=graph.n_clusters)
     active_tids = {intercept_tid[j] for j in active}
-    clusters_on = {t: np.flatnonzero(c2t == t) for t in range(graph.n_targets)}
+    # the clusters on each target in ascending order: one stable sort, cut
+    # at the target boundaries
+    by_target = np.argsort(c2t, kind="stable")
+    bounds = np.searchsorted(c2t[by_target], np.arange(graph.n_targets + 1)).tolist()
+    clusters_on = {t: by_target[bounds[t]:bounds[t + 1]] for t in range(graph.n_targets)}
 
     # every cluster on an invader's intercept chases the same point, so only
     # per-invader chaser totals matter
@@ -444,9 +448,11 @@ def scripted_operator_action(
     quota = math.ceil(graph.n_agents / len(active))
     setup = state.t < 25
 
-    def time_to_base(j):
-        d = float(np.linalg.norm(state.invader_pos[j] - state.base_pos[state.invader_target[j]]))
-        return d / env_config.v_inv
+    # every invader's distance to its base as sqrt of a matmul row dot,
+    # bit-equal to np.linalg.norm of each one
+    to_base = state.base_pos[state.invader_target] - state.invader_pos
+    dist = np.sqrt(np.matmul(to_base[:, None, :], to_base[:, :, None])[:, 0, 0])
+    time_to_base = (dist / env_config.v_inv).tolist().__getitem__
 
     def movable(t):  # the cluster op3/op4 would actually move off target t
         return int(clusters_on[t][0]) if len(clusters_on[t]) else None
@@ -540,33 +546,39 @@ def scripted_operator_action(
     return OperatorAction(src_c, dst_c, src_t, dst_t)
 
 
-def run_oracle_episode(
-    graph0: CooperationGraph, env_config: EnvConfig, rng: np.random.Generator
-) -> float:
-    """One scripted episode; returns the terminal team reward."""
-    state = reset(env_config, rng)
-    graph = graph0
-    done = False
-    reward = 0.0
-    while not done:
-        action = scripted_operator_action(graph, state, env_config)
-        graph, _ = apply_operator_action(graph, action)
-        actions = resolve_agent_actions(graph, state, env_config)
-        state, outcome = step(state, actions, env_config)
-        reward, done = outcome.reward, outcome.done
-    return reward
-
-
 def cmd_oracle(rc: RunConfig) -> dict:
-    """Success rate of the scripted operator policy over eval_episodes."""
+    """Success rate of the scripted operator policy over eval_episodes.
+
+    The episodes run in lockstep: the scripted operator and ``step`` act per
+    episode, and one ``resolve_agent_actions`` pass translates every alive
+    episode's graph.
+    """
     if not rc.coop_actions:
         raise ConfigError("the scripted oracle needs cooperative intercept targets")
     env_config = build_env_config(rc)
     graph0 = frozen_topology(rc, env_config, rc.seeds[0])
+    states = [
+        reset(env_config, np.random.default_rng(rc.seeds[0] * EPISODE_SEED_STRIDE + e))
+        for e in range(rc.eval_episodes)
+    ]
+    graphs = [graph0] * rc.eval_episodes
     wins = 0
-    for e in range(rc.eval_episodes):
-        rng = np.random.default_rng(rc.seeds[0] * EPISODE_SEED_STRIDE + e)
-        wins += run_oracle_episode(graph0, env_config, rng) > 0
+    alive = list(range(rc.eval_episodes))
+    while alive:
+        for e in alive:
+            action = scripted_operator_action(graphs[e], states[e], env_config)
+            graphs[e], _ = apply_operator_action(graphs[e], action)
+        actions = resolve_agent_actions(
+            stack_graphs([graphs[e] for e in alive]), stack_states([states[e] for e in alive]), env_config
+        )
+        next_alive = []
+        for e, env_actions in zip(alive, actions):
+            states[e], outcome = step(states[e], env_actions, env_config)
+            if not outcome.done:
+                next_alive.append(e)
+            elif outcome.reward > 0:
+                wins += 1
+        alive = next_alive
     return {"success": wins / rc.eval_episodes, "episodes": rc.eval_episodes}
 
 

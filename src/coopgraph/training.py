@@ -3,10 +3,14 @@
 Rollouts treat the operator quadruple as the learning agent: per environment
 step the operators rewire one agent edge and one cluster edge, the graph is
 resolved into primitive actions, and the simulator advances. Episodes always
-start from one frozen initial topology. A small per-step probability
-replaces the learned operator action with a random fake one (interference);
-those steps are excluded from the policy surrogate but keep feeding the
-value targets.
+start from one frozen initial topology and run in lockstep: each step stacks
+the alive episodes' states and graphs once, builds the node inputs, masks
+and primitive actions of all of them in one array pass each, and runs one
+batched policy forward; the operator actions, interference and ``env.step``
+stay per episode, so each episode's generator is consumed in its own order.
+A small per-step probability replaces the learned operator action with a
+random fake one (interference); those steps are excluded from the policy
+surrogate but keep feeding the value targets.
 
 Updates are clipped PPO with GAE, an entropy bonus and the auxiliary
 reconstruction loss, over minibatches of shuffled timesteps.
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .env import EnvConfig, PrimitiveSet, reset, step, trajectory_record
+from .env import EnvConfig, PrimitiveSet, reset, stack_states, step, trajectory_record
 from .graph import (
     CooperationGraph,
     OperatorAction,
@@ -31,6 +35,7 @@ from .graph import (
     from_json_dict,
     interfere,
     resolve_agent_actions,
+    stack_graphs,
     to_json_dict,
 )
 from .policy import (
@@ -125,9 +130,11 @@ def rollout(
 ):
     """Run one episode per generator in lockstep from the frozen start topology.
 
-    Every step batches the policy forward over the still-alive episodes.
-    Episode e consumes rngs[e] in a fixed order (reset, then per step: four
-    head samples in sample mode, the interference draw and any fake-action
+    Every step stacks the still-alive episodes (``stack_states``,
+    ``stack_graphs``) and builds their node batch, masks and primitive
+    actions in one pass each, with one batched policy forward. Episode e
+    consumes rngs[e] in a fixed order (reset, then per step: four head
+    samples in sample mode, the interference draw and any fake-action
     indices), so its result does not depend on which episodes run beside it.
 
     ``on_step(t, graph, state)`` fires for each alive episode at the start of
@@ -148,25 +155,31 @@ def rollout(
         if on_step is not None:
             for e in alive:
                 on_step(states[e].t, graphs[e], states[e])
-        batch = NodeBatch.concat([node_batch(graphs[e], states[e], env_config) for e in alive])
-        masks = [action_masks(graphs[e]) for e in alive]
-        cmask = np.stack([m.cluster_mask for m in masks])
-        tmask = np.stack([m.target_mask for m in masks])
+        stack = stack_states([states[e] for e in alive])
+        before = stack_graphs([graphs[e] for e in alive])
+        batch = node_batch(before, stack, env_config)
+        masks = action_masks(before)
+        cmask, tmask = masks.cluster_mask, masks.target_mask
         actions, log_probs, values = act_batch(
             batch, cmask, tmask, params, [rngs[e] for e in alive], mode=mode,
         )
 
-        next_alive = []
+        applied, interfered = [], []
         for row, e in enumerate(alive):
             # drawn even at p=0, so every mode consumes the same stream
-            interfered = rngs[e].random() < p_interference
-            if interfered:
-                graphs[e], applied = interfere(graphs[e], rngs[e])
+            fake = rngs[e].random() < p_interference
+            if fake:
+                graphs[e], action = interfere(graphs[e], rngs[e])
             else:
-                applied = OperatorAction(*actions[row])
-                graphs[e], _ = apply_operator_action(graphs[e], applied)
-            env_actions = resolve_agent_actions(graphs[e], states[e], env_config)
-            states[e], outcome = step(states[e], env_actions, env_config)
+                action = OperatorAction(*actions[row])
+                graphs[e], _ = apply_operator_action(graphs[e], action)
+            applied.append(action)
+            interfered.append(fake)
+        env_actions = resolve_agent_actions(stack_graphs([graphs[e] for e in alive]), stack, env_config)
+
+        next_alive = []
+        for row, e in enumerate(alive):
+            states[e], outcome = step(states[e], env_actions[row], env_config)
             if trajectories is not None:
                 trajectories[e].append(trajectory_record(states[e], outcome.reward))
             if steps is not None:
@@ -174,9 +187,9 @@ def rollout(
                     batch.obs[row], batch.target_reps[row],
                     batch.agent_to_cluster[row], batch.cluster_to_target[row],
                     cmask[row], tmask[row],
-                    np.array(applied.as_tuple()),
-                    np.zeros(4) if interfered else log_probs[row],
-                    values[row], outcome.reward, outcome.done, interfered,
+                    np.array(applied[row].as_tuple()),
+                    np.zeros(4) if interfered[row] else log_probs[row],
+                    values[row], outcome.reward, outcome.done, interfered[row],
                 ))
             lengths[e] += 1
             if outcome.done:
@@ -385,12 +398,31 @@ class TrainSettings:
     stop_success: float | None = None
 
 
+def _truncate_log(path: Path, update: int) -> None:
+    """Keep the records of a JSONL log up to ``update``, if the log exists;
+    a line cut short by an interruption ends the kept part too."""
+    if not path.exists():
+        return
+    kept = []
+    for line in path.read_text().splitlines(keepends=True):
+        try:
+            if json.loads(line)["update"] > update:
+                break
+        except ValueError:
+            break
+        kept.append(line)
+    path.write_text("".join(kept))
+
+
 class Trainer:
     """Alternates collect / ppo_update, logging metrics and checkpoints.
 
     Checkpoints carry the full trainer state (optimizer moments, episode
     counter, shuffle-rng state, frozen topology), so a resumed run replays
-    the exact metric stream of an uninterrupted one.
+    the exact metric stream of an uninterrupted one. Restoring into the
+    run's own directory cuts ``metrics.jsonl`` and ``eval.jsonl`` back to
+    the checkpoint's update, so the resumed logs match an uninterrupted
+    run's byte for byte.
     """
 
     def __init__(
@@ -470,6 +502,10 @@ class Trainer:
             if f"adam.m.{name}" in extra:
                 trainer.optimizer.m[name] = extra[f"adam.m.{name}"].copy()
                 trainer.optimizer.v[name] = extra[f"adam.v.{name}"].copy()
+        # a run resumed in its own directory rewrites every record after the
+        # checkpoint, so those go
+        for log in ("metrics.jsonl", "eval.jsonl"):
+            _truncate_log(trainer.out_dir / log, trainer.update)
         return trainer
 
     # -- main loop -----------------------------------------------------------

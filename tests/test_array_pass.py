@@ -4,7 +4,8 @@
 commands (and the one-target-at-a-time code that built target rows) before
 both became one array pass. The pass must give the same directions and
 rows bit for bit and the same action ids exactly, on random graphs that
-reach every branch of the controllers.
+reach every branch of the controllers. A lockstep stack of such graphs
+must give, in row e of every batched pass, what episode e gives alone.
 """
 
 import dataclasses
@@ -21,9 +22,16 @@ from coopgraph.commands import (
     steer_rows,
     translate,
 )
-from coopgraph.env import EnvConfig, PrimitiveSet, reset
-from coopgraph.graph import TargetNode, build_targets, random_topology, resolve_agent_actions
-from coopgraph.policy import target_raw_reps
+from coopgraph.env import EnvConfig, PrimitiveSet, reset, stack_states
+from coopgraph.graph import (
+    TargetNode,
+    action_masks,
+    build_targets,
+    random_topology,
+    resolve_agent_actions,
+    stack_graphs,
+)
+from coopgraph.policy import agent_rows, node_batch, target_raw_reps
 
 # ---------------------------------------------------------------------------
 # reference: one member at a time
@@ -123,19 +131,7 @@ def random_case(rng, trial):
         n_agents=n_lower * fan_out, k_threshold=1, m_invaders=m, n_bases=n_bases,
         v_inv=v_inv, primitive_set=primitive_set,
     )
-    state = reset(cfg, rng)
-    n = cfg.n_agents
-    if trial % 2:  # co-located members, one of them off by less than 1e-9
-        state.agent_pos[: max(2, n // 2)] = state.agent_pos[0]
-        state.agent_pos[1 % n, 0] += 1e-10
-    if trial % 5 == 0:
-        state.invader_active[0] = False
-    if trial % 6 == 0:
-        state.base_alive[0] = False
-    if trial % 7 == 0:  # an invader sitting on its base
-        state.invader_pos[0] = state.base_pos[state.invader_target[0]]
-    if trial % 3 != 2:  # a defender inside the defend ring
-        state.agent_pos[n - 1] = state.base_pos[trial % n_bases] + rng.uniform(-3, 3, size=3)
+    state = random_state(rng, cfg, trial)
     targets = list(build_targets(primitive_set, True, m, n_bases))
     out_of_range = (
         CoopCommand(CommandKind.INTERCEPT, m),
@@ -148,9 +144,42 @@ def random_case(rng, trial):
     graph = random_topology(rng, n_lower, int(rng.integers(1, 7)), targets)
     if fan_out > 1:  # groups bound to scrambled, non-ascending agent ids
         graph = dataclasses.replace(
-            graph, extension=rng.permutation(n).reshape(n_lower, fan_out).astype(np.int64)
+            graph, extension=rng.permutation(cfg.n_agents).reshape(n_lower, fan_out).astype(np.int64)
         )
     return cfg, state, graph
+
+
+def random_state(rng, cfg, trial):
+    """A fresh episode, bent by the trial number toward the rarer branches."""
+    state = reset(cfg, rng)
+    n, n_bases = cfg.n_agents, cfg.n_bases
+    if trial % 2:  # co-located members, one of them off by less than 1e-9
+        state.agent_pos[: max(2, n // 2)] = state.agent_pos[0]
+        state.agent_pos[1 % n, 0] += 1e-10
+    if trial % 5 == 0:
+        state.invader_active[0] = False
+    if trial % 6 == 0:
+        state.base_alive[0] = False
+    if trial % 7 == 0:  # an invader sitting on its base
+        state.invader_pos[0] = state.base_pos[state.invader_target[0]]
+    if trial % 3 != 2:  # a defender inside the defend ring
+        state.agent_pos[n - 1] = state.base_pos[trial % n_bases] + rng.uniform(-3, 3, size=3)
+    return state
+
+
+def random_batch(rng, trial, size):
+    """``size`` episodes of one config, target layer and extension, each
+    with its own state and topology, as a lockstep step has them."""
+    cfg, state, graph = random_case(rng, trial)
+    states, graphs = [state], [graph]
+    for e in range(1, size):
+        states.append(random_state(rng, cfg, trial + e))
+        graphs.append(dataclasses.replace(
+            graph,
+            agent_to_cluster=rng.integers(0, graph.n_clusters, size=graph.n_agents),
+            cluster_to_target=rng.integers(0, graph.n_targets, size=graph.n_clusters),
+        ))
+    return cfg, states, graphs
 
 
 def coverage(command, members, state, cfg):
@@ -182,6 +211,14 @@ def coverage(command, members, state, cfg):
         elif (np.linalg.norm(state.base_pos[b] - members, axis=1) <= R_DEFEND).any():
             hits.add("inside defend ring")
     return hits
+
+
+BRANCHES = {
+    "intercept", "defend", "gather", "scatter", "six", "fourteen", "none",
+    "scatter singleton", "scatter co-located", "invader out of range",
+    "invader neutralised", "invader on its base", "invader not slower", "lead point",
+    "base out of range", "base dead", "inside defend ring", "scrambled extension",
+}
 
 
 def same_bits(a, b):
@@ -234,20 +271,51 @@ def test_array_pass_matches_per_member_reference():
             clusters.extend([k] * env_ids.size)
             expected_dirs.extend(cluster_dirs)
         if rows:
+            episode = np.zeros(len(rows), dtype=np.int64)
             got = steer_rows(
-                np.array(kinds), np.array(entities), np.array(clusters),
-                state.agent_pos[rows], state, cfg,
+                np.array(kinds), np.array(entities), episode, np.array(clusters),
+                state.agent_pos[rows], stack_states([state]), cfg,
             )
             assert same_bits(got, expected_dirs), f"trial {trial}"
         assert resolve_agent_actions(graph, state, cfg).tolist() == expected_actions.tolist()
         assert same_bits(target_raw_reps(graph, state, cfg), reference_target_rows(graph, state, cfg))
-    branches = {
-        "intercept", "defend", "gather", "scatter", "six", "fourteen", "none",
-        "scatter singleton", "scatter co-located", "invader out of range",
-        "invader neutralised", "invader on its base", "invader not slower", "lead point",
-        "base out of range", "base dead", "inside defend ring", "scrambled extension",
-    }
-    assert branches <= seen, f"never reached: {sorted(branches - seen)}"
+    assert BRANCHES <= seen, f"never reached: {sorted(BRANCHES - seen)}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_batched_passes_match_each_episode_alone():
+    """Row e of every lockstep pass over a stack of mixed topologies equals
+    episode e run alone (the B = 1 case), bit for bit: actions, target rows,
+    observation rows, node batch and masks."""
+    rng = np.random.default_rng(2025)
+    seen = set()
+    for trial in range(200):
+        cfg, states, graphs = random_batch(rng, trial, size=int(rng.integers(1, 6)))
+        graph, state = stack_graphs(graphs), stack_states(states)
+        actions = resolve_agent_actions(graph, state, cfg)
+        batch = node_batch(graph, state, cfg)
+        masks = action_masks(graph)
+        assert same_bits(batch.target_reps, target_raw_reps(graph, state, cfg))
+        assert same_bits(batch.obs, agent_rows(graph, state, cfg))
+        for e, (g, s) in enumerate(zip(graphs, states)):
+            assert actions[e].tolist() == resolve_agent_actions(g, s, cfg).tolist(), f"trial {trial}"
+            alone = node_batch(g, s, cfg)
+            for name in ("obs", "target_reps", "agent_to_cluster", "cluster_to_target"):
+                assert same_bits(getattr(batch, name)[e], getattr(alone, name)[0]), name
+            assert same_bits(batch.obs[e], agent_rows(g, s, cfg))
+            assert same_bits(batch.target_reps[e], target_raw_reps(g, s, cfg))
+            one = action_masks(g)
+            assert masks.cluster_mask[e].tolist() == one.cluster_mask.tolist()
+            assert masks.target_mask[e].tolist() == one.target_mask.tolist()
+            for k in range(g.n_clusters):
+                target = g.targets[g.cluster_to_target[k]]
+                env_ids = g.env_agents_of(k)
+                if env_ids.size and not target.is_primitive:
+                    seen |= coverage(target.command, s.agent_pos[env_ids], s, cfg)
+            if g.extension is not None and not np.array_equal(np.sort(g.extension, axis=None), g.extension.ravel()):
+                seen.add("scrambled extension")
+        seen.add(f"batch of {min(len(states), 3)}+")
+    assert BRANCHES | {"batch of 1+", "batch of 3+"} <= seen, f"never reached: {sorted(BRANCHES - seen)}"
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,13 @@ import pytest
 from coopgraph import autodiff as ad
 from coopgraph import policy as policy_module
 from coopgraph.autodiff import Tensor
-from coopgraph.env import EnvConfig, PrimitiveSet, obs_dim, reset
+from coopgraph.env import EnvConfig, PrimitiveSet, obs_dim, reset, stack_states
 from coopgraph.graph import (
     action_masks,
     build_targets,
     extend,
     random_topology,
+    stack_graphs,
 )
 from coopgraph.policy import (
     RETIRED_TENSORS,
@@ -123,16 +124,16 @@ def _attention_ac_rows(batch, params):
 def test_encode_reads_only_selected_target_rows():
     """Each cluster sees exactly the target row its one edge selects."""
     cfg, graph, params, state = make_setup(seed=41)
-    steps = []
-    for c2t in ([4, 4, 1], [0, 2, 2]):
-        g = type(graph)(
+    steps = [
+        type(graph)(
             n_clusters=3,
             targets=graph.targets,
             agent_to_cluster=graph.agent_to_cluster,
             cluster_to_target=np.array(c2t, dtype=np.int64),
         )
-        steps.append(node_batch(g, state, cfg))
-    batch = NodeBatch.concat(steps)
+        for c2t in ([4, 4, 1], [0, 2, 2])
+    ]
+    batch = node_batch(stack_graphs(steps), stack_states([state, state]), cfg)
     base = encode(batch, params).data
 
     def perturbed(b, t):

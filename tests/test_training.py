@@ -317,6 +317,22 @@ def test_trainer_resume_is_bit_deterministic(tmp_path):
     assert full_lines[2:] == resumed_lines
 
 
+def test_resume_in_own_directory_matches_uninterrupted_logs(tmp_path):
+    """A run stopped after update 5 and resumed from its update-4 checkpoint
+    in its own directory leaves the logs of a run that was never stopped."""
+
+    def settings(total):
+        return TrainSettings(total_updates=total, eval_every=2, eval_episodes=2, checkpoint_every=4)
+
+    for name, total in (("full", 6), ("cut", 5)):
+        env_config, graph, params = desk_nano()
+        cfg = TrainConfig(batch_episodes=4, ppo_epochs=2)
+        Trainer(graph, params, env_config, cfg, settings(total), 0, tmp_path / name).run()
+    Trainer.restore(tmp_path / "cut" / "checkpoint_000004.ckpt", settings(6), tmp_path / "cut").run()
+    for log in ("metrics.jsonl", "eval.jsonl"):
+        assert (tmp_path / "cut" / log).read_bytes() == (tmp_path / "full" / log).read_bytes(), log
+
+
 def test_evaluate_policy_deterministic():
     env_config, graph, params = desk_nano()
     a = evaluate_policy(graph, params, env_config, seed=4, episodes=3)
