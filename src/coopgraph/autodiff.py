@@ -75,12 +75,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
@@ -499,14 +493,6 @@ class Adam:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def register(self, extra: dict[str, Tensor]) -> None:
-        """Track newly added parameters (e.g. after network surgery)."""
-        for k, p in extra.items():
-            if k not in self.params:
-                self.params[k] = p
-                self.m[k] = np.zeros_like(p.data)
-                self.v[k] = np.zeros_like(p.data)
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
@@ -526,16 +512,3 @@ class Adam:
             v += (1.0 - self.beta2) * p.grad * p.grad
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: arr.copy() for k, arr in self.m.items()},
-            "v": {k: arr.copy() for k, arr in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        for k in self.params:
-            if k in state["m"]:
-                self.m[k] = np.asarray(state["m"][k], dtype=np.float64).reshape(self.m[k].shape)
-                self.v[k] = np.asarray(state["v"][k], dtype=np.float64).reshape(self.v[k].shape)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -121,7 +121,6 @@ class EnvConfig:
     slow_count: int = 0  # 0 -> ceil(k_threshold / 2)
     t_max: int = 200
     primitive_set: PrimitiveSet = PrimitiveSet.SIX
-    seed: int = 0
 
     def __post_init__(self):
         if self.slow_count == 0:
@@ -139,9 +138,19 @@ class EnvConfig:
     def move_dirs(self) -> np.ndarray:
         return move_directions(self.primitive_set)
 
-    @property
-    def n_move_actions(self) -> int:
-        return self.move_dirs.shape[0]
+    def to_json_dict(self) -> dict:
+        """Every field as plain JSON, the primitive set by its name."""
+        doc = asdict(self)
+        doc["primitive_set"] = self.primitive_set.value
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "EnvConfig":
+        """Inverse of ``to_json_dict``; drops the retired ``seed`` key that
+        older checkpoints carry."""
+        kwargs = {k: v for k, v in doc.items() if k != "seed"}
+        kwargs["primitive_set"] = PrimitiveSet(kwargs["primitive_set"])
+        return cls(**kwargs)
 
 
 def config_for_task(task: str, **overrides) -> EnvConfig:
@@ -186,7 +195,7 @@ class StepOutcome:
     info: dict = field(default_factory=dict)
 
 
-def reset(config: EnvConfig, rng: np.random.Generator | None = None) -> EnvState:
+def reset(config: EnvConfig, rng: np.random.Generator) -> EnvState:
     """Spawn a fresh episode; deterministic given the generator state.
 
     Bases sit on the ground face with pairwise separation of at least a
@@ -194,8 +203,6 @@ def reset(config: EnvConfig, rng: np.random.Generator | None = None) -> EnvState
     invaders enter on the top face with uniform (x, y) and a uniformly
     chosen target base.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     ext = config.world_extent
 
     base_pos = np.zeros((config.n_bases, 3), dtype=np.float64)

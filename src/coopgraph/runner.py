@@ -3,7 +3,8 @@
 A run config is a JSON document; every effective value (including defaults)
 is resolved up front, logged into the run directory and echoed back on
 request, so a run directory plus the package version reproduces the run
-bit-exactly.
+bit-exactly. The commands that start from a trained policy read its
+checkpoint through ``training.load_run_checkpoint``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .graph import (
     apply_operator_action,
     build_targets,
     extend,
-    from_json_dict,
     resolve_agent_actions,
     select_initial_topology,
     stack_graphs,
@@ -38,15 +38,16 @@ from .policy import (
     PolicyParams,
     init_params,
     layout_for,
-    load_checkpoint,
     surgery_for_extension,
 )
 from .training import (
     EPISODE_SEED_STRIDE,
+    RunCheckpoint,
     TrainConfig,
     TrainSettings,
     Trainer,
     evaluate_policy,
+    load_run_checkpoint,
     rollout,
 )
 
@@ -216,12 +217,10 @@ def resolved_dict(rc: RunConfig) -> dict:
     ``resolved`` section logs the fully expanded env/train/run parameters.
     """
     env_config = build_env_config(rc)
-    env = dataclasses.asdict(env_config)
-    env["primitive_set"] = env_config.primitive_set.value
     return {
         "run_config": dataclasses.asdict(rc),
         "resolved": {
-            "env": env,
+            "env": env_config.to_json_dict(),
             "train": dataclasses.asdict(TrainConfig(**rc.train)),
             "run": dataclasses.asdict(TrainSettings(**rc.run)),
             "n_targets": len(build_run_targets(rc, env_config)),
@@ -266,34 +265,33 @@ def cmd_train(rc: RunConfig) -> list[dict]:
     return summaries
 
 
-def _check_shapes(params: PolicyParams, graph: CooperationGraph, env_config: EnvConfig) -> None:
-    expected = layout_for(graph, env_config, hidden=params.layout.hidden)
-    if expected != params.layout:
+def _load_checked(rc: RunConfig, checkpoint: str) -> tuple[RunCheckpoint, EnvConfig]:
+    """The checkpoint and the run config's env config, checked to fit each other."""
+    run, env_config = load_run_checkpoint(checkpoint), build_env_config(rc)
+    expected = layout_for(run.graph0, env_config, hidden=run.params.layout.hidden)
+    if expected != run.params.layout:
         raise ValueError(
             "checkpoint is shape-incompatible with this config: "
-            f"checkpoint layout {params.layout}, config needs {expected}"
+            f"checkpoint layout {run.params.layout}, config needs {expected}"
         )
-    if graph.n_env_agents != env_config.n_agents:
+    if run.graph0.n_env_agents != env_config.n_agents:
         raise ValueError(
             "checkpoint is shape-incompatible with this config: its topology drives "
-            f"{graph.n_env_agents} agents but the task has {env_config.n_agents}"
+            f"{run.graph0.n_env_agents} agents but the task has {env_config.n_agents}"
         )
+    return run, env_config
 
 
 def cmd_eval(
     rc: RunConfig, checkpoint: str, dump_trajectory: str | None = None
 ) -> dict:
     """Greedy evaluation of a checkpoint: mean and sample std across seeds."""
-    params, _, header = load_checkpoint(checkpoint)
-    graph0 = from_json_dict(header["initial_topology"])
-    env_config = build_env_config(rc)
-    _check_shapes(params, graph0, env_config)
-
+    run, env_config = _load_checked(rc, checkpoint)
     rates = []
     for i, seed in enumerate(rc.seeds):
         traj = dump_trajectory if (dump_trajectory and i == 0) else None
         rates.append(
-            evaluate_policy(graph0, params, env_config, seed, rc.eval_episodes, trajectory_path=traj)
+            evaluate_policy(run.graph0, run.params, env_config, seed, rc.eval_episodes, trajectory_path=traj)
         )
     mean = float(np.mean(rates))
     std = 0.0 if len(rates) < 2 else float(np.std(rates, ddof=1))
@@ -312,11 +310,8 @@ def cmd_transfer(
     The target must scale both the team and the threshold by the same
     factor: N' = g N and k' = g k with m unchanged.
     """
-    params, _, header = load_checkpoint(checkpoint)
-    graph0 = from_json_dict(header["initial_topology"])
-    src_env = dict(header["env_config"])
-    src_env["primitive_set"] = PrimitiveSet(src_env["primitive_set"])
-    src_config = EnvConfig(**src_env)
+    source = load_run_checkpoint(checkpoint)
+    src_config = source.env_config
 
     n_t, k_t, m_t = parse_task_name(target_task)
     if fan_out < 1:
@@ -329,7 +324,7 @@ def cmd_transfer(
         )
     env_overrides = {"slow_count": 0, **rc.env}  # rescale slow_count with k unless pinned
     target_config = dataclasses.replace(src_config, n_agents=n_t, k_threshold=k_t, **env_overrides)
-    ext_graph = graph0 if fan_out == 1 else extend(graph0, fan_out)
+    ext_graph = source.graph0 if fan_out == 1 else extend(source.graph0, fan_out)
 
     out_root = Path(rc.out_dir)
     _write_run_metadata(rc, out_root)
@@ -338,7 +333,7 @@ def cmd_transfer(
     zero_shot = []
     surgeries: list[PolicyParams] = []
     for i in range(surgery_seeds):
-        p_i = surgery_for_extension(params, fan_out, np.random.default_rng([master, 3, i]))
+        p_i = surgery_for_extension(source.params, fan_out, np.random.default_rng([master, 3, i]))
         surgeries.append(p_i)
         zero_shot.append(
             evaluate_policy(ext_graph, p_i, target_config, master + i, rc.eval_episodes)
@@ -356,11 +351,8 @@ def cmd_transfer(
     best_ckpt = retrain_dir / "checkpoint_best.ckpt"
     final = summary["best_success"]
     if best_ckpt.exists():
-        best_params, _, best_header = load_checkpoint(best_ckpt)
-        final = evaluate_policy(
-            from_json_dict(best_header["initial_topology"]), best_params, target_config,
-            master + 100, rc.eval_episodes,
-        )
+        best = load_run_checkpoint(best_ckpt)
+        final = evaluate_policy(best.graph0, best.params, target_config, master + 100, rc.eval_episodes)
     report = {
         "source_task": f"CSI-{src_config.n_agents}/{src_config.k_threshold}/{src_config.m_invaders}",
         "target_task": target_task,
@@ -397,9 +389,8 @@ def cmd_ablate(rc: RunConfig, sweep: str, values: list) -> Path:
                 ckpt = Path(sub.out_dir) / f"seed_{seed}" / "checkpoint_best.ckpt"
                 if not ckpt.exists():
                     ckpt = Path(sub.out_dir) / f"seed_{seed}" / "checkpoint_last.ckpt"
-                params, _, header = load_checkpoint(ckpt)
-                graph0 = from_json_dict(header["initial_topology"])
-                success = evaluate_policy(graph0, params, env_config, seed + 900, rc.eval_episodes)
+                run = load_run_checkpoint(ckpt)
+                success = evaluate_policy(run.graph0, run.params, env_config, seed + 900, rc.eval_episodes)
                 writer.writerow([value, seed, f"{success:.4f}"])
     return csv_path
 
@@ -594,10 +585,7 @@ def cmd_export_topology(
     Step 0 is the frozen initial topology (identical across episodes); steps
     beyond the episode end are skipped with a warning.
     """
-    params, _, header = load_checkpoint(checkpoint)
-    graph0 = from_json_dict(header["initial_topology"])
-    env_config = build_env_config(rc)
-    _check_shapes(params, graph0, env_config)
+    run, env_config = _load_checked(rc, checkpoint)
     out = Path(out_dir or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -614,7 +602,7 @@ def cmd_export_topology(
             wanted.discard(t)
 
     rng = np.random.default_rng(episode_seed * EPISODE_SEED_STRIDE)
-    rollout(graph0, params, env_config, [rng], mode="argmax", record_steps=False, on_step=on_step)
+    rollout(run.graph0, run.params, env_config, [rng], mode="argmax", record_steps=False, on_step=on_step)
     for t in sorted(wanted):
         print(f"warning: step {t} is beyond the episode end; skipped", file=sys.stderr)
     return written

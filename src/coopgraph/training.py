@@ -14,6 +14,10 @@ surrogate but keep feeding the value targets.
 
 Updates are clipped PPO with GAE, an entropy bonus and the auxiliary
 reconstruction loss, over minibatches of shuffled timesteps.
+
+``Trainer.save`` writes the trainer checkpoint (policy, frozen topology,
+configs, trainer state, Adam's moments) that eval, transfer, topology export
+and resumed training start from; ``load_run_checkpoint`` is its one reader.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .env import EnvConfig, PrimitiveSet, reset, stack_states, step, trajectory_record
+from .env import EnvConfig, reset, stack_states, step, trajectory_record
 from .graph import (
     CooperationGraph,
     OperatorAction,
@@ -49,6 +53,7 @@ from .policy import (
 )
 
 EPISODE_SEED_STRIDE = 10**6
+TRAINER_HEADER_KEYS = ("initial_topology", "env_config", "train_config", "trainer_state")
 
 
 @dataclass(frozen=True)
@@ -398,6 +403,27 @@ class TrainSettings:
     stop_success: float | None = None
 
 
+@dataclass(frozen=True)
+class RunCheckpoint:
+    """A trainer checkpoint read back; ``extra`` holds Adam's moments."""
+
+    params: PolicyParams
+    graph0: CooperationGraph
+    env_config: EnvConfig
+    header: dict
+    extra: dict[str, np.ndarray]
+
+
+def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
+    """The one reader of the checkpoints ``Trainer.save`` writes."""
+    params, extra, header = load_checkpoint(path)
+    missing = [key for key in TRAINER_HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"{path} is not a trainer checkpoint: its header lacks {missing}")
+    graph0 = from_json_dict(header["initial_topology"])
+    return RunCheckpoint(params, graph0, EnvConfig.from_json_dict(header["env_config"]), header, extra)
+
+
 def _truncate_log(path: Path, update: int) -> None:
     """Keep the records of a JSONL log up to ``update``, if the log exists;
     a line cut short by an interruption ends the kept part too."""
@@ -422,7 +448,9 @@ class Trainer:
     the exact metric stream of an uninterrupted one. Restoring into the
     run's own directory cuts ``metrics.jsonl`` and ``eval.jsonl`` back to
     the checkpoint's update, so the resumed logs match an uninterrupted
-    run's byte for byte.
+    run's byte for byte. ``checkpoint_last.ckpt`` is refreshed at every eval
+    and periodic checkpoint and when the run ends, so a killed run resumes
+    from its last eval or checkpoint.
     """
 
     def __init__(
@@ -452,11 +480,9 @@ class Trainer:
     # -- persistence --------------------------------------------------------
 
     def _trainer_header(self) -> dict:
-        env = asdict(self.env_config)
-        env["primitive_set"] = self.env_config.primitive_set.value
         return {
             "initial_topology": to_json_dict(self.graph0),
-            "env_config": env,
+            "env_config": self.env_config.to_json_dict(),
             "train_config": asdict(self.train_config),
             "trainer_state": {
                 "master_seed": self.master_seed,
@@ -468,11 +494,12 @@ class Trainer:
             },
         }
 
+    def _moments(self) -> dict[str, dict[str, np.ndarray]]:
+        # Adam's moment stores by the extra-tensor prefix they are saved under
+        return {"adam.m.": self.optimizer.m, "adam.v.": self.optimizer.v}
+
     def save(self, path: str | Path) -> None:
-        extra = {}
-        for name in self.optimizer.params:
-            extra[f"adam.m.{name}"] = self.optimizer.m[name]
-            extra[f"adam.v.{name}"] = self.optimizer.v[name]
+        extra = {p + name: m[name] for p, m in self._moments().items() for name in self.optimizer.params}
         save_checkpoint(path, self.params, extra_tensors=extra, extra_header=self._trainer_header())
 
     @classmethod
@@ -482,26 +509,23 @@ class Trainer:
         settings: TrainSettings,
         out_dir: str | Path,
     ) -> "Trainer":
-        params, extra, header = load_checkpoint(checkpoint)
-        env_kwargs = dict(header["env_config"])
-        env_kwargs["primitive_set"] = PrimitiveSet(env_kwargs["primitive_set"])
-        env_config = EnvConfig(**env_kwargs)
-        train_config = TrainConfig(**header["train_config"])
-        graph0 = from_json_dict(header["initial_topology"])
-        state = header["trainer_state"]
+        run = load_run_checkpoint(checkpoint)
+        state = run.header["trainer_state"]
         trainer = cls(
-            graph0, params, env_config, train_config, settings,
-            master_seed=state["master_seed"], out_dir=out_dir,
+            run.graph0, run.params, run.env_config, TrainConfig(**run.header["train_config"]),
+            settings, master_seed=state["master_seed"], out_dir=out_dir,
         )
         trainer.update = state["update"]
         trainer.episodes = state["episodes"]
         trainer.best_success = state["best_success"]
         trainer.rng_update.bit_generator.state = state["rng_update"]
         trainer.optimizer.t = state["adam_t"]
-        for name in trainer.optimizer.params:
-            if f"adam.m.{name}" in extra:
-                trainer.optimizer.m[name] = extra[f"adam.m.{name}"].copy()
-                trainer.optimizer.v[name] = extra[f"adam.v.{name}"].copy()
+        # a moment restarted at 0 would silently break the bit-exact resume
+        for prefix, moments in trainer._moments().items():
+            for name in trainer.optimizer.params:
+                if prefix + name not in run.extra:
+                    raise ValueError(f"{checkpoint}: no optimizer moment {prefix + name} for tensor {name}")
+                moments[name] = run.extra[prefix + name]
         # a run resumed in its own directory rewrites every record after the
         # checkpoint, so those go
         for log in ("metrics.jsonl", "eval.jsonl"):
@@ -546,7 +570,8 @@ class Trainer:
                 metrics_file.write(json.dumps(record) + "\n")
                 metrics_file.flush()
 
-                if self.settings.eval_every and self.update % self.settings.eval_every == 0:
+                evaluated = self.settings.eval_every and self.update % self.settings.eval_every == 0
+                if evaluated:
                     success = evaluate_policy(
                         self.graph0, self.params, self.env_config,
                         seed=self.master_seed + 500_000,
@@ -562,8 +587,11 @@ class Trainer:
                         and success >= self.settings.stop_success
                     ):
                         break
-                if self.settings.checkpoint_every and self.update % self.settings.checkpoint_every == 0:
+                periodic = self.settings.checkpoint_every and self.update % self.settings.checkpoint_every == 0
+                if periodic:
                     self.save(self.out_dir / f"checkpoint_{self.update:06d}.ckpt")
+                if evaluated or periodic:
+                    self.save(self.out_dir / "checkpoint_last.ckpt")
 
         self.save(self.out_dir / "checkpoint_last.ckpt")
         return {

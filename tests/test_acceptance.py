@@ -168,22 +168,27 @@ def test_criterion_11_determinism():
 # ---------------------------------------------------------------------------
 
 
+def _train_or_resume(rc, seed_dir: Path) -> dict:
+    """Resume the one-seed run in ``seed_dir`` from its checkpoint_last until
+    its budget or stop threshold, or train it from scratch if there is none."""
+    settings = TrainSettings(**rc.run)
+    last = seed_dir / "checkpoint_last.ckpt"
+    if not last.exists():
+        return cmd_train(rc)[0]
+    trainer = Trainer.restore(last, settings, seed_dir)
+    if trainer.update < settings.total_updates and trainer.best_success < settings.stop_success:
+        trainer.run()
+    return {"updates": trainer.update, "best_success": trainer.best_success}
+
+
 def _desk_seed_run(seed: int) -> dict:
     """Train (or resume) one desk-scale seed to the stop threshold and
     return its final 100-episode evaluation of the best checkpoint."""
     rc = parse_run_config({**DESK_CONFIG, "seeds": [seed]})
-    settings = TrainSettings(**rc.run)
     seed_dir = DESK_OUT / f"seed_{seed}"
-    last = seed_dir / "checkpoint_last.ckpt"
-    if last.exists():
-        trainer = Trainer.restore(last, settings, seed_dir)
-        if trainer.update < settings.total_updates and trainer.best_success < settings.stop_success:
-            trainer.run()
-        summary = {"updates": trainer.update, "best_success": trainer.best_success}
-    else:
-        summary = cmd_train(rc)[0]
+    summary = _train_or_resume(rc, seed_dir)
     best = seed_dir / "checkpoint_best.ckpt"
-    ckpt = best if best.exists() else last
+    ckpt = best if best.exists() else seed_dir / "checkpoint_last.ckpt"
     final = cmd_eval(rc, str(ckpt))["success_mean"]
     updates = len((seed_dir / "metrics.jsonl").read_text().splitlines())
     return {"seed": seed, "updates": updates, "final_success": final,
@@ -250,17 +255,10 @@ def _ablation_run(tag: str, seed: int, **overrides) -> float:
         **overrides,
     }
     rc = parse_run_config(doc)
-    settings = TrainSettings(**rc.run)
     seed_dir = out / f"seed_{seed}"
-    last = seed_dir / "checkpoint_last.ckpt"
-    if last.exists():
-        trainer = Trainer.restore(last, settings, seed_dir)
-        if trainer.update < settings.total_updates and trainer.best_success < settings.stop_success:
-            trainer.run()
-    else:
-        cmd_train(rc)
+    _train_or_resume(rc, seed_dir)
     best = seed_dir / "checkpoint_best.ckpt"
-    ckpt = best if best.exists() else last
+    ckpt = best if best.exists() else seed_dir / "checkpoint_last.ckpt"
     return cmd_eval(rc, str(ckpt))["success_mean"]
 
 

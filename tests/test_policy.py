@@ -429,8 +429,12 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
 def test_checkpoint_drops_retired_tensors(tmp_path):
     """A checkpoint from before the cluster->target gather still holds the
     retired query/key tensors; loading drops them, so saving again (and an
-    optimizer built on the loaded tensors) no longer carries them."""
+    optimizer built on the loaded tensors) no longer carries them. Likewise
+    the env-config codec drops the retired ``seed`` key of older headers."""
     cfg, graph, params, state = make_setup(seed=21)
+    doc = cfg.to_json_dict()
+    assert "seed" not in doc
+    assert EnvConfig.from_json_dict({**doc, "seed": 0}) == EnvConfig.from_json_dict(doc) == cfg
     old = params.copy()
     h = params.layout.hidden
     for name in RETIRED_TENSORS:

@@ -1,10 +1,12 @@
 """Trainer: GAE, rollout collection, PPO update mechanics, toy learning."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from coopgraph import training
 from coopgraph.autodiff import Adam
 from coopgraph.policy import (
     NodeBatch,
@@ -12,8 +14,11 @@ from coopgraph.policy import (
     act_batch,
     evaluate_actions,
     init_params,
+    load_checkpoint,
+    save_checkpoint,
 )
 from coopgraph.training import (
+    TRAINER_HEADER_KEYS,
     RolloutBatch,
     TrainConfig,
     TrainSettings,
@@ -23,7 +28,7 @@ from coopgraph.training import (
     evaluate_policy,
     ppo_update,
 )
-from coopgraph.runner import frozen_topology, RunConfig, build_env_config
+from coopgraph.runner import frozen_topology, RunConfig, build_env_config, cmd_eval
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +98,14 @@ def test_advantage_normalization_moments():
 # ---------------------------------------------------------------------------
 
 
+def nano_run_config():
+    return RunConfig(task="CSI-4/1/2", n_clusters=3, seeds=[0],
+                     env={"n_bases": 2, "t_max": 20}, eval_episodes=4)
+
+
 def desk_nano():
     """Smallest meaningful training task for fast loop tests."""
-    rc = RunConfig(task="CSI-4/1/2", n_clusters=3, seeds=[0],
-                   env={"n_bases": 2, "t_max": 20}, eval_episodes=4)
+    rc = nano_run_config()
     env_config = build_env_config(rc)
     graph = frozen_topology(rc, env_config, seed=0)
     from coopgraph.policy import layout_for
@@ -300,21 +309,76 @@ def test_trainer_smoke_and_metrics_schema(tmp_path):
     assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
 
 
+def resave(src, dst, drop=(), **env_config):
+    """Write ``src`` again as ``dst`` without the ``drop`` extra tensors and
+    with ``env_config`` keys added to its header."""
+    params, extra, header = load_checkpoint(src)
+    header["env_config"].update(env_config)
+    save_checkpoint(
+        dst, params,
+        extra_tensors={k: v for k, v in extra.items() if k not in drop},
+        extra_header={k: header[k] for k in TRAINER_HEADER_KEYS},
+    )
+
+
 def test_trainer_resume_is_bit_deterministic(tmp_path):
+    """Also from a checkpoint whose header still carries the retired
+    ``env_config.seed``, as every checkpoint written before its removal does;
+    ``cmd_eval`` reads that one too."""
     full = nano_trainer(tmp_path, total=4, name="full")
     full.run()
     full_lines = (tmp_path / "full" / "metrics.jsonl").read_text().splitlines()
 
     half = nano_trainer(tmp_path, total=2, name="half")
     half.run()
-    resumed = Trainer.restore(
-        tmp_path / "half" / "checkpoint_last.ckpt",
-        TrainSettings(total_updates=4, eval_every=2, eval_episodes=2, checkpoint_every=10),
-        tmp_path / "resumed",
-    )
-    resumed.run()
-    resumed_lines = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
-    assert full_lines[2:] == resumed_lines
+    last = tmp_path / "half" / "checkpoint_last.ckpt"
+    legacy = tmp_path / "half" / "legacy.ckpt"
+    resave(last, legacy, seed=0)
+    assert cmd_eval(nano_run_config(), str(legacy)) == cmd_eval(nano_run_config(), str(last))
+    for ckpt in (last, legacy):
+        resumed = Trainer.restore(
+            ckpt,
+            TrainSettings(total_updates=4, eval_every=2, eval_episodes=2, checkpoint_every=10),
+            tmp_path / f"resumed_{ckpt.stem}",
+        )
+        resumed.run()
+        resumed_lines = (tmp_path / f"resumed_{ckpt.stem}" / "metrics.jsonl").read_text().splitlines()
+        assert full_lines[2:] == resumed_lines, ckpt.name
+
+
+def test_restore_rejects_missing_optimizer_moment(tmp_path):
+    """A moment restarted at 0 would break the bit-exact resume silently."""
+    trainer = nano_trainer(tmp_path, total=1)
+    trainer.run()
+    cut = tmp_path / "cut.ckpt"
+    resave(tmp_path / "run" / "checkpoint_last.ckpt", cut, drop={"adam.m.ct.Wv"})
+    with pytest.raises(ValueError, match=re.escape(str(cut)) + ".*adam.m.ct.Wv"):
+        Trainer.restore(cut, trainer.settings, tmp_path / "resumed")
+
+
+def test_killed_run_resumes_from_checkpoint_last(tmp_path, monkeypatch):
+    """A run killed inside collect at update 3, one update after its eval,
+    resumes from its own checkpoint_last to the logs of a run never stopped."""
+
+    class Killed(Exception):
+        pass
+
+    real_collect = training.collect
+
+    def dying_collect(*args):
+        if args[-1] == 2 * 4:  # episode offset of update 3 at 4 episodes per batch
+            raise Killed
+        return real_collect(*args)
+
+    nano_trainer(tmp_path, total=4, name="full").run()
+    cut = nano_trainer(tmp_path, total=4, name="cut")
+    monkeypatch.setattr(training, "collect", dying_collect)
+    with pytest.raises(Killed):
+        cut.run()
+    monkeypatch.undo()
+    Trainer.restore(cut.out_dir / "checkpoint_last.ckpt", cut.settings, cut.out_dir).run()
+    for log in ("metrics.jsonl", "eval.jsonl"):
+        assert (cut.out_dir / log).read_bytes() == (tmp_path / "full" / log).read_bytes(), log
 
 
 def test_resume_in_own_directory_matches_uninterrupted_logs(tmp_path):
