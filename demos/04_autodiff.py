@@ -22,10 +22,10 @@ mask = np.ones((3, 6)); mask[2, :] = 0  # query 2 sees no keys
 out = ad.scaled_dot_attention(q, k, v, key_mask=mask)
 print("attention output shape:", out.shape, "| fully-masked row is zero:", out.data[2])
 
-# --- reverse mode -----------------------------------------------------------
+# --- reverse mode (linear: x @ w + b as one tape node) ----------------------
 w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
 b = Tensor(np.zeros(3), requires_grad=True)
-loss = ad.mean(ad.square(ad.exp(ad.add(ad.matmul(x, w), b))))
+loss = ad.mean(ad.square(ad.exp(ad.linear(x, w, b))))
 ad.backward(loss)
 print("\nloss:", float(loss.data))
 print("dL/db:", b.grad.round(4))
@@ -33,9 +33,9 @@ print("dL/db:", b.grad.round(4))
 # spot-check one coordinate against central differences
 h = 1e-6
 w.data[0, 0] += h
-up = float(ad.mean(ad.square(ad.exp(ad.add(ad.matmul(x, w), b)))).data)
+up = float(ad.mean(ad.square(ad.exp(ad.linear(x, w, b)))).data)
 w.data[0, 0] -= 2 * h
-down = float(ad.mean(ad.square(ad.exp(ad.add(ad.matmul(x, w), b)))).data)
+down = float(ad.mean(ad.square(ad.exp(ad.linear(x, w, b)))).data)
 w.data[0, 0] += h
 print(f"dL/dw[0,0]: analytic {w.grad[0,0]:.6f} vs finite difference {(up-down)/(2*h):.6f}")
 

@@ -285,14 +285,14 @@ def node_batch(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> N
 
 
 def _linear(x: Tensor, params: PolicyParams, name: str) -> Tensor:
-    return ad.add(ad.matmul(x, params.tensors[f"{name}.W"]), params.tensors[f"{name}.b"])
+    return ad.linear(x, params.tensors[f"{name}.W"], params.tensors[f"{name}.b"])
 
 
 def _attend(params: PolicyParams, name: str, q_in: Tensor, kv_in: Tensor, mask) -> Tensor:
     p = params.tensors
-    q = ad.add(ad.matmul(q_in, p[f"{name}.Wq"]), p[f"{name}.bq"])
-    k = ad.add(ad.matmul(kv_in, p[f"{name}.Wk"]), p[f"{name}.bk"])
-    v = ad.add(ad.matmul(kv_in, p[f"{name}.Wv"]), p[f"{name}.bv"])
+    q = ad.linear(q_in, p[f"{name}.Wq"], p[f"{name}.bq"])
+    k = ad.linear(kv_in, p[f"{name}.Wk"], p[f"{name}.bk"])
+    v = ad.linear(kv_in, p[f"{name}.Wv"], p[f"{name}.bv"])
     return ad.scaled_dot_attention(q, k, v, key_mask=mask)
 
 
@@ -316,7 +316,7 @@ def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
         raise ValueError("extended inputs need a merge block; run surgery first")
     if params.has_merge:
         grouped = ad.reshape(agents, (B * lay.n_lower, lay.fan_out, lay.hidden))
-        keys = ad.add(ad.matmul(grouped, p["merge.Wk"]), p["merge.bk"])
+        keys = ad.linear(grouped, p["merge.Wk"], p["merge.bk"])
         merged = ad.scaled_dot_attention(p["merge.q"], keys, grouped)
         agents = ad.reshape(merged, (B, lay.n_lower, lay.hidden))
 
@@ -328,7 +328,7 @@ def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
     # one-hot: take the selected target's value row. Project all n_t rows
     # before the gather: projecting only the selected rows would change the
     # gradient's summation order, and so the bits of existing seeds' runs.
-    v = ad.add(ad.matmul(targets, p["ct.Wv"]), p["ct.bv"])  # (B, n_t, h)
+    v = ad.linear(targets, p["ct.Wv"], p["ct.bv"])  # (B, n_t, h)
     rows = (np.arange(B)[:, None] * lay.n_targets + batch.cluster_to_target).reshape(-1)
     picked = ad.gather_rows(ad.reshape(v, (B * lay.n_targets, lay.hidden)), rows)
     h_ct = ad.reshape(picked, (B, lay.n_clusters, lay.hidden))
@@ -444,8 +444,8 @@ def reconstruct(
 
     def decode(name: str) -> Tensor:
         p = params.tensors
-        k = ad.add(ad.matmul(e_h, p[f"{name}.Wk"]), p[f"{name}.bk"])
-        v_ = ad.add(ad.matmul(e_h, p[f"{name}.Wv"]), p[f"{name}.bv"])
+        k = ad.linear(e_h, p[f"{name}.Wk"], p[f"{name}.bk"])
+        v_ = ad.linear(e_h, p[f"{name}.Wv"], p[f"{name}.bv"])
         mixed = ad.scaled_dot_attention(p[f"{name}.Q"], k, v_)
         return _linear(mixed, params, f"{name}.out")
 

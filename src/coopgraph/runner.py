@@ -210,13 +210,13 @@ def frozen_topology(rc: RunConfig, env_config: EnvConfig, seed: int) -> Cooperat
     )
 
 
-def resolved_dict(rc: RunConfig) -> dict:
+def resolved_dict(rc: RunConfig, env_config: EnvConfig) -> dict:
     """Every effective value with defaults expanded.
 
     The ``run_config`` section parses back into an identical RunConfig; the
-    ``resolved`` section logs the fully expanded env/train/run parameters.
+    ``resolved`` section logs the fully expanded env/train/run parameters,
+    the env ones from ``env_config``, the physics the run runs under.
     """
-    env_config = build_env_config(rc)
     return {
         "run_config": dataclasses.asdict(rc),
         "resolved": {
@@ -228,9 +228,9 @@ def resolved_dict(rc: RunConfig) -> dict:
     }
 
 
-def _write_run_metadata(rc: RunConfig, out_root: Path) -> None:
+def _write_run_metadata(rc: RunConfig, env_config: EnvConfig, out_root: Path) -> None:
     out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "resolved_config.json").write_text(json.dumps(resolved_dict(rc), indent=2))
+    (out_root / "resolved_config.json").write_text(json.dumps(resolved_dict(rc, env_config), indent=2))
     manifest = {"package": "coopgraph", "version": __version__, "task": rc.task, "seeds": rc.seeds}
     (out_root / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -246,7 +246,7 @@ def cmd_train(rc: RunConfig) -> list[dict]:
     train_config = TrainConfig(**rc.train)
     settings = TrainSettings(**rc.run)
     out_root = Path(rc.out_dir)
-    _write_run_metadata(rc, out_root)
+    _write_run_metadata(rc, env_config, out_root)
 
     summaries = []
     for seed in rc.seeds:
@@ -265,8 +265,15 @@ def cmd_train(rc: RunConfig) -> list[dict]:
     return summaries
 
 
+def _final_checkpoint(seed_dir: Path) -> Path:
+    """The best checkpoint of a run, or its last when no eval ever ran."""
+    best = seed_dir / "checkpoint_best.ckpt"
+    return best if best.exists() else seed_dir / "checkpoint_last.ckpt"
+
+
 def _load_checked(rc: RunConfig, checkpoint: str) -> tuple[RunCheckpoint, EnvConfig]:
-    """The checkpoint and the run config's env config, checked to fit each other."""
+    """The checkpoint and the run config's env config, checked to fit each
+    other: the same shapes and the same physics the checkpoint trained under."""
     run, env_config = load_run_checkpoint(checkpoint), build_env_config(rc)
     expected = layout_for(run.graph0, env_config, hidden=run.params.layout.hidden)
     if expected != run.params.layout:
@@ -279,6 +286,11 @@ def _load_checked(rc: RunConfig, checkpoint: str) -> tuple[RunCheckpoint, EnvCon
             "checkpoint is shape-incompatible with this config: its topology drives "
             f"{run.graph0.n_env_agents} agents but the task has {env_config.n_agents}"
         )
+    trained, config = run.env_config.to_json_dict(), env_config.to_json_dict()
+    differ = [f"{k} (checkpoint {trained[k]!r}, config {config[k]!r})"
+              for k in config if trained[k] != config[k]]
+    if differ:
+        raise ConfigError(f"{checkpoint} was trained under other env settings: {', '.join(differ)}")
     return run, env_config
 
 
@@ -327,7 +339,7 @@ def cmd_transfer(
     ext_graph = source.graph0 if fan_out == 1 else extend(source.graph0, fan_out)
 
     out_root = Path(rc.out_dir)
-    _write_run_metadata(rc, out_root)
+    _write_run_metadata(dataclasses.replace(rc, task=target_task), target_config, out_root)
     master = rc.seeds[0]
 
     zero_shot = []
@@ -348,11 +360,8 @@ def cmd_transfer(
         settings, master, retrain_dir,
     )
     summary = trainer.run()
-    best_ckpt = retrain_dir / "checkpoint_best.ckpt"
-    final = summary["best_success"]
-    if best_ckpt.exists():
-        best = load_run_checkpoint(best_ckpt)
-        final = evaluate_policy(best.graph0, best.params, target_config, master + 100, rc.eval_episodes)
+    final_run = load_run_checkpoint(_final_checkpoint(retrain_dir))
+    final = evaluate_policy(final_run.graph0, final_run.params, target_config, master + 100, rc.eval_episodes)
     report = {
         "source_task": f"CSI-{src_config.n_agents}/{src_config.k_threshold}/{src_config.m_invaders}",
         "target_task": target_task,
@@ -372,7 +381,7 @@ def cmd_ablate(rc: RunConfig, sweep: str, values: list) -> Path:
     if sweep not in ("clusters", "primitives"):
         raise ConfigError("sweep must be 'clusters' or 'primitives'")
     out_root = Path(rc.out_dir)
-    _write_run_metadata(rc, out_root)
+    _write_run_metadata(rc, build_env_config(rc), out_root)
     csv_path = out_root / "ablation.csv"
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -386,10 +395,7 @@ def cmd_ablate(rc: RunConfig, sweep: str, values: list) -> Path:
             summaries = cmd_train(sub)
             env_config = build_env_config(sub)
             for seed, summary in zip(sub.seeds, summaries):
-                ckpt = Path(sub.out_dir) / f"seed_{seed}" / "checkpoint_best.ckpt"
-                if not ckpt.exists():
-                    ckpt = Path(sub.out_dir) / f"seed_{seed}" / "checkpoint_last.ckpt"
-                run = load_run_checkpoint(ckpt)
+                run = load_run_checkpoint(_final_checkpoint(Path(sub.out_dir) / f"seed_{seed}"))
                 success = evaluate_policy(run.graph0, run.params, env_config, seed + 900, rc.eval_episodes)
                 writer.writerow([value, seed, f"{success:.4f}"])
     return csv_path

@@ -1,4 +1,9 @@
-"""Autodiff engine: forward semantics, the finite-difference oracle, Adam."""
+"""Autodiff engine: forward semantics, the finite-difference oracle, the fused
+ops against the op chains they replaced, Adam."""
+
+import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -131,6 +136,9 @@ def op_cases(rng):
     idx_cols = rng.integers(0, m, size=n)
     mask = (rng.random((n, k)) < 0.7).astype(float)
     mask[:, 0] = 1.0  # keep every query row alive
+    batch_mask = (rng.random((batch, n, k)) < 0.7).astype(float)
+    batch_mask[..., 0] = 1.0
+    batch_mask[0, 0] = 0.0  # one dead query row: its output and gradients are 0
 
     cases = {
         "add": (lambda t: ad.sum_(ad.add(t[0], t[1])), [arr(n, m), arr(n, m)]),
@@ -145,6 +153,14 @@ def op_cases(rng):
         "matmul2d_3d": (
             lambda t: ad.sum_(ad.matmul(t[0], t[1])),
             [arr(n, k), arr(batch, k, m)],
+        ),
+        "linear2d": (
+            lambda t: ad.sum_(ad.square(ad.linear(t[0], t[1], t[2]))),
+            [arr(n, k), arr(k, m), arr(m)],
+        ),
+        "linear3d": (
+            lambda t: ad.sum_(ad.square(ad.linear(t[0], t[1], t[2]))),
+            [arr(batch, n, k), arr(k, m), arr(m)],
         ),
         "matmul3d_3d": (
             lambda t: ad.sum_(ad.matmul(t[0], t[1])),
@@ -163,7 +179,6 @@ def op_cases(rng):
             [arr(n, m)],
         ),
         "reshape": (lambda t: ad.sum_(ad.square(ad.reshape(t[0], (m, n)))), [arr(n, m)]),
-        "transpose": (lambda t: ad.sum_(ad.mul(ad.transpose_last(t[0]), t[1])), [arr(n, m), arr(m, n)]),
         "relu": (
             lambda t: ad.sum_(ad.relu(t[0])),
             [np.where(np.abs(x := arr(n, m)) < 0.1, x + 0.25, x)],
@@ -188,6 +203,23 @@ def op_cases(rng):
             lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2], key_mask=mask))),
             [arr(n, m), arr(k, m), arr(k, m)],
         ),
+        # a decoder: one (n, h) query table against every batch row's keys
+        "attention_broadcast_query": (
+            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2]))),
+            [arr(n, m), arr(batch, k, m), arr(batch, k, m)],
+        ),
+        # the cluster attention: a per-row member mask, one row fully masked
+        "attention_broadcast_query_masked": (
+            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2], key_mask=batch_mask))),
+            [arr(n, m), arr(batch, k, m), arr(batch, k, m)],
+        ),
+        # the merge block: a (1, h) query, keys projected from the values
+        "attention_merge": (
+            lambda t: ad.sum_(ad.square(
+                ad.scaled_dot_attention(t[0], ad.linear(t[1], t[2], t[3]), t[1])
+            )),
+            [arr(1, m), arr(batch, k, m), arr(m, m), arr(m)],
+        ),
     }
     return cases
 
@@ -206,6 +238,138 @@ def run_gradient_oracle(instances: int, seed: int = 0) -> float:
 def test_gradient_oracle_all_ops():
     worst = run_gradient_oracle(instances=10, seed=12)
     assert worst < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the op chains they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_transpose_last(a):
+    """The transpose op of the attention chain: swap the last two axes and
+    hand the gradient back as the swapped view."""
+
+    def bwd(g):
+        ad._accumulate(a, np.swapaxes(g, -1, -2))
+
+    return ad._make(np.swapaxes(a.data, -1, -2), (a,), bwd, "transpose_last")
+
+
+def reference_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def reference_attention(q, k, v, key_mask=None):
+    """The op chain scaled_dot_attention was before it became one node."""
+    d_k = q.data.shape[-1]
+    scores = ad.mul(ad.matmul(q, reference_transpose_last(k)), Tensor(1.0 / math.sqrt(d_k)))
+    if key_mask is not None:
+        m = np.asarray(key_mask, dtype=np.float64)
+        scores = ad.add(scores, Tensor((1.0 - m) * ad.MASK_FILL))
+    weights = ad.softmax(scores, axis=-1)
+    out = ad.matmul(weights, v)
+    if key_mask is not None:
+        live = (np.broadcast_to(m, scores.data.shape).max(axis=-1) > 0.0).astype(np.float64)
+        out = ad.mul(out, Tensor(live[..., None]))
+    return out
+
+
+def _bits(a):
+    return None if a is None else (a.shape, np.ascontiguousarray(a).tobytes())
+
+
+def _run_both(build, arrays, constant, seed):
+    """Forward bytes and every operand's gradient bytes of build(ops, tensors)
+    under the fused ops and under the reference chain. The loss reads the
+    output through a transpose, so the op's backward gets a non-contiguous
+    gradient, as a key projection does."""
+    results = []
+    for ops in ((ad.linear, ad.scaled_dot_attention), (reference_linear, reference_attention)):
+        tensors = [Tensor(a.copy(), requires_grad=i not in constant) for i, a in enumerate(arrays)]
+        out = build(ops, tensors)
+        weight = np.random.default_rng(seed).normal(size=np.swapaxes(out.data, -1, -2).shape)
+        ad.backward(ad.sum_(ad.mul(reference_transpose_last(out), Tensor(weight))))
+        results.append((_bits(out.data), [_bits(t.grad) for t in tensors]))
+    return results
+
+
+def _fused_cases(rng, rows):
+    """(name, build, arrays, constant operand indices) at batch ``rows``."""
+    h, n_q, n_k = 64, 6, 12
+    mask = (rng.random((rows, n_q, n_k)) < 0.6).astype(float)
+    mask[:, :, 0] = 1.0
+    mask[0, 1] = 0.0  # a query row with every key masked
+
+    def arr(*shape):
+        return rng.normal(size=shape)
+
+    def attend(ops, t, key_mask=None):
+        linear, attention = ops
+        return attention(linear(t[0], t[1], t[2]), linear(t[3], t[4], t[5]),
+                         linear(t[3], t[6], t[7]), key_mask=key_mask)
+
+    attend_args = [arr(n_q, h), arr(h, h), arr(h), arr(rows, n_k, h), arr(h, h), arr(h), arr(h, h), arr(h)]
+    return [
+        ("linear3d", lambda ops, t: ops[0](t[0], t[1], t[2]), [arr(rows, n_k, h), arr(h, h), arr(h)], ()),
+        ("linear2d", lambda ops, t: ops[0](t[0], t[1], t[2]), [arr(rows * n_k, h), arr(h, h), arr(h)], ()),
+        ("linear_constant_input", lambda ops, t: ops[0](t[0], t[1], t[2]),
+         [arr(rows, n_k, h), arr(h, h), arr(h)], (0,)),
+        # the cluster attention: queries, keys and values all projected
+        ("attention_masked", lambda ops, t: attend(ops, t, mask), attend_args, ()),
+        ("attention", attend, attend_args, ()),
+        # a decoder: one query table broadcast over the batch
+        ("attention_query_table", lambda ops, t: ops[1](t[0], ops[0](t[1], t[2], t[3]), t[4]),
+         [arr(n_q, h), arr(rows, n_k, h), arr(h, h), arr(h), arr(rows, n_k, h)], ()),
+        ("attention_constant_values", lambda ops, t: ops[1](t[0], ops[0](t[1], t[2], t[3]), t[4]),
+         [arr(n_q, h), arr(rows, n_k, h), arr(h, h), arr(h), arr(rows, n_k, h)], (4,)),
+        # the merge block: keys projected from the values
+        ("attention_merge", lambda ops, t: ops[1](t[0], ops[0](t[1], t[2], t[3]), t[1]),
+         [arr(1, h), arr(rows, n_k, h), arr(h, h), arr(h)], ()),
+    ]
+
+
+@pytest.mark.parametrize("rows", [2, 256])
+def test_fused_ops_match_reference_chain_bit_for_bit(rows):
+    """The fused linear and attention give the chain's forward and gradients
+    bit for bit, below and above the backward's handoff gate; a constant
+    operand gets no gradient."""
+    # GEMM pairs of a linear and of a (6 x 12)-score attention backward:
+    # all below the gate at 2 rows, all above at 256
+    linear_pair, attention_pair = 2 * rows * 12 * 64 * 64, 2 * rows * 6 * 12 * 64
+    above = rows == 256
+    assert (linear_pair > ad._HANDOFF_MACS) == above and (attention_pair > ad._HANDOFF_MACS) == above
+    rng = np.random.default_rng(rows)
+    for i, (name, build, arrays, constant) in enumerate(_fused_cases(rng, rows)):
+        fused, reference = _run_both(build, arrays, constant, seed=i)
+        assert fused[0] == reference[0], f"{name}: forward"
+        for j, (got, want) in enumerate(zip(fused[1], reference[1])):
+            assert got == want, f"{name}: gradient of operand {j}"
+            assert (got is None) == (j in constant), f"{name}: operand {j}"
+
+
+def _large_linear_backward():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1024, 64)), requires_grad=True)
+    w = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
+    ad.backward(ad.sum_(ad.linear(x, w, Tensor(np.zeros(64)))))
+    assert x.grad is not None and w.grad is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or ad._usable_cores() < 2,
+                    reason="needs fork and two usable cores")
+def test_forked_child_starts_its_own_backward_worker():
+    """A child forked after the backward worker started does not wait on the
+    parent's worker thread, which it has no copy of."""
+    assert 2 * 1024 * 64 * 64 > ad._HANDOFF_MACS
+    _large_linear_backward()
+    child = multiprocessing.get_context("fork").Process(target=_large_linear_backward)
+    child.start()
+    child.join(timeout=30)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------

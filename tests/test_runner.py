@@ -8,6 +8,7 @@ import pytest
 
 from coopgraph.graph import from_json
 from coopgraph.policy import load_checkpoint
+from coopgraph.training import evaluate_policy, load_run_checkpoint
 from coopgraph.runner import (
     ConfigError,
     build_env_config,
@@ -105,7 +106,7 @@ def test_config_round_trip(tmp_path):
     rc = load_run_config(str(path), ["env.t_max=25"])
     assert rc.env["t_max"] == 25
     # serialize -> parse is semantically identity
-    doc = resolved_dict(rc)
+    doc = resolved_dict(rc, build_env_config(rc))
     rc2 = parse_run_config(doc["run_config"])
     assert rc2 == rc
     assert doc["resolved"]["env"]["t_max"] == 25
@@ -165,6 +166,18 @@ def test_eval_shape_mismatch_diagnostic(nano_run):
         cmd_eval(bad, str(out / "seed_0" / "checkpoint_last.ckpt"))
 
 
+def test_eval_and_export_reject_other_physics(nano_run, tmp_path):
+    """A run config whose env settings differ from those the checkpoint
+    trained under is refused, naming every differing field."""
+    rc, out, _ = nano_run
+    ckpt = str(out / "seed_0" / "checkpoint_last.ckpt")
+    other = dataclasses.replace(rc, env={**rc.env, "t_max": 25, "v_inv": 0.5})
+    with pytest.raises(ConfigError, match=r"v_inv \(checkpoint 0.8, config 0.5\), t_max \(checkpoint 20, config 25\)$"):
+        cmd_eval(other, ckpt)
+    with pytest.raises(ConfigError, match="v_inv.*t_max"):
+        cmd_export_topology(other, ckpt, episode_seed=5, steps=[0], out_dir=str(tmp_path))
+
+
 def test_transfer_identity_fan_out(nano_run, tmp_path):
     """g=1 transfer: merge attention is exactly identity-preserving, so the
     zero-shot success equals the source evaluation."""
@@ -188,18 +201,30 @@ def test_transfer_scaling_validation(nano_run, tmp_path):
 def test_transfer_doubles_team(nano_run, tmp_path):
     rc, out, _ = nano_run
     ckpt = out / "seed_0" / "checkpoint_last.ckpt"
+    # no eval during the retrain, so it writes no checkpoint_best
     sub = dataclasses.replace(
         rc, out_dir=str(tmp_path / "tf2"),
-        run={**rc.run, "total_updates": 1}, eval_episodes=2,
+        run={**rc.run, "total_updates": 1, "eval_every": 0}, eval_episodes=2,
     )
     report = cmd_transfer(sub, str(ckpt), "CSI-8/2/2", fan_out=2, surgery_seeds=2)
     assert report["fan_out"] == 2
     assert 0.0 <= report["zero_shot_mean"] <= 1.0
     retrain_ckpt = tmp_path / "tf2" / "retrain" / "checkpoint_last.ckpt"
+    assert not retrain_ckpt.with_name("checkpoint_best.ckpt").exists()
     params, _, header = load_checkpoint(retrain_ckpt)
     assert params.layout.fan_out == 2
     graph = from_json(json.dumps(header["initial_topology"]))
     assert graph.n_env_agents == 8 and graph.n_agents == 4
+    # the final success is the last checkpoint's greedy evaluation
+    retrained = load_run_checkpoint(retrain_ckpt)
+    assert report["final_success"] == evaluate_policy(
+        retrained.graph0, retrained.params, retrained.env_config, rc.seeds[0] + 100, sub.eval_episodes
+    )
+    # the transfer directory describes the retrain: target task and physics
+    resolved = json.loads((tmp_path / "tf2" / "resolved_config.json").read_text())
+    assert resolved["run_config"]["task"] == "CSI-8/2/2"
+    assert resolved["resolved"]["env"] == header["env_config"]
+    assert json.loads((tmp_path / "tf2" / "manifest.json").read_text())["task"] == "CSI-8/2/2"
 
 
 def test_export_topology(nano_run, tmp_path):

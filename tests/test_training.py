@@ -1,21 +1,27 @@
 """Trainer: GAE, rollout collection, PPO update mechanics, toy learning."""
 
+import dataclasses
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
+from coopgraph import autodiff as ad
 from coopgraph import training
 from coopgraph.autodiff import Adam
+from coopgraph.graph import extend
 from coopgraph.policy import (
     NodeBatch,
     PolicyLayout,
     act_batch,
     evaluate_actions,
     init_params,
+    layout_for,
     load_checkpoint,
     save_checkpoint,
+    surgery_for_extension,
 )
 from coopgraph.training import (
     TRAINER_HEADER_KEYS,
@@ -183,6 +189,49 @@ def test_ppo_update_reports_components():
     assert set(report) == {"L_policy", "L_value", "L_ae", "entropy"}
     assert report["entropy"] > 0.0
     assert report["L_ae"] > 0.0
+
+
+# sha256 over every parameter gradient (sorted names, shapes, little-endian
+# float64 bytes) of one evaluate_actions -> backward on a fixed 4-episode
+# batch, recorded when each linear layer was still a matmul and an add node
+# and each attention a chain of seven ops: any change to a gradient bit fails
+PPO_GRADIENT_GOLDENS = [
+    # the desk task at full width: GEMM pairs above the backward's handoff gate
+    ("CSI-12/2/3", 1, 64, "f4aa1ad5121463dc0b477e6d54d7aa0c96007e1fcb434f26eea677739d978f07"),
+    # an extended policy: the merge block's linear and attention
+    ("CSI-4/1/2", 2, 16, "580880621fb8f9c033db5449e2a508eb69c18d3990b7b9567c6a1e3a4cecfa18"),
+]
+
+
+@pytest.mark.parametrize("task,fan_out,hidden,digest", PPO_GRADIENT_GOLDENS, ids=["desk", "extended"])
+def test_ppo_gradients_match_recorded_digest(task, fan_out, hidden, digest):
+    rc = RunConfig(task=task, n_clusters=6, seeds=[0], env={"n_bases": 2})
+    env_config = build_env_config(rc)
+    graph = frozen_topology(rc, env_config, seed=0)
+    params = init_params(layout_for(graph, env_config, hidden=hidden), np.random.default_rng([0, 2]))
+    if fan_out > 1:
+        graph = extend(graph, fan_out)
+        params = surgery_for_extension(params, fan_out, np.random.default_rng(5))
+        env_config = dataclasses.replace(
+            env_config, n_agents=env_config.n_agents * fan_out,
+            k_threshold=env_config.k_threshold * fan_out, slow_count=0,
+        )
+    batch = collect(graph, params, env_config, TrainConfig(batch_episodes=4), master_seed=0, episode_offset=0)
+    out = evaluate_actions(
+        NodeBatch(batch.obs, batch.target_reps, batch.agent_to_cluster, batch.cluster_to_target),
+        batch.actions, batch.cluster_masks, batch.target_masks, params,
+    )
+    ad.backward(ad.add(
+        ad.add(ad.sum_(out["log_prob"]), ad.sum_(out["entropy"])),
+        ad.add(ad.sum_(out["value"]), out["l_ae"]),
+    ))
+    h = hashlib.sha256()
+    for name, t in sorted(params.tensors.items()):
+        grad = np.ascontiguousarray(t.grad, dtype="<f8")
+        h.update(name.encode())
+        h.update(str(grad.shape).encode())
+        h.update(grad.tobytes())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
