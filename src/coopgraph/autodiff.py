@@ -6,6 +6,12 @@ their inputs on an implicit tape (the parent links of each output tensor);
 accumulates gradients into ``.grad``. Shapes follow numpy broadcasting;
 gradients of broadcast operands are summed back to the operand shape.
 
+Only leaf gradients survive ``backward``: an interior node's ``.grad`` is
+dropped as soon as its own backward has used it, so a spent gradient is
+freed while the rest of the pass runs. A caller that keeps no reference
+to a loss frees its whole tape with it; the PPO update keeps one tape
+alive per minibatch.
+
 The engine is deliberately small: only the ops the policy network and the
 PPO learner need, batched over a leading axis where it matters. Reduction
 order is fixed, so identical inputs give bit-identical outputs.
@@ -364,17 +370,22 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(data, tensors, bwd, "concat")
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows along axis 0: out[i] = a[idx[i]]."""
+def pick_rows(a: Tensor, idx: np.ndarray) -> Tensor:
+    """Per-episode row pick: out[b, j] = a[b, idx[b, j]] for a (B, n, h)
+    tensor and (B, k) indices; returns shape (B, k, h)."""
     idx = np.asarray(idx, dtype=np.intp)
-    data = a.data[idx]
+    ep = np.arange(a.data.shape[0])
+    data = a.data[ep[:, None], idx]
 
     def bwd(g):
+        # one duplicate-free scatter per pick column, in column order: the
+        # sums np.add.at would form, added in its order, so the same bits
         acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
+        for j in range(idx.shape[1]):
+            acc[ep, idx[:, j]] += g[:, j]
         _accumulate(a, acc, fresh=True)
 
-    return _make(data, (a,), bwd, "gather_rows")
+    return _make(data, (a,), bwd, "pick_rows")
 
 
 def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -588,7 +599,11 @@ def scaled_dot_attention(
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through the recorded graph."""
+    """Backpropagate from a scalar loss through the recorded graph.
+
+    Leaves (tensors with no parents) keep their accumulated ``.grad``; every
+    interior node, the loss included, ends with ``.grad`` None.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     order: list[Tensor] = []
@@ -608,8 +623,12 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            # every consumer of an interior node ran before it, so its
+            # gradient is spent: drop it, leaving only leaf gradients
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

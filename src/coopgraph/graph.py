@@ -59,7 +59,8 @@ class TargetLayer(tuple):
     and entity per target, -1 where a field does not apply (see
     ``CoopCommand.code``). Rewiring never changes the target layer, so every
     graph rewired from one shares it and the table is built once, not on
-    every step; so is each task size's anchor-slot table.
+    every step; so are each task size's anchor-slot table and each command
+    kind's entity-to-target map.
     """
 
     codes: np.ndarray
@@ -72,6 +73,7 @@ class TargetLayer(tuple):
         ).reshape(-1, 3)
         layer.codes.setflags(write=False)
         layer._slots = {}
+        layer._command_ids = {}
         return layer
 
     def anchor_slots(self, m: int, n_bases: int) -> np.ndarray:
@@ -83,6 +85,16 @@ class TargetLayer(tuple):
             slots.setflags(write=False)
             self._slots[m, n_bases] = slots
         return slots
+
+    def command_ids(self, kind: int) -> dict[int, int]:
+        """{entity: target id} of the commands of kind code ``kind`` (target
+        ids are dense, so a target's id is its row), built on first use and
+        shared: read it, do not change it."""
+        ids = self._command_ids.get(kind)
+        if ids is None:
+            rows = np.flatnonzero(self.codes[:, 1] == kind)
+            ids = self._command_ids[kind] = dict(zip(self.codes[rows, 2].tolist(), rows.tolist()))
+        return ids
 
 
 @dataclass(frozen=True)

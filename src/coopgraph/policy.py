@@ -329,9 +329,7 @@ def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
     # before the gather: projecting only the selected rows would change the
     # gradient's summation order, and so the bits of existing seeds' runs.
     v = ad.linear(targets, p["ct.Wv"], p["ct.bv"])  # (B, n_t, h)
-    rows = (np.arange(B)[:, None] * lay.n_targets + batch.cluster_to_target).reshape(-1)
-    picked = ad.gather_rows(ad.reshape(v, (B * lay.n_targets, lay.hidden)), rows)
-    h_ct = ad.reshape(picked, (B, lay.n_clusters, lay.hidden))
+    h_ct = ad.pick_rows(v, batch.cluster_to_target)  # (B, n_k, h)
     mixed = ad.concat([h_ac, h_ct], axis=-1)
     return ad.relu(_linear(mixed, params, "trunk"))
 

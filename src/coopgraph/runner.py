@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .commands import DEFEND, INTERCEPT
 from .env import EnvConfig, PrimitiveSet, TaskNameError, parse_task_name, reset, stack_states, step
 from .graph import (
     CooperationGraph,
@@ -33,6 +34,7 @@ from .graph import (
     stack_graphs,
     to_dot,
     to_json,
+    to_json_dict,
 )
 from .policy import (
     PolicyParams,
@@ -241,28 +243,66 @@ def _write_run_metadata(rc: RunConfig, env_config: EnvConfig, out_root: Path) ->
 
 
 def cmd_train(rc: RunConfig) -> list[dict]:
-    """Train one run per seed; returns the per-seed summaries."""
+    """Train one run per seed; returns the per-seed summaries.
+
+    A seed directory that already holds ``checkpoint_last.ckpt`` resumes
+    from it, so rerunning a killed command continues its runs and leaves
+    logs byte-identical to an uninterrupted run's.
+    """
     env_config = build_env_config(rc)
     train_config = TrainConfig(**rc.train)
     settings = TrainSettings(**rc.run)
     out_root = Path(rc.out_dir)
+    graphs = [frozen_topology(rc, env_config, seed) for seed in rc.seeds]
+    # every resume is checked before anything is written
+    for seed, graph0 in zip(rc.seeds, graphs):
+        last = out_root / f"seed_{seed}" / "checkpoint_last.ckpt"
+        if last.exists():
+            _check_resumable(last, graph0, env_config, train_config)
     _write_run_metadata(rc, env_config, out_root)
 
     summaries = []
-    for seed in rc.seeds:
+    for seed, graph0 in zip(rc.seeds, graphs):
         seed_dir = out_root / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         (seed_dir / "manifest.json").write_text(
             json.dumps({"version": __version__, "master_seed": seed, "task": rc.task}, indent=2)
         )
-        graph0 = frozen_topology(rc, env_config, seed)
-        params = init_params(layout_for(graph0, env_config), np.random.default_rng([seed, 2]))
-        trainer = Trainer(graph0, params, env_config, train_config, settings, seed, seed_dir)
+        last = seed_dir / "checkpoint_last.ckpt"
+        if last.exists():
+            trainer = Trainer.restore(last, settings, seed_dir)
+        else:
+            params = init_params(layout_for(graph0, env_config), np.random.default_rng([seed, 2]))
+            trainer = Trainer(graph0, params, env_config, train_config, settings, seed, seed_dir)
         summary = trainer.run()
         summary["seed"] = seed
         summaries.append(summary)
         print(f"seed {seed}: updates={summary['updates']} best_success={summary['best_success']:.3f}")
     return summaries
+
+
+def _differing(trained: dict, config: dict, prefix: str = "") -> list[str]:
+    """Each field whose value in a checkpoint differs from the run config's,
+    with both values."""
+    return [f"{prefix}{k} (checkpoint {trained[k]!r}, config {config[k]!r})"
+            for k in config if trained[k] != config[k]]
+
+
+def _check_resumable(
+    checkpoint: Path, graph0: CooperationGraph, env_config: EnvConfig, train_config: TrainConfig
+) -> None:
+    """Refuse to resume a checkpoint trained under another configuration,
+    naming every differing field."""
+    run = load_run_checkpoint(checkpoint)
+    differ = _differing(run.env_config.to_json_dict(), env_config.to_json_dict(), "env.")
+    differ += _differing(run.header["train_config"], dataclasses.asdict(train_config), "train.")
+    if to_json_dict(run.graph0) != to_json_dict(graph0):
+        differ.append("the initial topology")
+    if differ:
+        raise ConfigError(
+            f"{checkpoint} was trained under another config, so the run cannot resume: "
+            f"{', '.join(differ)}; use another out_dir to start afresh"
+        )
 
 
 def _final_checkpoint(seed_dir: Path) -> Path:
@@ -286,9 +326,7 @@ def _load_checked(rc: RunConfig, checkpoint: str) -> tuple[RunCheckpoint, EnvCon
             "checkpoint is shape-incompatible with this config: its topology drives "
             f"{run.graph0.n_env_agents} agents but the task has {env_config.n_agents}"
         )
-    trained, config = run.env_config.to_json_dict(), env_config.to_json_dict()
-    differ = [f"{k} (checkpoint {trained[k]!r}, config {config[k]!r})"
-              for k in config if trained[k] != config[k]]
+    differ = _differing(run.env_config.to_json_dict(), env_config.to_json_dict())
     if differ:
         raise ConfigError(f"{checkpoint} was trained under other env settings: {', '.join(differ)}")
     return run, env_config
@@ -416,16 +454,8 @@ def scripted_operator_action(
     the operator action space allows. Used as the environment solvability
     oracle and as an untrained baseline.
     """
-    intercept_tid = {
-        t.command.entity: t.id
-        for t in graph.targets
-        if not t.is_primitive and t.command.kind.value == "intercept"
-    }
-    defend_tid = {
-        t.command.entity: t.id
-        for t in graph.targets
-        if not t.is_primitive and t.command.kind.value == "defend"
-    }
+    intercept_tid = graph.targets.command_ids(INTERCEPT)
+    defend_tid = graph.targets.command_ids(DEFEND)
     active = [j for j in range(env_config.m_invaders) if state.invader_active[j]]
     if not active or not intercept_tid:
         return OperatorAction(0, 0, 0, 0)

@@ -54,6 +54,7 @@ from .policy import (
 
 EPISODE_SEED_STRIDE = 10**6
 TRAINER_HEADER_KEYS = ("initial_topology", "env_config", "train_config", "trainer_state")
+PPO_REPORT_KEYS = ("L_policy", "L_value", "L_ae", "entropy")
 
 
 @dataclass(frozen=True)
@@ -278,84 +279,87 @@ def ppo_update(
     surrogate and the entropy bonus but still train the value head and the
     reconstruction branch.
     """
-    T = batch.n_steps
-    old_logp_sum = batch.log_probs.sum(axis=1)
-    report = {"L_policy": 0.0, "L_value": 0.0, "L_ae": 0.0, "entropy": 0.0}
-
     # per-op finiteness validation is hoisted to the loss level here: the
     # total loss aggregates every branch, so non-finite values still abort,
     # without paying an isfinite scan per op in the hottest loop
     finite_prev = ad.set_finite_checks(False)
     try:
-        return _ppo_epochs(params, optimizer, batch, advantages, returns, config, rng,
-                           T, old_logp_sum, report)
+        return _ppo_epochs(params, optimizer, batch, advantages, returns, config, rng)
     finally:
         ad.set_finite_checks(finite_prev)
 
 
-def _ppo_epochs(params, optimizer, batch, advantages, returns, config, rng,
-                T, old_logp_sum, report):
+def _ppo_epochs(params, optimizer, batch, advantages, returns, config, rng):
+    old_logp_sum = batch.log_probs.sum(axis=1)
+    report = dict.fromkeys(PPO_REPORT_KEYS, 0.0)
     passes = 0
     for _ in range(config.ppo_epochs):
-        perm = rng.permutation(T)
+        perm = rng.permutation(batch.n_steps)
         for mb in np.array_split(perm, config.n_minibatches):
             if len(mb) == 0:
                 continue
-            out = evaluate_actions(
-                batch.node_slice(mb),
-                batch.actions[mb],
-                batch.cluster_masks[mb],
-                batch.target_masks[mb],
-                params,
-            )
-            valid = (~batch.interfered[mb]).astype(np.float64)
-            n_valid = max(valid.sum(), 1.0)
-            adv = Tensor(advantages[mb])
-
-            logp_new = ad.sum_(out["log_prob"], axis=1)
-            ratio = ad.exp(ad.sub(logp_new, Tensor(old_logp_sum[mb])))
-            clipped = ad.clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps)
-            surrogate = ad.minimum(ad.mul(ratio, adv), ad.mul(clipped, adv))
-            policy_loss = ad.mul(
-                ad.sum_(ad.mul(surrogate, Tensor(valid))), Tensor(-1.0 / n_valid)
-            )
-
-            v_old = Tensor(batch.values[mb])
-            ret = Tensor(returns[mb])
-            v_new = out["value"]
-            v_clipped = ad.add(v_old, ad.clip(ad.sub(v_new, v_old), -config.clip_eps, config.clip_eps))
-            value_loss = ad.mean(
-                ad.maximum(ad.square(ad.sub(v_new, ret)), ad.square(ad.sub(v_clipped, ret)))
-            )
-
-            ent_per_step = ad.sum_(out["entropy"], axis=1)
-            entropy = ad.mul(ad.sum_(ad.mul(ent_per_step, Tensor(valid))), Tensor(1.0 / n_valid))
-
-            total = ad.add(
-                ad.add(policy_loss, ad.mul(value_loss, Tensor(config.value_coef))),
-                ad.add(
-                    ad.mul(entropy, Tensor(-config.entropy_coef)),
-                    ad.mul(out["l_ae"], Tensor(config.ae_coef)),
-                ),
-            )
-            if not np.isfinite(total.data):
-                raise RuntimeError(
-                    "PPO update aborted on non-finite loss: "
-                    f"policy={policy_loss.data}, value={value_loss.data}, "
-                    f"entropy={entropy.data}, ae={out['l_ae'].data}"
-                )
-            optimizer.zero_grad()
-            ad.backward(total)
-            ad.clip_grad_norm(optimizer.params.values(), config.grad_clip_norm)
-            optimizer.step()
-
-            report["L_policy"] += float(policy_loss.data)
-            report["L_value"] += float(value_loss.data)
-            report["L_ae"] += float(out["l_ae"].data)
-            report["entropy"] += float(entropy.data)
+            losses = _minibatch_step(params, optimizer, batch, mb, advantages, returns, old_logp_sum, config)
+            for key, loss in zip(PPO_REPORT_KEYS, losses):
+                report[key] += loss
             passes += 1
-
     return {k: v / passes for k, v in report.items()}
+
+
+def _minibatch_step(params, optimizer, batch, mb, advantages, returns, old_logp_sum, config):
+    """One clipped-PPO gradient step on the timesteps ``mb``; returns the
+    four losses in ``PPO_REPORT_KEYS`` order.
+
+    Only floats leave this function, so the minibatch's tape and its
+    gradients are freed on return, before the next minibatch builds its own.
+    """
+    out = evaluate_actions(
+        batch.node_slice(mb),
+        batch.actions[mb],
+        batch.cluster_masks[mb],
+        batch.target_masks[mb],
+        params,
+    )
+    valid = (~batch.interfered[mb]).astype(np.float64)
+    n_valid = max(valid.sum(), 1.0)
+    adv = Tensor(advantages[mb])
+
+    logp_new = ad.sum_(out["log_prob"], axis=1)
+    ratio = ad.exp(ad.sub(logp_new, Tensor(old_logp_sum[mb])))
+    clipped = ad.clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps)
+    surrogate = ad.minimum(ad.mul(ratio, adv), ad.mul(clipped, adv))
+    policy_loss = ad.mul(
+        ad.sum_(ad.mul(surrogate, Tensor(valid))), Tensor(-1.0 / n_valid)
+    )
+
+    v_old = Tensor(batch.values[mb])
+    ret = Tensor(returns[mb])
+    v_new = out["value"]
+    v_clipped = ad.add(v_old, ad.clip(ad.sub(v_new, v_old), -config.clip_eps, config.clip_eps))
+    value_loss = ad.mean(
+        ad.maximum(ad.square(ad.sub(v_new, ret)), ad.square(ad.sub(v_clipped, ret)))
+    )
+
+    ent_per_step = ad.sum_(out["entropy"], axis=1)
+    entropy = ad.mul(ad.sum_(ad.mul(ent_per_step, Tensor(valid))), Tensor(1.0 / n_valid))
+
+    total = ad.add(
+        ad.add(policy_loss, ad.mul(value_loss, Tensor(config.value_coef))),
+        ad.add(
+            ad.mul(entropy, Tensor(-config.entropy_coef)),
+            ad.mul(out["l_ae"], Tensor(config.ae_coef)),
+        ),
+    )
+    if not np.isfinite(total.data):
+        raise RuntimeError(
+            "PPO update aborted on non-finite loss: "
+            f"policy={policy_loss.data}, value={value_loss.data}, "
+            f"entropy={entropy.data}, ae={out['l_ae'].data}"
+        )
+    optimizer.zero_grad()
+    ad.backward(total)
+    ad.clip_grad_norm(optimizer.params.values(), config.grad_clip_norm)
+    optimizer.step()
+    return (float(policy_loss.data), float(value_loss.data), float(out["l_ae"].data), float(entropy.data))
 
 
 def evaluate_policy(
@@ -450,7 +454,8 @@ class Trainer:
     the checkpoint's update, so the resumed logs match an uninterrupted
     run's byte for byte. ``checkpoint_last.ckpt`` is refreshed at every eval
     and periodic checkpoint and when the run ends, so a killed run resumes
-    from its last eval or checkpoint.
+    from its last eval or checkpoint; a run that reached ``stop_success``
+    stays stopped when resumed.
     """
 
     def __init__(
@@ -534,12 +539,16 @@ class Trainer:
 
     # -- main loop -----------------------------------------------------------
 
+    def _reached_stop(self) -> bool:
+        stop = self.settings.stop_success
+        return stop is not None and self.best_success >= stop
+
     def run(self) -> dict:
         metrics_path = self.out_dir / "metrics.jsonl"
         eval_path = self.out_dir / "eval.jsonl"
         mode = "a" if self.update > 0 else "w"
         with open(metrics_path, mode) as metrics_file, open(eval_path, mode) as eval_file:
-            while self.update < self.settings.total_updates:
+            while self.update < self.settings.total_updates and not self._reached_stop():
                 batch = collect(
                     self.graph0, self.params, self.env_config, self.train_config,
                     self.master_seed, self.episodes,
@@ -582,10 +591,7 @@ class Trainer:
                     if success > self.best_success:
                         self.best_success = success
                         self.save(self.out_dir / "checkpoint_best.ckpt")
-                    if (
-                        self.settings.stop_success is not None
-                        and success >= self.settings.stop_success
-                    ):
+                    if self._reached_stop():
                         break
                 periodic = self.settings.checkpoint_every and self.update % self.settings.checkpoint_every == 0
                 if periodic:

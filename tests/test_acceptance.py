@@ -23,7 +23,6 @@ from coopgraph.runner import (
     cmd_transfer,
     parse_run_config,
 )
-from coopgraph.training import TrainSettings, Trainer
 
 from test_autodiff import run_gradient_oracle
 from test_commands import run_gather_scatter_properties, test_discretize_brute_force_oracle
@@ -168,25 +167,12 @@ def test_criterion_11_determinism():
 # ---------------------------------------------------------------------------
 
 
-def _train_or_resume(rc, seed_dir: Path) -> dict:
-    """Resume the one-seed run in ``seed_dir`` from its checkpoint_last until
-    its budget or stop threshold, or train it from scratch if there is none."""
-    settings = TrainSettings(**rc.run)
-    last = seed_dir / "checkpoint_last.ckpt"
-    if not last.exists():
-        return cmd_train(rc)[0]
-    trainer = Trainer.restore(last, settings, seed_dir)
-    if trainer.update < settings.total_updates and trainer.best_success < settings.stop_success:
-        trainer.run()
-    return {"updates": trainer.update, "best_success": trainer.best_success}
-
-
 def _desk_seed_run(seed: int) -> dict:
     """Train (or resume) one desk-scale seed to the stop threshold and
     return its final 100-episode evaluation of the best checkpoint."""
     rc = parse_run_config({**DESK_CONFIG, "seeds": [seed]})
     seed_dir = DESK_OUT / f"seed_{seed}"
-    summary = _train_or_resume(rc, seed_dir)
+    summary = cmd_train(rc)[0]  # resumes from the seed dir's checkpoint_last
     best = seed_dir / "checkpoint_best.ckpt"
     ckpt = best if best.exists() else seed_dir / "checkpoint_last.ckpt"
     final = cmd_eval(rc, str(ckpt))["success_mean"]
@@ -256,7 +242,7 @@ def _ablation_run(tag: str, seed: int, **overrides) -> float:
     }
     rc = parse_run_config(doc)
     seed_dir = out / f"seed_{seed}"
-    _train_or_resume(rc, seed_dir)
+    cmd_train(rc)
     best = seed_dir / "checkpoint_best.ckpt"
     ckpt = best if best.exists() else seed_dir / "checkpoint_last.ckpt"
     return cmd_eval(rc, str(ckpt))["success_mean"]

@@ -102,6 +102,53 @@ def test_backward_requires_scalar():
         ad.backward(ad.mul(x, x))
 
 
+def _tape(loss):
+    """Every tensor the loss was built from, the loss included."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def test_backward_keeps_only_leaf_gradients():
+    """An interior gradient is dropped once spent; leaves keep theirs, also
+    one reached along several paths."""
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(3, 4, 8)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+    b = Tensor(np.zeros(8), requires_grad=True)
+    q = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+    h = ad.linear(x, w, b)
+    picked = ad.pick_rows(h, np.array([[0, 2, 2], [1, 1, 3], [3, 0, 0]]))
+    mixed = ad.concat([ad.scaled_dot_attention(q, h, h), picked], axis=1)
+    loss = ad.mean(ad.square(ad.relu(ad.reshape(mixed, (15, 8)))))
+    interior = [t for t in _tape(loss) if t._parents]
+    assert len(interior) == 9
+    ad.backward(loss)
+    assert all(t.grad is None for t in interior)
+    assert all(t.grad is not None for t in (x, w, b, q))
+
+
+def test_pick_rows_backward_adds_as_add_at_does():
+    """The per-column scatter sums repeated picks in np.add.at's order: the
+    same bits, with addends of very different magnitudes."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        B, n, k, h = (int(v) for v in rng.integers(1, 7, size=4))
+        a = Tensor(rng.normal(size=(B, n, h)), requires_grad=True)
+        idx = rng.integers(0, n, size=(B, k))
+        g = rng.normal(size=(B, k, h)) * 10.0 ** rng.integers(-8, 9, size=(B, k, 1))
+        out = ad.pick_rows(a, idx)
+        assert np.array_equal(out.data, a.data[np.arange(B)[:, None], idx])
+        ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+        flat = np.zeros((B * n, h))
+        np.add.at(flat, (np.arange(B)[:, None] * n + idx).reshape(-1), g.reshape(-1, h))
+        assert a.grad.tobytes() == flat.reshape(B, n, h).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gradient oracle
 # ---------------------------------------------------------------------------
@@ -132,7 +179,8 @@ def op_cases(rng):
 
     n, m, k = rng.integers(2, 8, size=3)
     batch = int(rng.integers(2, 5))
-    idx_rows = rng.integers(0, n, size=int(rng.integers(2, 6)))
+    # n + 1 picks per episode from n rows: every episode picks a row twice
+    idx_pick = rng.integers(0, n, size=(batch, n + 1))
     idx_cols = rng.integers(0, m, size=n)
     mask = (rng.random((n, k)) < 0.7).astype(float)
     mask[:, 0] = 1.0  # keep every query row alive
@@ -170,9 +218,9 @@ def op_cases(rng):
             lambda t: ad.sum_(ad.square(ad.concat([t[0], t[1]], axis=-1))),
             [arr(n, m), arr(n, k)],
         ),
-        "gather_rows": (
-            lambda t: ad.sum_(ad.square(ad.gather_rows(t[0], idx_rows))),
-            [arr(n, m)],
+        "pick_rows": (
+            lambda t: ad.sum_(ad.square(ad.pick_rows(t[0], idx_pick))),
+            [arr(batch, n, m)],
         ),
         "take_per_row": (
             lambda t: ad.sum_(ad.square(ad.take_per_row(t[0], idx_cols))),

@@ -2,6 +2,7 @@
 
 import json
 
+from coopgraph import training
 from coopgraph.cli import main
 
 
@@ -101,3 +102,53 @@ def test_transfer_subcommand(tmp_path, capsys):
         "--fan-out", "2", "--out", str(tmp_path / "tf2"),
     ])
     assert code == 2
+
+
+def test_rerun_of_killed_train_resumes(tmp_path, monkeypatch, capsys):
+    """A train command killed inside collect at update 4, two updates past
+    its last checkpoint, continues when rerun as is, to the logs of a run
+    never stopped."""
+    args = NANO_ARGS + ["--set", "run.total_updates=5", "--set", "run.eval_every=2",
+                        "--set", "run.eval_episodes=2"]
+    assert main(["train", "--seed", "1", "--out", str(tmp_path / "full")] + args) == 0
+    cut = ["train", "--seed", "1", "--out", str(tmp_path / "cut")] + args
+    real_collect = training.collect
+
+    def dying_collect(*collect_args):
+        if collect_args[-1] == 3 * 4:  # episode offset of update 4 at 4 episodes per batch
+            raise RuntimeError("killed")
+        return real_collect(*collect_args)
+
+    def counted_collect(*collect_args):
+        offsets.append(collect_args[-1])
+        return real_collect(*collect_args)
+
+    monkeypatch.setattr(training, "collect", dying_collect)
+    assert main(cut) == 1
+    seed_dir = tmp_path / "cut" / "seed_1"
+    assert len((seed_dir / "metrics.jsonl").read_text().splitlines()) == 3
+    capsys.readouterr()
+    offsets = []
+    monkeypatch.setattr(training, "collect", counted_collect)
+    assert main(cut) == 0
+    assert offsets == [8, 12, 16]  # updates 3-5: resumed from the update-2 eval
+    summary = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert summary[0]["updates"] == 5
+    for log in ("metrics.jsonl", "eval.jsonl"):
+        assert (seed_dir / log).read_bytes() == (tmp_path / "full" / "seed_1" / log).read_bytes(), log
+
+
+def test_rerun_under_another_config_is_refused(tmp_path, capsys):
+    """A rerun whose config differs from the one its checkpoint trained under
+    names every differing field and leaves the run directory as it was."""
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out)] + NANO_ARGS) == 0
+    before = {p.name: p.read_bytes() for p in (out, out / "seed_0") for p in p.iterdir() if p.is_file()}
+    capsys.readouterr()
+    other = ["--set", "env.t_max=25", "--set", "train.lr=0.0002", "--set", "n_clusters=2"]
+    assert main(["train", "--out", str(out)] + NANO_ARGS + other) == 2
+    err = capsys.readouterr().err
+    assert "env.t_max (checkpoint 20, config 25), train.lr (checkpoint 0.0001, config 0.0002)" in err
+    assert "the initial topology" in err
+    after = {p.name: p.read_bytes() for p in (out, out / "seed_0") for p in p.iterdir() if p.is_file()}
+    assert after == before
