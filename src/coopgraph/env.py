@@ -8,6 +8,12 @@ moment any base is destroyed, 0 otherwise.
 
 Tasks are named ``CSI-<N>/<k>/<m>``: N defenders, k trackers needed to turn
 an invader back, m invaders.
+
+``step`` advances one episode per call. Its invader update and its
+base-destruction check are each one array pass over all m invaders, with
+the same bits as updating the invaders one at a time: each per-invader
+norm is a ``row_norms`` row. The move-direction tables are built once and
+read-only.
 """
 
 from __future__ import annotations
@@ -44,10 +50,15 @@ class PrimitiveSet(Enum):
             raise ValueError(f"unknown primitive set {name!r}; expected none|six|fourteen") from None
 
 
-_AXIS_DIRS = np.array(
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+_AXIS_DIRS = _frozen(np.array(
     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
     dtype=np.float64,
-)
+))
 _DIAG_DIRS = (
     np.array(
         [
@@ -58,28 +69,42 @@ _DIAG_DIRS = (
     )
     / math.sqrt(3.0)
 )
-_FOURTEEN_DIRS = np.concatenate([_AXIS_DIRS, _DIAG_DIRS], axis=0)
+_FOURTEEN_DIRS = _frozen(np.concatenate([_AXIS_DIRS, _DIAG_DIRS], axis=0))
+_NO_DIRS = _frozen(np.zeros((0, 3), dtype=np.float64))
 
 
 def primitive_directions(primitive_set: PrimitiveSet) -> np.ndarray:
-    """Unit move directions exposed as primitive graph targets (may be empty)."""
+    """Unit move directions exposed as primitive graph targets (may be empty).
+
+    The table is shared and read-only; copy it before writing.
+    """
     if primitive_set is PrimitiveSet.NONE:
-        return np.zeros((0, 3), dtype=np.float64)
+        return _NO_DIRS
     if primitive_set is PrimitiveSet.SIX:
-        return _AXIS_DIRS.copy()
-    return _FOURTEEN_DIRS.copy()
+        return _AXIS_DIRS
+    return _FOURTEEN_DIRS
 
 
 def move_directions(primitive_set: PrimitiveSet) -> np.ndarray:
-    """Physical action directions the environment accepts.
+    """Physical action directions the environment accepts (shared, read-only).
 
     With ``NONE`` the graph exposes no primitive targets, but cooperative
     commands still have to be translated into some motion; the six axis
     directions serve as that fallback action space.
     """
     if primitive_set is PrimitiveSet.NONE:
-        return _AXIS_DIRS.copy()
+        return _AXIS_DIRS
     return primitive_directions(primitive_set)
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) array.
+
+    The sqrt of a matmul row dot, which gives the bits ``np.linalg.norm``
+    gives for each row alone (a BLAS dot); ``np.linalg.norm(x, axis=1)``
+    sums the squares differently and can differ in the last bit.
+    """
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def parse_task_name(name: str) -> tuple[int, int, int]:
@@ -242,56 +267,69 @@ def reset(config: EnvConfig, rng: np.random.Generator) -> EnvState:
     )
 
 
+_UP = np.array([0.0, 0.0, 1.0])
+
+
 def step(state: EnvState, actions: np.ndarray, config: EnvConfig) -> tuple[EnvState, StepOutcome]:
-    """Advance one step given a primitive action id per agent.
+    """Advance one episode by one step given a primitive action id per agent.
 
     Order: agents move, invaders update (neutralize / slow / advance),
     base destruction check, then the success check at all-neutralized or the
     step cap. Positions stay clamped to the arena.
+
+    The invader update and the destruction check are each one array pass
+    over all m invaders, bit-equal to updating the invaders one at a time:
+    every per-invader norm is a ``row_norms`` row, and each move adds the
+    same product to the same position.
     """
     actions = np.asarray(actions)
     if actions.shape != (config.n_agents,):
         raise ValueError(f"need one action per agent, got shape {actions.shape}")
     dirs = config.move_dirs
-    if actions.min() < 0 or actions.max() >= len(dirs):
+    ids = actions.tolist()
+    if min(ids) < 0 or max(ids) >= len(dirs):
         raise ValueError(f"action id out of range for {config.primitive_set}")
     ext = config.world_extent
 
-    agent_pos = np.clip(state.agent_pos + config.v_def * dirs[actions], 0.0, ext)
+    # ndarray.clip is np.clip without its per-call dispatch
+    agent_pos = (state.agent_pos + config.v_def * dirs.take(actions, axis=0)).clip(0.0, ext)
 
-    invader_pos = state.invader_pos.copy()
-    invader_active = state.invader_active.copy()
-    invader_heading = state.invader_heading.copy()
-    diff = agent_pos[None, :, :] - invader_pos[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
-    trackers = np.where(invader_active, (dist <= config.r_track).sum(axis=1), 0)
+    pos = state.invader_pos
+    was_active = state.invader_active
+    diff = agent_pos[None, :, :] - pos[:, None, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    trackers = np.where(was_active, (dist <= config.r_track).sum(axis=1), 0)
 
-    centroid = state.base_centroid
-    for j in range(config.m_invaders):
-        if invader_active[j]:
-            to_base = state.base_pos[state.invader_target[j]] - invader_pos[j]
-            norm = np.linalg.norm(to_base)
-            unit = to_base / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
-            if trackers[j] >= config.k_threshold:
-                invader_active[j] = False
-                invader_heading[j] = -unit
-                invader_pos[j] += config.v_inv * invader_heading[j]
-            elif trackers[j] >= config.slow_count:
-                invader_pos[j] += config.v_inv * config.slow_fraction * unit
-            else:
-                invader_pos[j] += config.v_inv * unit
-        elif np.linalg.norm(invader_pos[j] - centroid) < ext:
-            invader_pos[j] += config.v_inv * invader_heading[j]
-    invader_pos = np.clip(invader_pos, 0.0, ext)
+    # an active invader heads for its base (straight up when it sits on it)
+    # at full speed, slowed, or, at the turn-back level, along the reverse
+    # of that heading, which it keeps from then on
+    goal = state.base_pos[state.invader_target]
+    to_base = goal - pos
+    norm = row_norms(to_base)
+    far = norm > 1e-12
+    unit = to_base / np.where(far, norm, 1.0)[:, None]
+    unit[~far] = _UP
+    level = (trackers >= config.slow_count).astype(np.intp) + (trackers >= config.k_threshold)
+    turned = level == 2
+    invader_active = was_active & ~turned
+    invader_heading = np.where(turned[:, None], -unit, state.invader_heading)
+    speed = np.array([config.v_inv, config.v_inv * config.slow_fraction, config.v_inv])[level]
+    moves = speed[:, None] * np.where(invader_active[:, None], unit, invader_heading)
+    # a neutralized invader retreats at full speed until it is an arena
+    # extent away from the base centroid
+    moving = was_active
+    if np.count_nonzero(was_active) < len(was_active):
+        moving = was_active | (row_norms(pos - state.base_centroid) < ext)
+    invader_pos = np.where(moving[:, None], pos + moves, pos).clip(0.0, ext)
 
+    # checked against the bases alive before the check: an invader whose base
+    # an earlier one just destroyed only clears the same flag again
+    hit = invader_active & state.base_alive[state.invader_target]
+    hit &= row_norms(invader_pos - goal) <= config.r_destroy
+    destroyed = np.count_nonzero(hit) > 0
     base_alive = state.base_alive.copy()
-    destroyed = False
-    for j in range(config.m_invaders):
-        if invader_active[j]:
-            b = state.invader_target[j]
-            if base_alive[b] and np.linalg.norm(invader_pos[j] - state.base_pos[b]) <= config.r_destroy:
-                base_alive[b] = False
-                destroyed = True
+    if destroyed:
+        base_alive[state.invader_target[hit]] = False
 
     new_state = EnvState(
         t=state.t + 1,
@@ -303,14 +341,15 @@ def step(state: EnvState, actions: np.ndarray, config: EnvConfig) -> tuple[EnvSt
         base_pos=state.base_pos,
         base_alive=base_alive,
     )
+    n_active = int(np.count_nonzero(invader_active))
     info = {
-        "bases_destroyed": int((~base_alive).sum()),
-        "invaders_neutralized": int((~invader_active).sum()),
+        "bases_destroyed": len(base_alive) - int(np.count_nonzero(base_alive)),
+        "invaders_neutralized": len(invader_active) - n_active,
         "trackers": trackers.tolist(),
     }
     if destroyed:
         return new_state, StepOutcome(reward=-1.0, done=True, info=info)
-    if new_state.t >= config.t_max or not invader_active.any():
+    if new_state.t >= config.t_max or n_active == 0:
         reward = 1.0 if base_alive.all() else -1.0
         return new_state, StepOutcome(reward=reward, done=True, info=info)
     return new_state, StepOutcome(reward=0.0, done=False, info=info)

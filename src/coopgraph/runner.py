@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .commands import DEFEND, INTERCEPT
-from .env import EnvConfig, PrimitiveSet, TaskNameError, parse_task_name, reset, stack_states, step
+from .env import EnvConfig, PrimitiveSet, TaskNameError, parse_task_name, reset, row_norms, stack_states, step
 from .graph import (
     CooperationGraph,
     OperatorAction,
@@ -475,10 +475,7 @@ def scripted_operator_action(
     quota = math.ceil(graph.n_agents / len(active))
     setup = state.t < 25
 
-    # every invader's distance to its base as sqrt of a matmul row dot,
-    # bit-equal to np.linalg.norm of each one
-    to_base = state.base_pos[state.invader_target] - state.invader_pos
-    dist = np.sqrt(np.matmul(to_base[:, None, :], to_base[:, :, None])[:, 0, 0])
+    dist = row_norms(state.base_pos[state.invader_target] - state.invader_pos)
     time_to_base = (dist / env_config.v_inv).tolist().__getitem__
 
     def movable(t):  # the cluster op3/op4 would actually move off target t
@@ -503,9 +500,9 @@ def scripted_operator_action(
         candidates = []
         for t in spare_tids:
             members = np.flatnonzero(graph.agent_to_cluster == movable(t))
-            centroid = state.agent_pos[members].mean(axis=0)
-            if np.linalg.norm(centroid - base) < 32.0:
-                candidates.append((float(np.linalg.norm(centroid - base)), t))
+            gap = float(np.linalg.norm(state.agent_pos[members].mean(axis=0) - base))
+            if gap < 32.0:
+                candidates.append((gap, t))
         if candidates:
             conversion = (min(candidates)[1], intercept_tid[j])
             break

@@ -1,11 +1,16 @@
 """Simulator: task grammar, spawn layout, step rules, observations."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from coopgraph.env import (
     EnvConfig,
+    EnvState,
     PrimitiveSet,
+    StepOutcome,
     TaskNameError,
     config_for_task,
     move_directions,
@@ -13,7 +18,9 @@ from coopgraph.env import (
     observe,
     observe_all,
     parse_task_name,
+    primitive_directions,
     reset,
+    row_norms,
     step,
 )
 
@@ -66,6 +73,23 @@ def test_move_directions_none_falls_back_to_six():
     assert move_directions(PrimitiveSet.FOURTEEN).shape == (14, 3)
     norms = np.linalg.norm(move_directions(PrimitiveSet.FOURTEEN), axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("primitive_set", list(PrimitiveSet))
+def test_direction_tables_are_shared_and_read_only(primitive_set):
+    cfg = EnvConfig(n_agents=2, k_threshold=1, m_invaders=1, primitive_set=primitive_set)
+    assert cfg.move_dirs is cfg.move_dirs
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.move_dirs[0, 0] = 2.0
+    table = primitive_directions(primitive_set)
+    assert table is primitive_directions(primitive_set) and not table.flags.writeable
+
+
+def test_row_norms_match_one_vector_norm_bits():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(20_000, 1))
+    expected = np.array([np.linalg.norm(row) for row in x])
+    assert row_norms(x).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +275,253 @@ def test_slowed_invader_is_overtaken_under_pursuit():
             break
     assert min(dists) < 2.0
     assert max(dists) <= cfg.r_track  # never escapes the tracking radius
+
+
+# ---------------------------------------------------------------------------
+# the array-pass step against the per-invader loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_step(state: EnvState, actions: np.ndarray, config: EnvConfig) -> tuple[EnvState, StepOutcome]:
+    """``step`` as it was before the invader update became one array pass:
+    one Python iteration per invader, one ``np.linalg.norm`` per vector."""
+    actions = np.asarray(actions)
+    if actions.shape != (config.n_agents,):
+        raise ValueError(f"need one action per agent, got shape {actions.shape}")
+    dirs = config.move_dirs
+    if actions.min() < 0 or actions.max() >= len(dirs):
+        raise ValueError(f"action id out of range for {config.primitive_set}")
+    ext = config.world_extent
+
+    agent_pos = np.clip(state.agent_pos + config.v_def * dirs[actions], 0.0, ext)
+
+    invader_pos = state.invader_pos.copy()
+    invader_active = state.invader_active.copy()
+    invader_heading = state.invader_heading.copy()
+    diff = agent_pos[None, :, :] - invader_pos[:, None, :]
+    dist = np.linalg.norm(diff, axis=2)
+    trackers = np.where(invader_active, (dist <= config.r_track).sum(axis=1), 0)
+
+    centroid = state.base_centroid
+    for j in range(config.m_invaders):
+        if invader_active[j]:
+            to_base = state.base_pos[state.invader_target[j]] - invader_pos[j]
+            norm = np.linalg.norm(to_base)
+            unit = to_base / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
+            if trackers[j] >= config.k_threshold:
+                invader_active[j] = False
+                invader_heading[j] = -unit
+                invader_pos[j] += config.v_inv * invader_heading[j]
+            elif trackers[j] >= config.slow_count:
+                invader_pos[j] += config.v_inv * config.slow_fraction * unit
+            else:
+                invader_pos[j] += config.v_inv * unit
+        elif np.linalg.norm(invader_pos[j] - centroid) < ext:
+            invader_pos[j] += config.v_inv * invader_heading[j]
+    invader_pos = np.clip(invader_pos, 0.0, ext)
+
+    base_alive = state.base_alive.copy()
+    destroyed = False
+    for j in range(config.m_invaders):
+        if invader_active[j]:
+            b = state.invader_target[j]
+            if base_alive[b] and np.linalg.norm(invader_pos[j] - state.base_pos[b]) <= config.r_destroy:
+                base_alive[b] = False
+                destroyed = True
+
+    new_state = EnvState(
+        t=state.t + 1,
+        agent_pos=agent_pos,
+        invader_pos=invader_pos,
+        invader_target=state.invader_target,
+        invader_active=invader_active,
+        invader_heading=invader_heading,
+        base_pos=state.base_pos,
+        base_alive=base_alive,
+    )
+    info = {
+        "bases_destroyed": int((~base_alive).sum()),
+        "invaders_neutralized": int((~invader_active).sum()),
+        "trackers": trackers.tolist(),
+    }
+    if destroyed:
+        return new_state, StepOutcome(reward=-1.0, done=True, info=info)
+    if new_state.t >= config.t_max or not invader_active.any():
+        reward = 1.0 if base_alive.all() else -1.0
+        return new_state, StepOutcome(reward=reward, done=True, info=info)
+    return new_state, StepOutcome(reward=0.0, done=False, info=info)
+
+
+def assert_same_step(got, expected):
+    """Every state field with the same dtype, shape and bytes; the outcome
+    with the same values and Python types."""
+    (state, outcome), (ref_state, ref_outcome) = got, expected
+    for f in dataclasses.fields(EnvState):
+        a, b = getattr(state, f.name), getattr(ref_state, f.name)
+        assert type(a) is type(b), f.name
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    assert repr(dataclasses.astuple(outcome)) == repr(dataclasses.astuple(ref_outcome))
+    assert [type(v) for v in outcome.info.values()] == [type(v) for v in ref_outcome.info.values()]
+
+
+def fuzz_state(cfg, rng, focus):
+    """A reset state pushed into the parts of the step rules a fresh episode
+    takes long to reach: defenders on top of the first ``focus`` invaders,
+    invaders low, near or exactly on their base, neutralized ones with a
+    retreat heading (in some states nearly all of them), a dead base, a
+    clock close to the cap."""
+    state = reset(cfg, rng)
+    m, ext = cfg.m_invaders, cfg.world_extent
+    p_neutralized = rng.choice([0.2, 0.8])
+    state.t = int(rng.choice([0, cfg.t_max - rng.integers(1, 30)]))
+    state.invader_pos[:, 2] = rng.uniform(0.0, ext, size=m)
+    near = rng.random(cfg.n_agents) < 0.7
+    picks = rng.integers(0, focus, size=cfg.n_agents)
+    jitter = state.invader_pos[picks] + rng.normal(0.0, 4.0, size=(cfg.n_agents, 3))
+    state.agent_pos[near] = np.clip(jitter, 0.0, ext)[near]
+    for j, u in enumerate(rng.random(m)):
+        base = state.base_pos[state.invader_target[j]]
+        if u < p_neutralized:
+            state.invader_active[j] = False
+            heading = rng.normal(size=3)
+            state.invader_heading[j] = heading / np.linalg.norm(heading)
+        elif u < p_neutralized + 0.05:
+            state.invader_pos[j] = base + rng.normal(0.0, 1.5, size=3) * [1, 1, 0] + [0, 0, rng.uniform(0, 3)]
+        elif u < p_neutralized + 0.07:
+            state.invader_pos[j] = base
+    if rng.random() < 0.05:
+        state.base_alive[rng.integers(cfg.n_bases)] = False
+    state.invader_pos[:] = np.clip(state.invader_pos, 0.0, ext)
+    return state
+
+
+def chase_actions(state, cfg, rng, focus):
+    """Most defenders head for invader ``i % focus``, the rest move at random."""
+    dirs = cfg.move_dirs
+    chased = state.invader_pos[np.arange(cfg.n_agents) % focus]
+    toward = np.argmax((chased - state.agent_pos) @ dirs.T, axis=1)
+    return np.where(rng.random(cfg.n_agents) < 0.8, toward, rng.integers(0, len(dirs), size=cfg.n_agents))
+
+
+def branches_taken(state, ref_state, outcome, cfg):
+    """Which rules of the per-invader loop one reference step went through."""
+    trackers = np.array(outcome.info["trackers"])
+    was = state.invader_active
+    on_base = row_norms(state.base_pos[state.invader_target] - state.invader_pos) <= 1e-12
+    near = row_norms(state.invader_pos - state.base_centroid) < cfg.world_extent
+    hits = {
+        "turned": was & (trackers >= cfg.k_threshold),
+        "slowed": was & (trackers >= cfg.slow_count) & (trackers < cfg.k_threshold),
+        "free": was & (trackers < cfg.slow_count),
+        "on_base": was & on_base,
+        "retreating": ~was & near,
+        "parked": ~was & ~near,
+    }
+    taken = [name for name, mask in hits.items() if mask.any()]
+    if outcome.done:
+        lost_base = np.count_nonzero(ref_state.base_alive) < np.count_nonzero(state.base_alive)
+        if lost_base:
+            taken.append("destroyed")
+        elif not ref_state.invader_active.any():
+            taken.append("all_neutralized_win" if outcome.reward > 0 else "all_neutralized_loss")
+        else:
+            taken.append("timeout")
+    return taken
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "task,overrides",
+    [("CSI-12/2/3", {"n_bases": 2}), ("CSI-27/3/9", {}), ("CSI-6/1/9", {}), ("CSI-8/4/5", {})],
+)
+def test_step_matches_per_invader_loop(task, overrides):
+    cfg = config_for_task(task, **overrides)
+    rng = np.random.default_rng(sum(map(ord, task)))
+    taken = Counter()
+    for _ in range(150):
+        focus = int(rng.integers(1, cfg.m_invaders + 1))
+        state = fuzz_state(cfg, rng, focus)
+        for _ in range(40):
+            actions = chase_actions(state, cfg, rng, focus)
+            expected = reference_step(state, actions, cfg)
+            assert_same_step(step(state, actions, cfg), expected)
+            taken.update(branches_taken(state, expected[0], expected[1], cfg))
+            state = expected[0]
+            if expected[1].done:
+                break
+    wanted = {
+        "turned", "free", "on_base", "retreating", "parked", "destroyed", "all_neutralized_win", "timeout",
+    }
+    if cfg.slow_count < cfg.k_threshold:
+        wanted.add("slowed")
+    assert wanted <= set(taken), sorted(wanted - set(taken))
+
+
+def test_two_invaders_destroy_one_base_in_the_same_step():
+    cfg = EnvConfig(n_agents=1, k_threshold=2, m_invaders=3, n_bases=2)
+    state = hover_state(cfg, [[90, 90, 90]], [[20, 50, 2.5], [20.5, 50, 2.6], [50, 50, 2.5]], [0, 0, 1])
+    got = step(state, np.array([0]), cfg)
+    assert_same_step(got, reference_step(state, np.array([0]), cfg))
+    new, out = got
+    assert out.done and out.reward == -1.0
+    assert new.base_alive.tolist() == [False, False]
+    assert new.invader_active.all() and out.info["bases_destroyed"] == 2
+
+
+@pytest.mark.parametrize(
+    "primitive_set,actions,fragment",
+    [
+        (PrimitiveSet.SIX, [0, 1, 2], "one action per agent"),
+        (PrimitiveSet.SIX, [[0, 1]], "one action per agent"),
+        (PrimitiveSet.SIX, [0, -1], "out of range"),
+        (PrimitiveSet.SIX, [6, 0], "out of range"),
+        (PrimitiveSet.NONE, [0, 6], "out of range"),
+        (PrimitiveSet.FOURTEEN, [14, 13], "out of range"),
+    ],
+)
+def test_step_rejects_bad_actions(primitive_set, actions, fragment):
+    cfg = EnvConfig(n_agents=2, k_threshold=1, m_invaders=1, primitive_set=primitive_set)
+    state = reset(cfg, np.random.default_rng(0))
+    for stepper in (step, reference_step):
+        with pytest.raises(ValueError, match=fragment):
+            stepper(state, np.array(actions), cfg)
+    if primitive_set is PrimitiveSet.FOURTEEN:
+        assert_same_step(step(state, np.array([13, 0]), cfg), reference_step(state, np.array([13, 0]), cfg))
+
+
+def test_step_rules_at_their_boundaries():
+    """An invader landing at exactly r_destroy destroys its base; a neutralized
+    one exactly an extent from the base centroid stays put, and one that stays
+    put keeps its bits, a -0.0 included."""
+    cfg = EnvConfig(n_agents=1, k_threshold=2, m_invaders=3, n_bases=2, v_inv=1.0)
+    # bases at x = 20 and 50, so the centroid is (35, 50, 0)
+    state = hover_state(cfg, [[90, 90, 90]], [[20, 50, 3], [35, 50, 100], [-0.0, 0.0, 100]])
+    state.invader_active[1:] = False
+    state.invader_heading[1:] = [0.0, 1.0, 0.0]
+    got = step(state, np.array([0]), cfg)
+    assert_same_step(got, reference_step(state, np.array([0]), cfg))
+    new, out = got
+    assert out.done and out.reward == -1.0 and not new.base_alive[0]
+    assert new.invader_pos[1:].tobytes() == state.invader_pos[1:].tobytes()
+
+
+def test_invader_on_its_base_heads_straight_up_without_warnings():
+    cfg = EnvConfig(n_agents=2, k_threshold=2, m_invaders=2, n_bases=1, r_destroy=0.5)
+    state = hover_state(cfg, [[20, 50, 1], [21, 50, 0]], [[20, 50, 0], [20, 50, 0]])
+    state.invader_active[1] = False
+    state.invader_heading[1] = [0.0, -1.0, 0.0]
+    with np.errstate(all="raise"):
+        got = step(state, np.array([5, 5]), cfg)  # both defenders track invader 0
+        assert_same_step(got, reference_step(state, np.array([5, 5]), cfg))
+        new, _ = got
+        # turned back on the spot: heading (-0, -0, -1), pinned to the ground
+        assert new.invader_heading[0].tobytes() == np.array([-0.0, -0.0, -1.0]).tobytes()
+        assert new.invader_pos[0].tolist() == [20.0, 50.0, 0.0] and not new.invader_active[0]
+        state.agent_pos[:] = [[90, 90, 90], [91, 90, 90]]  # now nobody tracks it
+        new, out = step(state, np.array([0, 0]), cfg)
+        assert_same_step((new, out), reference_step(state, np.array([0, 0]), cfg))
+    assert new.invader_pos[0].tolist() == [20.0, 50.0, cfg.v_inv] and not out.done
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: in src/, tests/ and demos/ every imported name is read,
 no function binds a local only to delete it, and every function, class and
-method defined in src/ is referenced from src/, tests/, demos/ or perfbench/."""
+method defined in src/ is referenced from src/, tests/, demos/ or perfbench/.
+src/ uses no numpy name that the declared floor, numpy 1.24, lacks."""
 
 import ast
 import re
@@ -9,6 +10,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "demos")
 REFERENCING = SCANNED + ("perfbench",)
+# names numpy 2.0 added; pyproject.toml declares numpy>=1.24
+NUMPY2_ONLY = {
+    "vecdot", "linalg.vecdot", "concat", "unstack", "permute_dims", "pow", "astype",
+    "matrix_transpose", "cumulative_sum",
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -62,6 +68,32 @@ def deleted_only_locals(path: Path) -> list[str]:
                 for name, ctx in sorted(uses.items())
                 if ctx == {ast.Store, ast.Del}
             ]
+    return found
+
+
+def numpy2_only_names(path: Path) -> list[str]:
+    """Uses of a ``NUMPY2_ONLY`` name, through a ``numpy`` import alias
+    (``np.vecdot``, ``np.linalg.vecdot``) or imported from numpy."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "numpy"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            prefix = node.module.removeprefix("numpy").lstrip(".")
+            dotted = [f"{prefix}.{alias.name}".lstrip(".") for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            parts, base = [], node
+            while isinstance(base, ast.Attribute):
+                parts.insert(0, base.attr)
+                base = base.value
+            dotted = [".".join(parts)] if isinstance(base, ast.Name) and base.id in aliases else []
+        else:
+            continue
+        found += [f"numpy.{name} (line {node.lineno})" for name in dotted if name in NUMPY2_ONLY]
     return found
 
 
@@ -137,6 +169,20 @@ def test_deleted_only_locals_detected(tmp_path):
     assert deleted_only_locals(module) == ["f: lay (line 2)", "f: w (line 6)"]
 
 
+def test_numpy2_only_names_detected(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import numpy as np\nimport numpy\nfrom numpy import concat, stack\n"
+        "from numpy.linalg import vecdot, norm\n"
+        "def f(x):\n    y = x.astype(float) + np.linalg.norm(x)\n"
+        "    return np.vecdot(x, x), numpy.linalg.vecdot(x, y), np.pow(x, 2), np.sum(x)\n"
+    )
+    assert numpy2_only_names(module) == [
+        "numpy.concat (line 3)", "numpy.linalg.vecdot (line 4)", "numpy.vecdot (line 7)",
+        "numpy.linalg.vecdot (line 7)", "numpy.pow (line 7)",
+    ]
+
+
 def test_unreferenced_definitions_detected(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "bench").mkdir()
@@ -175,5 +221,15 @@ def test_no_deleted_only_locals():
         for top in SCANNED
         for path in sorted((ROOT / top).rglob("*.py"))
         if (names := deleted_only_locals(path))
+    }
+    assert found == {}
+
+
+def test_src_keeps_to_the_declared_numpy_floor():
+    assert "numpy>=1.24" in (ROOT / "pyproject.toml").read_text()
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (names := numpy2_only_names(path))
     }
     assert found == {}
