@@ -35,6 +35,6 @@ for t in range(cfg.t_max):
     if out.done:
         break
 print(f"\nepisode over at t={state.t}: reward {out.reward:+.0f} "
-      f"({out.info['invaders_neutralized']} neutralized, "
-      f"{out.info['bases_destroyed']} bases destroyed)")
+      f"({np.count_nonzero(~state.invader_active)} neutralized, "
+      f"{np.count_nonzero(~state.base_alive)} bases destroyed)")
 print("only the terminal step pays:", total == out.reward)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -217,7 +217,6 @@ def stack_states(states: list[EnvState]) -> EnvState:
 class StepOutcome:
     reward: float
     done: bool
-    info: dict = field(default_factory=dict)
 
 
 def reset(config: EnvConfig, rng: np.random.Generator) -> EnvState:
@@ -341,18 +340,12 @@ def step(state: EnvState, actions: np.ndarray, config: EnvConfig) -> tuple[EnvSt
         base_pos=state.base_pos,
         base_alive=base_alive,
     )
-    n_active = int(np.count_nonzero(invader_active))
-    info = {
-        "bases_destroyed": len(base_alive) - int(np.count_nonzero(base_alive)),
-        "invaders_neutralized": len(invader_active) - n_active,
-        "trackers": trackers.tolist(),
-    }
     if destroyed:
-        return new_state, StepOutcome(reward=-1.0, done=True, info=info)
-    if new_state.t >= config.t_max or n_active == 0:
+        return new_state, StepOutcome(reward=-1.0, done=True)
+    if new_state.t >= config.t_max or np.count_nonzero(invader_active) == 0:
         reward = 1.0 if base_alive.all() else -1.0
-        return new_state, StepOutcome(reward=reward, done=True, info=info)
-    return new_state, StepOutcome(reward=0.0, done=False, info=info)
+        return new_state, StepOutcome(reward=reward, done=True)
+    return new_state, StepOutcome(reward=0.0, done=False)
 
 
 def obs_dim(config: EnvConfig) -> int:

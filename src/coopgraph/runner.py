@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .commands import DEFEND, INTERCEPT
-from .env import EnvConfig, PrimitiveSet, TaskNameError, parse_task_name, reset, row_norms, stack_states, step
+from .env import EnvConfig, PrimitiveSet, TaskNameError, parse_task_name, row_norms
 from .graph import (
     CooperationGraph,
     OperatorAction,
@@ -29,9 +29,7 @@ from .graph import (
     apply_operator_action,
     build_targets,
     extend,
-    resolve_agent_actions,
     select_initial_topology,
-    stack_graphs,
     to_dot,
     to_json,
     to_json_dict,
@@ -50,6 +48,7 @@ from .training import (
     Trainer,
     evaluate_policy,
     load_run_checkpoint,
+    policy_operator,
     rollout,
 )
 
@@ -573,36 +572,22 @@ def scripted_operator_action(
 def cmd_oracle(rc: RunConfig) -> dict:
     """Success rate of the scripted operator policy over eval_episodes.
 
-    The episodes run in lockstep: the scripted operator and ``step`` act per
-    episode, and one ``resolve_agent_actions`` pass translates every alive
-    episode's graph.
+    The scripted operator is the operator stage of ``training.rollout``, so
+    the episodes run in the same lockstep loop as the learned policy's. It
+    draws nothing from an episode's generator after ``reset``.
     """
     if not rc.coop_actions:
         raise ConfigError("the scripted oracle needs cooperative intercept targets")
     env_config = build_env_config(rc)
     graph0 = frozen_topology(rc, env_config, rc.seeds[0])
-    states = [
-        reset(env_config, np.random.default_rng(rc.seeds[0] * EPISODE_SEED_STRIDE + e))
-        for e in range(rc.eval_episodes)
-    ]
-    graphs = [graph0] * rc.eval_episodes
-    wins = 0
-    alive = list(range(rc.eval_episodes))
-    while alive:
+
+    def operate(alive, graphs, states, stack):
         for e in alive:
-            action = scripted_operator_action(graphs[e], states[e], env_config)
-            graphs[e], _ = apply_operator_action(graphs[e], action)
-        actions = resolve_agent_actions(
-            stack_graphs([graphs[e] for e in alive]), stack_states([states[e] for e in alive]), env_config
-        )
-        next_alive = []
-        for e, env_actions in zip(alive, actions):
-            states[e], outcome = step(states[e], env_actions, env_config)
-            if not outcome.done:
-                next_alive.append(e)
-            elif outcome.reward > 0:
-                wins += 1
-        alive = next_alive
+            graphs[e], _ = apply_operator_action(graphs[e], scripted_operator_action(graphs[e], states[e], env_config))
+
+    rngs = [np.random.default_rng(rc.seeds[0] * EPISODE_SEED_STRIDE + e) for e in range(rc.eval_episodes)]
+    # only the terminal step pays
+    wins = sum(o.reward > 0 for *_, outcomes, _ in rollout(graph0, env_config, rngs, operate) for o in outcomes)
     return {"success": wins / rc.eval_episodes, "episodes": rc.eval_episodes}
 
 
@@ -615,8 +600,9 @@ def cmd_export_topology(
 ) -> list[Path]:
     """Replay one greedy episode and dump DOT + JSON graph snapshots.
 
-    Step 0 is the frozen initial topology (identical across episodes); steps
-    beyond the episode end are skipped with a warning.
+    Step t's snapshot is the graph step t starts from: step 0 is the frozen
+    initial topology (identical across episodes); steps beyond the episode
+    end are skipped with a warning.
     """
     run, env_config = _load_checked(rc, checkpoint)
     out = Path(out_dir or rc.out_dir)
@@ -625,7 +611,7 @@ def cmd_export_topology(
     wanted = set(steps)
     written: list[Path] = []
 
-    def on_step(t, graph, state):
+    def write(t, graph):
         if t in wanted:
             dot_path = out / f"topology_step_{t:04d}.dot"
             json_path = out / f"topology_step_{t:04d}.json"
@@ -634,8 +620,13 @@ def cmd_export_topology(
             written.extend([dot_path, json_path])
             wanted.discard(t)
 
-    rng = np.random.default_rng(episode_seed * EPISODE_SEED_STRIDE)
-    rollout(run.graph0, run.params, env_config, [rng], mode="argmax", record_steps=False, on_step=on_step)
+    write(0, run.graph0)
+    rngs = [np.random.default_rng(episode_seed * EPISODE_SEED_STRIDE)]
+    operate = policy_operator(run.params, env_config, rngs, "argmax", 0.0)
+    for _, graphs, states, outcomes, _ in rollout(run.graph0, env_config, rngs, operate):
+        # the graph that acted in this step is the one the next step starts from
+        if not outcomes[0].done:
+            write(states[0].t, graphs[0])
     for t in sorted(wanted):
         print(f"warning: step {t} is beyond the episode end; skipped", file=sys.stderr)
     return written

@@ -2,15 +2,16 @@
 
 Rollouts treat the operator quadruple as the learning agent: per environment
 step the operators rewire one agent edge and one cluster edge, the graph is
-resolved into primitive actions, and the simulator advances. Episodes always
-start from one frozen initial topology and run in lockstep: each step stacks
-the alive episodes' states and graphs once, builds the node inputs, masks
-and primitive actions of all of them in one array pass each, and runs one
-batched policy forward; the operator actions, interference and ``env.step``
-stay per episode, so each episode's generator is consumed in its own order.
-A small per-step probability replaces the learned operator action with a
-random fake one (interference); those steps are excluded from the policy
-surrogate but keep feeding the value targets.
+resolved into primitive actions, and the simulator advances. ``rollout`` is
+the one episode loop: episodes start from one frozen initial topology and
+run in lockstep, and each step an operator stage rewires every alive graph
+(``policy_operator``, or the scripted oracle of ``runner.cmd_oracle``), one
+array pass translates them and each episode steps. The policy stage builds
+node inputs and masks in one pass each and runs one batched forward; its
+moves and interference stay per episode, so each episode's generator is
+consumed in its own order. A small per-step probability replaces the
+learned operator action with a random fake one (interference); those steps
+are excluded from the policy surrogate but keep feeding the value targets.
 
 Updates are clipped PPO with GAE, an entropy bonus and the auxiliary
 reconstruction loss, over minibatches of shuffled timesteps.
@@ -87,7 +88,8 @@ class TrainConfig:
 class RolloutBatch:
     """Flat per-step arrays for one batch of episodes (episode order).
 
-    ``rollout`` records each step as one tuple in this field order.
+    ``policy_operator`` records each step's fields before ``rewards``, then
+    ``interfered``; ``collect`` takes the rest from the step outcomes.
     """
 
     obs: np.ndarray                # (T, n_env, d_obs)
@@ -125,85 +127,74 @@ class RolloutBatch:
 
 def rollout(
     graph0: CooperationGraph,
-    params: PolicyParams,
     env_config: EnvConfig,
     rngs: list[np.random.Generator],
-    mode: str = "sample",
-    p_interference: float = 0.0,
-    record_steps: bool = True,
-    on_step=None,
-    trajectories: list[list] | None = None,
+    operate,
 ):
     """Run one episode per generator in lockstep from the frozen start topology.
 
-    Every step stacks the still-alive episodes (``stack_states``,
-    ``stack_graphs``) and builds their node batch, masks and primitive
-    actions in one pass each, with one batched policy forward. Episode e
-    consumes rngs[e] in a fixed order (reset, then per step: four head
-    samples in sample mode, the interference draw and any fake-action
-    indices), so its result does not depend on which episodes run beside it.
-
-    ``on_step(t, graph, state)`` fires for each alive episode at the start of
-    each step, before the operators act (so t=0 sees the frozen initial
-    topology). ``trajectories[e]`` collects episode e's post-step records.
-    Returns (per-episode step tuples in RolloutBatch field order, or None;
-    terminal rewards; episode lengths).
+    Each step stacks the alive states once and calls ``operate(alive,
+    graphs, states, stack)``, which rewires ``graphs[e]`` for every alive e
+    and returns the step's record; one ``resolve_agent_actions`` pass and one
+    ``step`` per alive episode follow. Episode e draws from rngs[e] only at
+    ``reset`` and in ``operate``. Yields ``(alive, graphs, states, outcomes,
+    record)`` after each step, with the graphs that acted, the post-step
+    states and one ``StepOutcome`` per alive episode.
     """
-    B = len(rngs)
     states = [reset(env_config, rng) for rng in rngs]
-    graphs: list[CooperationGraph] = [graph0] * B
-    steps: list[list[tuple]] | None = [[] for _ in range(B)] if record_steps else None
-    terminals = [0.0] * B
-    lengths = [0] * B
-    alive = list(range(B))
-
+    graphs: list[CooperationGraph] = [graph0] * len(rngs)
+    alive = list(range(len(rngs)))
     while alive:
-        if on_step is not None:
-            for e in alive:
-                on_step(states[e].t, graphs[e], states[e])
         stack = stack_states([states[e] for e in alive])
+        record = operate(alive, graphs, states, stack)
+        env_actions = resolve_agent_actions(stack_graphs([graphs[e] for e in alive]), stack, env_config)
+        outcomes = []
+        for row, e in enumerate(alive):
+            states[e], outcome = step(states[e], env_actions[row], env_config)
+            outcomes.append(outcome)
+        yield alive, graphs, states, outcomes, record
+        alive = [e for e, outcome in zip(alive, outcomes) if not outcome.done]
+
+
+def policy_operator(
+    params: PolicyParams,
+    env_config: EnvConfig,
+    rngs: list[np.random.Generator],
+    mode: str,
+    p_interference: float,
+):
+    """The learned operator stage of ``rollout``: one batched policy forward,
+    then per episode the interference draw and the policy's or a fake move.
+
+    Episode e consumes rngs[e] in a fixed order per step (four head samples
+    in sample mode, the interference draw, any fake-action indices), so its
+    result does not depend on which episodes run beside it. The record is
+    the step's ``RolloutBatch`` columns before ``rewards``, then
+    ``interfered``; an interfered row holds the fake action and zero log
+    probabilities.
+    """
+    def operate(alive, graphs, states, stack):
         before = stack_graphs([graphs[e] for e in alive])
         batch = node_batch(before, stack, env_config)
         masks = action_masks(before)
-        cmask, tmask = masks.cluster_mask, masks.target_mask
         actions, log_probs, values = act_batch(
-            batch, cmask, tmask, params, [rngs[e] for e in alive], mode=mode,
+            batch, masks.cluster_mask, masks.target_mask, params, [rngs[e] for e in alive], mode=mode,
         )
-
-        applied, interfered = [], []
+        interfered = np.zeros(len(alive), dtype=bool)
         for row, e in enumerate(alive):
             # drawn even at p=0, so every mode consumes the same stream
-            fake = rngs[e].random() < p_interference
-            if fake:
-                graphs[e], action = interfere(graphs[e], rngs[e])
+            if rngs[e].random() < p_interference:
+                graphs[e], fake = interfere(graphs[e], rngs[e])
+                actions[row] = fake.as_tuple()
+                log_probs[row] = 0.0
+                interfered[row] = True
             else:
-                action = OperatorAction(*actions[row])
-                graphs[e], _ = apply_operator_action(graphs[e], action)
-            applied.append(action)
-            interfered.append(fake)
-        env_actions = resolve_agent_actions(stack_graphs([graphs[e] for e in alive]), stack, env_config)
-
-        next_alive = []
-        for row, e in enumerate(alive):
-            states[e], outcome = step(states[e], env_actions[row], env_config)
-            if trajectories is not None:
-                trajectories[e].append(trajectory_record(states[e], outcome.reward))
-            if steps is not None:
-                steps[e].append((
-                    batch.obs[row], batch.target_reps[row],
-                    batch.agent_to_cluster[row], batch.cluster_to_target[row],
-                    cmask[row], tmask[row],
-                    np.array(applied[row].as_tuple()),
-                    np.zeros(4) if interfered[row] else log_probs[row],
-                    values[row], outcome.reward, outcome.done, interfered[row],
-                ))
-            lengths[e] += 1
-            if outcome.done:
-                terminals[e] = outcome.reward
-            else:
-                next_alive.append(e)
-        alive = next_alive
-    return steps, terminals, lengths
+                graphs[e], _ = apply_operator_action(graphs[e], OperatorAction(*actions[row]))
+        return (
+            batch.obs, batch.target_reps, batch.agent_to_cluster, batch.cluster_to_target,
+            masks.cluster_mask, masks.target_mask, actions, log_probs, values, interfered,
+        )
+    return operate
 
 
 def collect(
@@ -216,8 +207,8 @@ def collect(
 ) -> RolloutBatch:
     """Roll out one batch of full episodes with the current policy snapshot.
 
-    Runs the lockstep engine in sample mode with interference and recording
-    on. Episode e uses its own generator seeded with
+    Runs the lockstep engine with the policy operator in sample mode with
+    interference. Episode e uses its own generator seeded with
     master_seed * 10^6 + episode_offset + e, so batches are reproducible no
     matter how the episodes are interleaved.
     """
@@ -225,14 +216,23 @@ def collect(
         np.random.default_rng(master_seed * EPISODE_SEED_STRIDE + episode_offset + e)
         for e in range(config.batch_episodes)
     ]
-    steps, terminals, lengths = rollout(
-        graph0, params, env_config, rngs, p_interference=config.p_interference,
-    )
-    columns = zip(*(s for episode in steps for s in episode))
+    operate = policy_operator(params, env_config, rngs, "sample", config.p_interference)
+    ids, records, rewards, dones = [], [], [], []
+    for alive, _, _, outcomes, record in rollout(graph0, env_config, rngs, operate):
+        ids += alive
+        records.append(record)
+        rewards += [outcome.reward for outcome in outcomes]
+        dones += [outcome.done for outcome in outcomes]
+    # step-major rows to episode order; a stable sort keeps each episode's
+    # steps in time order
+    order = np.argsort(ids, kind="stable")
+    step_arrays = [np.concatenate(column)[order] for column in zip(*records)]
+    rewards, dones = np.array(rewards)[order], np.array(dones)[order]
+    terminals = rewards[dones]
     return RolloutBatch(
-        *(np.stack(column) for column in columns),
-        episode_lengths=lengths,
-        success_rate=float(np.mean([t > 0 for t in terminals])),
+        *step_arrays[:-1], rewards, dones, step_arrays[-1],
+        episode_lengths=np.bincount(ids, minlength=len(rngs)).tolist(),
+        success_rate=float(np.mean(terminals > 0)),
         mean_return=float(np.mean(terminals)),
     )
 
@@ -372,23 +372,27 @@ def evaluate_policy(
 ) -> float:
     """Greedy success rate over seeded episodes.
 
-    Runs the lockstep engine in argmax mode with no interference, the frozen
-    normalizer and no step records. Episode e uses the generator seeded with
+    Runs the lockstep engine with the policy operator in argmax mode with no
+    interference and the frozen normalizer, dropping its step records.
+    Episode e uses the generator seeded with
     seed * 10^6 + e. With a path, writes the per-step trajectory rows as
     JSONL in episode order.
     """
     rngs = [np.random.default_rng(seed * EPISODE_SEED_STRIDE + e) for e in range(episodes)]
-    trajectories = [[] for _ in range(episodes)] if trajectory_path else None
-    _, terminals, _ = rollout(
-        graph0, params, env_config, rngs,
-        mode="argmax", record_steps=False, trajectories=trajectories,
-    )
+    operate = policy_operator(params, env_config, rngs, "argmax", 0.0)
+    trajectories = [[] for _ in range(episodes)]
+    wins = 0
+    for alive, _, states, outcomes, _ in rollout(graph0, env_config, rngs, operate):
+        for e, outcome in zip(alive, outcomes):
+            if trajectory_path:
+                trajectories[e].append(trajectory_record(states[e], outcome.reward))
+            wins += outcome.reward > 0  # only the terminal step pays
     if trajectory_path:
         with open(trajectory_path, "w") as traj_file:
             for rows in trajectories:
                 for row in rows:
                     traj_file.write(json.dumps(row) + "\n")
-    return sum(t > 0 for t in terminals) / episodes
+    return wins / episodes
 
 
 # ---------------------------------------------------------------------------

@@ -339,17 +339,12 @@ def reference_step(state: EnvState, actions: np.ndarray, config: EnvConfig) -> t
         base_pos=state.base_pos,
         base_alive=base_alive,
     )
-    info = {
-        "bases_destroyed": int((~base_alive).sum()),
-        "invaders_neutralized": int((~invader_active).sum()),
-        "trackers": trackers.tolist(),
-    }
     if destroyed:
-        return new_state, StepOutcome(reward=-1.0, done=True, info=info)
+        return new_state, StepOutcome(reward=-1.0, done=True)
     if new_state.t >= config.t_max or not invader_active.any():
         reward = 1.0 if base_alive.all() else -1.0
-        return new_state, StepOutcome(reward=reward, done=True, info=info)
-    return new_state, StepOutcome(reward=0.0, done=False, info=info)
+        return new_state, StepOutcome(reward=reward, done=True)
+    return new_state, StepOutcome(reward=0.0, done=False)
 
 
 def assert_same_step(got, expected):
@@ -362,7 +357,6 @@ def assert_same_step(got, expected):
         a, b = np.asarray(a), np.asarray(b)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
     assert repr(dataclasses.astuple(outcome)) == repr(dataclasses.astuple(ref_outcome))
-    assert [type(v) for v in outcome.info.values()] == [type(v) for v in ref_outcome.info.values()]
 
 
 def fuzz_state(cfg, rng, focus):
@@ -406,8 +400,10 @@ def chase_actions(state, cfg, rng, focus):
 
 def branches_taken(state, ref_state, outcome, cfg):
     """Which rules of the per-invader loop one reference step went through."""
-    trackers = np.array(outcome.info["trackers"])
     was = state.invader_active
+    # the trackers the step counted: moved defenders around pre-step invaders
+    dist = np.linalg.norm(ref_state.agent_pos[None, :, :] - state.invader_pos[:, None, :], axis=2)
+    trackers = np.where(was, (dist <= cfg.r_track).sum(axis=1), 0)
     on_base = row_norms(state.base_pos[state.invader_target] - state.invader_pos) <= 1e-12
     near = row_norms(state.invader_pos - state.base_centroid) < cfg.world_extent
     hits = {
@@ -466,7 +462,7 @@ def test_two_invaders_destroy_one_base_in_the_same_step():
     new, out = got
     assert out.done and out.reward == -1.0
     assert new.base_alive.tolist() == [False, False]
-    assert new.invader_active.all() and out.info["bases_destroyed"] == 2
+    assert new.invader_active.all()
 
 
 @pytest.mark.parametrize(

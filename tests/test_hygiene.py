@@ -1,7 +1,9 @@
 """Source hygiene: in src/, tests/ and demos/ every imported name is read,
 no function binds a local only to delete it, and every function, class and
 method defined in src/ is referenced from src/, tests/, demos/ or perfbench/.
-src/ uses no numpy name that the declared floor, numpy 1.24, lacks."""
+src/ uses no numpy name that the declared floor, numpy 1.24, lacks, and only
+``training.rollout`` calls ``env.step`` and ``env.reset``, so there is one
+episode loop."""
 
 import ast
 import re
@@ -97,6 +99,52 @@ def numpy2_only_names(path: Path) -> list[str]:
     return found
 
 
+EPISODE_LOOP_CALLS = {"step", "reset"}
+
+
+def episode_loop_calls(path: Path) -> list[tuple[str, str, int]]:
+    """(enclosing function, name, line) of each call of ``env.step`` or
+    ``env.reset``: through a name imported from the env module (or defined
+    in it) or as an attribute of the env module bound to a name. A nested
+    function counts as its enclosing module-level function or method;
+    module-level code as ``<module>``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # the local name of each env function, and the names the env module is bound to
+    names = {name: name for name in EPISODE_LOOP_CALLS} if path.name == "env.py" else {}
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "env":
+            names |= {alias.asname or alias.name: alias.name for alias in node.names if alias.name in EPISODE_LOOP_CALLS}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules |= {
+                alias.asname or alias.name for alias in node.names
+                if alias.name.split(".")[-1] == "env" and (alias.asname or "." not in alias.name)
+            }
+
+    def calls(scope, owner):
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in names:
+                yield owner, names[func.id], node.lineno
+            elif (isinstance(func, ast.Attribute) and func.attr in EPISODE_LOOP_CALLS
+                  and isinstance(func.value, ast.Name) and func.value.id in modules):
+                yield owner, func.attr, node.lineno
+
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions):
+            found += calls(node, node.name)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                found += calls(item, f"{node.name}.{item.name}" if isinstance(item, functions) else node.name)
+        else:
+            found += calls(node, "<module>")
+    return sorted(found, key=lambda call: call[2])
+
+
 def definitions(path: Path) -> list[tuple[str, str]]:
     """(qualified name, name) of each module-level function and class and of
     each method of a module-level class; dunder methods are left out."""
@@ -183,6 +231,19 @@ def test_numpy2_only_names_detected(tmp_path):
     ]
 
 
+def test_episode_loop_calls_detected(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from coopgraph.env import reset, step as env_step\nfrom coopgraph import env\n"
+        "import coopgraph.env as E\n"
+        "def a(optimizer):\n    env_step(1)\n    optimizer.step()\n"
+        "def b():\n    def inner():\n        env.reset(2)\n    return E.step(3), reset\n"
+        "class K:\n    def go(self):\n        self.step()\n        step()\n"
+        "state = reset(0)\n"
+    )
+    assert episode_loop_calls(module) == [("a", "step", 5), ("b", "reset", 9), ("b", "step", 10), ("<module>", "reset", 15)]
+
+
 def test_unreferenced_definitions_detected(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "bench").mkdir()
@@ -233,3 +294,15 @@ def test_src_keeps_to_the_declared_numpy_floor():
         if (names := numpy2_only_names(path))
     }
     assert found == {}
+
+
+def test_only_rollout_steps_and_resets_episodes():
+    found = {
+        (str(path.relative_to(ROOT)), function, name)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for function, name, _ in episode_loop_calls(path)
+    }
+    assert found == {
+        ("src/coopgraph/training.py", "rollout", "reset"),
+        ("src/coopgraph/training.py", "rollout", "step"),
+    }

@@ -3,10 +3,12 @@
 ``env_steps_per_s`` in the benchmark counts ``env.step`` calls, so each of
 ``collect``, ``evaluate_policy`` and ``cmd_oracle`` must call it exactly
 sum(episode lengths) times. The lockstep oracle must also play the same
-episodes as the scripted operator run one episode at a time.
+episodes as the scripted operator run one episode at a time, and every one
+of its ``env.step`` calls, in call order, must match a recorded digest.
 """
 
 import dataclasses
+import hashlib
 import sys
 
 import numpy as np
@@ -21,25 +23,60 @@ from coopgraph.runner import (
     parse_run_config,
     scripted_operator_action,
 )
-from coopgraph.training import EPISODE_SEED_STRIDE, TrainConfig, collect, evaluate_policy, rollout
+from coopgraph.training import (
+    EPISODE_SEED_STRIDE, TrainConfig, collect, evaluate_policy, policy_operator, rollout,
+)
 
 from test_training import desk_nano
 
 
-@pytest.fixture
-def env_steps(monkeypatch):
-    """Count ``env.step`` calls under every name a coopgraph module holds it by."""
-    calls = []
+def wrap_step(monkeypatch, wrapper):
+    """Put ``wrapper(env.step)`` under every name a coopgraph module holds ``env.step`` by."""
     original = env.step
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
+    wrapped = wrapper(original)
     for name, module in list(sys.modules.items()):
         if name.startswith("coopgraph") and getattr(module, "step", None) is original:
-            monkeypatch.setattr(module, "step", counted)
+            monkeypatch.setattr(module, "step", wrapped)
+
+
+@pytest.fixture
+def env_steps(monkeypatch):
+    """Count ``env.step`` calls."""
+    calls = []
+
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return counted
+
+    wrap_step(monkeypatch, counting)
     return calls
+
+
+@pytest.fixture
+def step_digest(monkeypatch):
+    """A sha256 over every ``env.step`` call in call order: the action ids,
+    every field of the post-step state (dtype, shape and bytes) and the
+    (reward, done) outcome."""
+    h = hashlib.sha256()
+
+    def hashing(original):
+        def hashed(state, actions, config):
+            new, outcome = original(state, actions, config)
+            actions = np.ascontiguousarray(actions)
+            h.update(str(actions.dtype).encode())
+            h.update(actions.tobytes())
+            for f in dataclasses.fields(env.EnvState):
+                value = np.asarray(getattr(new, f.name))
+                h.update(f"{f.name} {value.dtype} {value.shape}".encode())
+                h.update(value.tobytes())
+            h.update(repr((outcome.reward, outcome.done)).encode())
+            return new, outcome
+        return hashed
+
+    wrap_step(monkeypatch, hashing)
+    return h
 
 
 def long_desk_nano():
@@ -60,7 +97,9 @@ def test_evaluate_policy_steps_once_per_episode_step(env_steps):
     evaluate_policy(graph, params, env_config, seed=4, episodes=5)
     calls = len(env_steps)
     rngs = [np.random.default_rng(4 * EPISODE_SEED_STRIDE + e) for e in range(5)]
-    _, _, lengths = rollout(graph, params, env_config, rngs, mode="argmax", record_steps=False)
+    lengths = np.zeros(5, dtype=int)
+    for alive, *_ in rollout(graph, env_config, rngs, policy_operator(params, env_config, rngs, "argmax", 0.0)):
+        lengths[alive] += 1
     assert len(set(lengths)) > 1
     assert calls == sum(lengths)
 
@@ -90,3 +129,22 @@ def test_oracle_steps_once_per_episode_step(env_steps):
     assert len(set(lengths)) > 1
     assert calls == sum(lengths)
     assert report["success"] == success
+
+
+# recorded before the scripted operator ran through ``training.rollout``
+ORACLE_STEP_SHA256 = {
+    ("CSI-12/2/3", 0): "f472edcd6323512e65a846df3a558338d6664ebac5928ab38cb728ccbe2ef16d",
+    ("CSI-12/2/3", 1): "21060391efad6ee0d82470aafdc106908d4cde9ff4d026353c2c94c46514827d",
+    ("CSI-12/2/3", 2): "867fc36a469b3daac4479433274232d7c258c53688cb763d5b3447036e45c389",
+    ("CSI-27/3/9", 0): "fe90e4cc338d8580ef28f86f1a6fffbdec2aed453ef35e002e23830213db658a",
+    ("CSI-27/3/9", 1): "03fb9c0442cbf23269a789d12dea55177d28952ca24171f512edc563c01e8dcb",
+    ("CSI-27/3/9", 2): "dd2df62f147029939d4a56d8596739fd702e80b6190ef584ebfd8deacbc767ce",
+}
+ORACLE_CLUSTERS = {"CSI-12/2/3": 6, "CSI-27/3/9": 14}
+
+
+@pytest.mark.parametrize("task,seed", sorted(ORACLE_STEP_SHA256))
+def test_oracle_steps_match_recorded_digest(step_digest, task, seed):
+    rc = parse_run_config({"task": task, "n_clusters": ORACLE_CLUSTERS[task], "eval_episodes": 12, "seeds": [seed]})
+    assert cmd_oracle(rc)["success"] == 1.0
+    assert step_digest.hexdigest() == ORACLE_STEP_SHA256[(task, seed)]

@@ -1,6 +1,7 @@
 """Run configs, command orchestration, the scripted oracle, topology export."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -244,6 +245,29 @@ def test_export_topology(nano_run, tmp_path):
     # exported JSON round-trips through the importer
     g = from_json((dest / "topology_step_0003.json").read_text())
     assert g.n_agents == 4
+
+
+# recorded when export still wrote each snapshot from a pre-step hook
+EXPORT_END_SHA256 = "8e8d462382aeeba042d7c5d50577826e0152086a27d7451fcbf7f0b8ab7a2394"
+
+
+def test_export_topology_at_the_episode_end(nano_run, tmp_path, capsys):
+    """Episode seed 5 runs to the t_max = 20 cap: its last step starts at
+    t = 19, whose snapshot is written; steps 20 and 21 lie beyond the end."""
+    rc, out, _ = nano_run
+    ckpt = out / "seed_0" / "checkpoint_last.ckpt"
+    written = cmd_export_topology(rc, str(ckpt), episode_seed=5, steps=[0, 3, 19, 20, 21], out_dir=str(tmp_path))
+    assert [p.name for p in written] == [
+        f"topology_step_{t:04d}.{ext}" for t in (0, 3, 19) for ext in ("dot", "json")
+    ]
+    h = hashlib.sha256()
+    for path in written:
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == EXPORT_END_SHA256
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: step {t} is beyond the episode end; skipped" for t in (20, 21)
+    ]
 
 
 # ---------------------------------------------------------------------------
