@@ -7,9 +7,9 @@ Rewards are sparse: one +/-1 at the episode end.
 
 import numpy as np
 
-from coopgraph.env import config_for_task, observe, observe_all, reset, step
+from coopgraph.env import EnvConfig, observe_all, parse_task_name, reset, stack_states, step
 
-cfg = config_for_task("CSI-12/2/3", n_bases=2)
+cfg = EnvConfig(*parse_task_name("CSI-12/2/3"), n_bases=2)
 print(f"task: N={cfg.n_agents} defenders, k={cfg.k_threshold} trackers to turn back, "
       f"m={cfg.m_invaders} invaders, arena {cfg.world_extent}^3")
 
@@ -19,10 +19,11 @@ print("\nbases on the ground plane:\n", state.base_pos.round(1))
 print("invaders enter at the top face:\n", state.invader_pos.round(1))
 print("invader -> base assignments:", state.invader_target)
 
-obs = observe_all(state, cfg)
+# the observation pass reads a stack of lockstep episodes; here a stack of one
+obs = observe_all(stack_states([state]), cfg)[0]
 print(f"\nobservation matrix {obs.shape}: own position, then 4 numbers per "
       f"invader (relative position + active flag), then 4 per base")
-print("agent 0 row:", observe(state, 0, cfg).round(2))
+print("agent 0 row:", obs[0].round(2))
 
 # drive everyone straight up (+z is action id 4) and watch the threat close in
 total = 0.0

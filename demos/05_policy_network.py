@@ -9,18 +9,19 @@ decoder reconstructs the raw node representations as an auxiliary loss.
 import numpy as np
 
 from coopgraph import build_targets, init_params, layout_for, random_topology
-from coopgraph.env import config_for_task, reset
-from coopgraph.graph import action_masks
+from coopgraph.env import EnvConfig, parse_task_name, reset, stack_states
+from coopgraph.graph import action_masks, stack_graphs
 from coopgraph.policy import act_batch, encode, latent, node_batch, reconstruct, value
 
-cfg = config_for_task("CSI-12/2/3", n_bases=2)
+cfg = EnvConfig(*parse_task_name("CSI-12/2/3"), n_bases=2)
 targets = build_targets(cfg.primitive_set, True, cfg.m_invaders, cfg.n_bases)
 rng = np.random.default_rng(3)
 graph = random_topology(rng, cfg.n_agents, 6, targets)
 params = init_params(layout_for(graph, cfg), rng)
 state = reset(cfg, rng)
 
-batch = node_batch(graph, state, cfg)
+# the network reads a stack of lockstep episodes; here a stack of one
+batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
 print("network inputs:")
 print("  agent rows    ", batch.obs.shape, "(raw observations)")
 print("  target rows   ", batch.target_reps.shape, "(one-hot moves / command descriptors)")

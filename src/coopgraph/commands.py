@@ -10,11 +10,11 @@ once. Every member row of every cooperative cluster of every episode carries
 a (command kind, entity) code and its episode index into a ``stack_states``
 stack; intercept and defend rows are each computed in one array expression,
 gather and scatter rows per (episode, cluster) group against its member
-rows, and one batched snap turns all directions into move ids.
-``desired_direction`` and ``translate`` are the one-agent and one-cluster
-cases of that pass. ``command_rows`` builds the command target rows of every
-episode in one gather from an anchor-slot table that depends only on the
-target layer and the task size; ``command_raw_repr`` is its one-row case.
+rows, and one batched snap turns all directions into move ids. One episode
+or one cluster is a stack of one, not a separate entry point.
+``command_rows`` builds the command target rows of every episode in one
+gather from an anchor-slot table that depends only on the target layer and
+the task size.
 
 Controllers never fail: a command aimed at a dead or out-of-range entity
 degrades to a zero direction (hold), which the tie rule turns into a dither
@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .env import EnvConfig, EnvState, stack_states
+from .env import EnvConfig, EnvState
 
 # Defend holds a ring just outside the tracking radius so defenders meet
 # incoming invaders before base contact.
@@ -85,19 +85,18 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _lead_points(
-    pos: np.ndarray, ep: np.ndarray, j: np.ndarray, states: EnvState, config: EnvConfig | None
+    pos: np.ndarray, ep: np.ndarray, j: np.ndarray, states: EnvState, config: EnvConfig
 ) -> np.ndarray:
     """Predicted interception point of invader j[r] of episode ep[r] for the
     pursuer at pos[r].
 
-    Without config (speeds unknown) this degrades to the invader's current
-    position. The prediction assumes nominal invader speed along its attack
-    line and is capped at the target base, so late pursuers cut toward the
-    base instead of convoying behind the target.
+    The prediction assumes nominal invader speed along its attack line and
+    is capped at the target base, so late pursuers cut toward the base
+    instead of convoying behind the target.
     """
     p = states.invader_pos[ep, j]
-    a = config.v_inv**2 - config.v_def**2 if config is not None else 0.0
-    if a >= 0:  # no config, or a pursuer that is not faster: no lead
+    a = config.v_inv**2 - config.v_def**2
+    if a >= 0:  # a pursuer that is not faster: no lead
         return p
     to_base = states.base_pos[ep, states.invader_target[ep, j]] - p
     dist = np.sqrt(_dot(to_base, to_base))
@@ -154,7 +153,7 @@ def _steer(
     ep: np.ndarray,
     pos: np.ndarray,
     states: EnvState,
-    config: EnvConfig | None,
+    config: EnvConfig,
     formations,
 ) -> np.ndarray:
     """Raw steering vector of each row (kind code, entity, episode, agent
@@ -180,34 +179,9 @@ def _steer(
     return out
 
 
-def _snap(directions: np.ndarray, move_dirs: np.ndarray) -> np.ndarray:
+def snap(directions: np.ndarray, move_dirs: np.ndarray) -> np.ndarray:
     """Best-aligned move id per direction row; ties pick the lowest id."""
     return np.argmax(np.matmul(move_dirs[None], directions[:, :, None])[..., 0], axis=1)
-
-
-def desired_direction(
-    command: CoopCommand,
-    agent_pos: np.ndarray,
-    members: np.ndarray,
-    state: EnvState,
-    config: EnvConfig | None = None,
-) -> np.ndarray:
-    """Raw (unnormalized) steering vector for one member of a cluster: the
-    one-row case of ``steer_rows``, against an explicit member set."""
-    agent_pos = np.asarray(agent_pos, dtype=np.float64)
-    members = np.asarray(members, dtype=np.float64)
-    if members.ndim != 2 or len(members) == 0:
-        raise ValueError("members must be a nonempty (n, 3) array")
-    kind, entity = (np.array([c]) for c in command.code)
-    return _steer(
-        kind, entity, np.zeros(1, dtype=np.int64), agent_pos[None], stack_states([state]), config,
-        [(slice(None), members)],
-    )[0]
-
-
-def discretize(direction: np.ndarray, move_dirs: np.ndarray) -> int:
-    """Snap a direction onto the best-aligned unit move; ties pick the lowest id."""
-    return int(_snap(np.asarray(direction, dtype=np.float64)[None], move_dirs)[0])
 
 
 def steer_rows(
@@ -217,7 +191,7 @@ def steer_rows(
     cluster: np.ndarray,
     pos: np.ndarray,
     states: EnvState,
-    config: EnvConfig | None = None,
+    config: EnvConfig,
 ) -> np.ndarray:
     """Raw steering vector for each member row of any number of clusters of
     any number of episodes.
@@ -251,24 +225,7 @@ def translate_rows(
     config: EnvConfig,
 ) -> np.ndarray:
     """Primitive action id for each row of ``steer_rows``, in one snap."""
-    return _snap(steer_rows(kind, entity, episode, cluster, pos, states, config), config.move_dirs)
-
-
-def translate(
-    command: CoopCommand,
-    member_ids: np.ndarray,
-    state: EnvState,
-    config: EnvConfig,
-) -> np.ndarray:
-    """Primitive action id for each member agent, in member_ids order."""
-    member_ids = np.asarray(member_ids, dtype=np.int64)
-    if member_ids.size == 0:
-        raise ValueError("translate requires a nonempty member set")
-    kind, entity = (np.full(member_ids.size, c) for c in command.code)
-    zeros = np.zeros(member_ids.size, dtype=np.int64)
-    return translate_rows(
-        kind, entity, zeros, zeros, state.agent_pos[member_ids], stack_states([state]), config
-    )
+    return snap(steer_rows(kind, entity, episode, cluster, pos, states, config), config.move_dirs)
 
 
 def anchor_slots(kind: np.ndarray, entity: np.ndarray, m: int, n_bases: int) -> np.ndarray:
@@ -310,12 +267,3 @@ def command_rows(
     rep[..., 4:7] = anchor[..., slot, :]
     rep[..., 7] = alive[..., slot]
     return rep
-
-
-def command_raw_repr(
-    command: CoopCommand, state: EnvState, config: EnvConfig, width: int
-) -> np.ndarray:
-    """One command's row of ``command_rows``."""
-    kind, entity = (np.array([c]) for c in command.code)
-    slot = anchor_slots(kind, entity, len(state.invader_pos), len(state.base_pos))
-    return command_rows(kind, slot, state, config, width)[0]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -176,13 +176,6 @@ class EnvConfig:
         kwargs = {k: v for k, v in doc.items() if k != "seed"}
         kwargs["primitive_set"] = PrimitiveSet(kwargs["primitive_set"])
         return cls(**kwargs)
-
-
-def config_for_task(task: str, **overrides) -> EnvConfig:
-    """EnvConfig for a CSI task name, with keyword overrides on top."""
-    n, k, m = parse_task_name(task)
-    cfg = EnvConfig(n_agents=n, k_threshold=k, m_invaders=m)
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 @dataclass
@@ -369,13 +362,6 @@ def observe_all(state: EnvState, config: EnvConfig) -> np.ndarray:
         flags = np.broadcast_to(flag.astype(np.float64)[..., None, :, None], rel.shape[:-1] + (1,))
         blocks.append(np.concatenate([rel, flags], axis=-1).reshape(pos.shape[:-1] + (-1,)))
     return np.concatenate(blocks, axis=-1)
-
-
-def observe(state: EnvState, agent_id: int, config: EnvConfig) -> np.ndarray:
-    """Single agent's observation vector (see observe_all for the layout)."""
-    if not 0 <= agent_id < config.n_agents:
-        raise ValueError(f"agent id {agent_id} out of range")
-    return observe_all(state, config)[agent_id]
 
 
 def trajectory_record(state: EnvState, reward: float) -> dict:

@@ -10,7 +10,7 @@ member (one array pass over every cooperative member, see ``commands``).
 A lockstep rollout stacks the graphs of its B alive episodes into one graph
 whose edge maps carry a leading episode axis (``stack_graphs``).
 ``action_masks`` and ``resolve_agent_actions`` take such a stack in one
-array pass; one graph is the B = 1 case of the same pass.
+array pass; a caller with one episode stacks it alone.
 
 Four operator choices form one joint action: (src_cluster, dst_cluster)
 moves one agent between clusters and (src_target, dst_target) moves one
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .commands import CommandKind, CoopCommand, anchor_slots, translate_rows
-from .env import EnvConfig, EnvState, stack_states
+from .env import EnvConfig, EnvState
 
 
 @dataclass(frozen=True)
@@ -158,17 +158,6 @@ class CooperationGraph:
     def n_env_agents(self) -> int:
         return self.n_agents if self.extension is None else self.extension.size
 
-    def members_of(self, cluster_id: int) -> np.ndarray:
-        """Bottom-layer node ids currently mapped to a cluster (sorted)."""
-        return np.flatnonzero(self.agent_to_cluster == cluster_id)
-
-    def env_agents_of(self, cluster_id: int) -> np.ndarray:
-        """Environment agent ids a cluster controls, through any extension."""
-        lower = self.members_of(cluster_id)
-        if self.extension is None:
-            return lower
-        return self.extension[lower].reshape(-1)
-
 
 def stack_graphs(graphs: Sequence[CooperationGraph]) -> CooperationGraph:
     """B graphs as one graph whose edge maps carry a leading episode axis.
@@ -263,18 +252,16 @@ def action_masks(graph: CooperationGraph) -> ActionMasks:
 def resolve_agent_actions(
     graph: CooperationGraph, state: EnvState, config: EnvConfig
 ) -> np.ndarray:
-    """Primitive action id for every environment agent under the current graph.
+    """Primitive action id for every environment agent of every episode,
+    (B, n_env), under a ``stack_graphs`` and a ``stack_states`` stack of B
+    episodes.
 
-    ``graph`` and ``state`` may also be a ``stack_graphs`` and a
-    ``stack_states`` stack of B episodes; the result is then (B, n_env),
-    and one episode is the B = 1 case of the same pass. Each episode's env
-    agents are laid out cluster by cluster, each cluster's members in
-    ``env_agents_of`` order; primitive rows take their target's action id
+    Each episode's env agents are laid out cluster by cluster: a cluster's
+    bottom-layer nodes in ascending order, each group node's env agents in
+    its extension row's order. Primitive rows take their target's action id
     and all cooperative rows of all episodes are translated in one pass,
     each row carrying its episode index.
     """
-    if graph.agent_to_cluster.ndim == 1:
-        return resolve_agent_actions(stack_graphs([graph]), stack_states([state]), config)[0]
     a2c = graph.agent_to_cluster
     order = np.argsort(a2c, axis=1, kind="stable")
     cluster = np.take_along_axis(a2c, order, axis=1)

@@ -14,6 +14,10 @@ embeddings e_h, which feed
   2. an attention decoder per node family that reconstructs the raw node
      representations, giving the auxiliary reconstruction loss.
 
+The node inputs of a lockstep step are built in one pass over a
+``stack_graphs`` and a ``stack_states`` stack of its B episodes
+(``node_batch``); one episode is a stack of one.
+
 After a curriculum extension, each bottom-layer node stands for a fixed
 group of agents; a small merge-attention block (added by surgery, everything
 else inherited bit-exact) compresses the group's observation embeddings
@@ -34,8 +38,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .commands import COMMAND_REPR_WIDTH, command_rows
-from .env import EnvConfig, EnvState, obs_dim, observe_all, stack_states
-from .graph import CooperationGraph, stack_graphs
+from .env import EnvConfig, EnvState, obs_dim, observe_all
+from .graph import CooperationGraph
 
 CHECKPOINT_MAGIC = b"CGCK"
 CHECKPOINT_VERSION = 1
@@ -266,11 +270,8 @@ def agent_rows(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> n
 
 
 def node_batch(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> NodeBatch:
-    """NodeBatch of one step (B = 1) for the current graph and simulator
-    state, or of a lockstep step of B episodes for a ``stack_graphs`` and a
-    ``stack_states`` stack."""
-    if graph.agent_to_cluster.ndim == 1:
-        graph, state = stack_graphs([graph]), stack_states([state])
+    """NodeBatch of a lockstep step of B episodes, for a ``stack_graphs``
+    and a ``stack_states`` stack."""
     return NodeBatch(
         obs=agent_rows(graph, state, config),
         target_reps=target_raw_reps(graph, state, config),
@@ -557,8 +558,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarray], dict]:
     """Inverse of save_checkpoint: (params, extra tensors, full header).
 
-    Rejects a foreign file, another format version and a truncated file;
-    drops the retired tensors of older checkpoints.
+    Rejects a foreign file, another format version, a truncated file and a
+    tensor set that differs in a name or a shape from the one ``init_params``
+    gives for the header's layout; drops the retired tensors of older
+    checkpoints.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -591,6 +594,19 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarra
             extra[entry["name"][len("extra."):]] = arr
         elif entry["name"] not in RETIRED_TENSORS:
             tensors[entry["name"]] = Tensor(arr, requires_grad=True)
+    schema = init_params(layout, np.random.default_rng(0)).tensors
+    if "merge.q" in tensors and layout.fan_out == 1:  # a surgery at fan-out 1 adds the block too
+        _init_merge(schema, np.random.default_rng(0), layout.hidden)
+    for name in sorted(schema.keys() | tensors.keys()):
+        if name not in tensors:
+            raise ValueError(f"{path}: tensor {name} is missing")
+        if name not in schema:
+            raise ValueError(f"{path}: unexpected tensor {name} for layout {layout}")
+        if tensors[name].data.shape != schema[name].data.shape:
+            raise ValueError(
+                f"{path}: tensor {name} has shape {tensors[name].data.shape}, "
+                f"its layout needs {schema[name].data.shape}"
+            )
     params = PolicyParams(
         layout=layout,
         tensors=tensors,

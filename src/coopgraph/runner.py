@@ -602,7 +602,8 @@ def cmd_export_topology(
 
     Step t's snapshot is the graph step t starts from: step 0 is the frozen
     initial topology (identical across episodes); steps beyond the episode
-    end are skipped with a warning.
+    end are skipped with a warning. The replay stops once every wanted
+    snapshot is written.
     """
     run, env_config = _load_checked(rc, checkpoint)
     out = Path(out_dir or rc.out_dir)
@@ -621,12 +622,16 @@ def cmd_export_topology(
             wanted.discard(t)
 
     write(0, run.graph0)
+    if not wanted:  # the frozen topology needs no replay
+        return written
     rngs = [np.random.default_rng(episode_seed * EPISODE_SEED_STRIDE)]
     operate = policy_operator(run.params, env_config, rngs, "argmax", 0.0)
     for _, graphs, states, outcomes, _ in rollout(run.graph0, env_config, rngs, operate):
         # the graph that acted in this step is the one the next step starts from
         if not outcomes[0].done:
             write(states[0].t, graphs[0])
+        if not wanted:
+            break
     for t in sorted(wanted):
         print(f"warning: step {t} is beyond the episode end; skipped", file=sys.stderr)
     return written

@@ -88,8 +88,8 @@ class TrainConfig:
 class RolloutBatch:
     """Flat per-step arrays for one batch of episodes (episode order).
 
-    ``policy_operator`` records each step's fields before ``rewards``, then
-    ``interfered``; ``collect`` takes the rest from the step outcomes.
+    ``policy_operator`` records each step's columns by field name;
+    ``collect`` takes rewards and dones from the step outcomes.
     """
 
     obs: np.ndarray                # (T, n_env, d_obs)
@@ -168,10 +168,9 @@ def policy_operator(
 
     Episode e consumes rngs[e] in a fixed order per step (four head samples
     in sample mode, the interference draw, any fake-action indices), so its
-    result does not depend on which episodes run beside it. The record is
-    the step's ``RolloutBatch`` columns before ``rewards``, then
-    ``interfered``; an interfered row holds the fake action and zero log
-    probabilities.
+    result does not depend on which episodes run beside it. The record maps
+    each ``RolloutBatch`` column the policy fills to the step's rows; an
+    interfered row holds the fake action and zero log probabilities.
     """
     def operate(alive, graphs, states, stack):
         before = stack_graphs([graphs[e] for e in alive])
@@ -190,9 +189,9 @@ def policy_operator(
                 interfered[row] = True
             else:
                 graphs[e], _ = apply_operator_action(graphs[e], OperatorAction(*actions[row]))
-        return (
-            batch.obs, batch.target_reps, batch.agent_to_cluster, batch.cluster_to_target,
-            masks.cluster_mask, masks.target_mask, actions, log_probs, values, interfered,
+        return dict(
+            vars(batch), cluster_masks=masks.cluster_mask, target_masks=masks.target_mask,
+            actions=actions, log_probs=log_probs, values=values, interfered=interfered,
         )
     return operate
 
@@ -226,11 +225,11 @@ def collect(
     # step-major rows to episode order; a stable sort keeps each episode's
     # steps in time order
     order = np.argsort(ids, kind="stable")
-    step_arrays = [np.concatenate(column)[order] for column in zip(*records)]
+    columns = {name: np.concatenate([record[name] for record in records])[order] for name in records[0]}
     rewards, dones = np.array(rewards)[order], np.array(dones)[order]
     terminals = rewards[dones]
     return RolloutBatch(
-        *step_arrays[:-1], rewards, dones, step_arrays[-1],
+        **columns, rewards=rewards, dones=dones,
         episode_lengths=np.bincount(ids, minlength=len(rngs)).tolist(),
         success_rate=float(np.mean(terminals > 0)),
         mean_return=float(np.mean(terminals)),
@@ -531,10 +530,16 @@ class Trainer:
         trainer.optimizer.t = state["adam_t"]
         # a moment restarted at 0 would silently break the bit-exact resume
         for prefix, moments in trainer._moments().items():
-            for name in trainer.optimizer.params:
-                if prefix + name not in run.extra:
+            for name, param in trainer.optimizer.params.items():
+                moment = run.extra.get(prefix + name)
+                if moment is None:
                     raise ValueError(f"{checkpoint}: no optimizer moment {prefix + name} for tensor {name}")
-                moments[name] = run.extra[prefix + name]
+                if moment.shape != param.data.shape:
+                    raise ValueError(
+                        f"{checkpoint}: optimizer moment {prefix + name} has shape {moment.shape}, "
+                        f"tensor {name} has {param.data.shape}"
+                    )
+                moments[name] = moment
         # a run resumed in its own directory rewrites every record after the
         # checkpoint, so those go
         for log in ("metrics.jsonl", "eval.jsonl"):

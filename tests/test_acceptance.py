@@ -58,10 +58,11 @@ def test_criterion_02_masking_soundness():
         graph = random_topology(rng, cfg.n_agents, int(rng.integers(2, 7)), targets)
         params = init_params(layout_for(graph, cfg, hidden=8), np.random.default_rng(combo))
         state = reset(cfg, rng)
-        from coopgraph.graph import action_masks
+        from coopgraph.env import stack_states
+        from coopgraph.graph import action_masks, stack_graphs
         from coopgraph.policy import node_batch
 
-        nb1 = node_batch(graph, state, cfg)
+        nb1 = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
         masks = action_masks(graph)
         B = 1000
         nb = NodeBatch(
@@ -93,7 +94,7 @@ def test_criterion_03_gradient_oracle():
 def test_criterion_04_coop_action_oracles():
     test_discretize_brute_force_oracle()
     run_gather_scatter_properties(n_clusters=1000)
-    report(4, "discretize matches brute-force argmax on 10^4 directions; "
+    report(4, "move snapping matches brute-force argmax on 10^4 directions; "
               "gather contraction and scatter expansion hold on 1000 clusters")
 
 

@@ -5,7 +5,8 @@ commands (and the one-target-at-a-time code that built target rows) before
 both became one array pass. The pass must give the same directions and
 rows bit for bit and the same action ids exactly, on random graphs that
 reach every branch of the controllers. A lockstep stack of such graphs
-must give, in row e of every batched pass, what episode e gives alone.
+must give, in row e of every batched pass, what episode e gives in a
+stack of its own.
 """
 
 import dataclasses
@@ -18,9 +19,8 @@ from coopgraph.commands import (
     R_DEFEND,
     CommandKind,
     CoopCommand,
-    desired_direction,
     steer_rows,
-    translate,
+    translate_rows,
 )
 from coopgraph.env import EnvConfig, PrimitiveSet, reset, stack_states
 from coopgraph.graph import (
@@ -40,8 +40,6 @@ from coopgraph.policy import agent_rows, node_batch, target_raw_reps
 
 def reference_lead_point(agent_pos, j, state, config):
     p = state.invader_pos[j]
-    if config is None:
-        return p
     to_base = state.base_pos[state.invader_target[j]] - p
     dist = np.linalg.norm(to_base)
     if dist < 1e-9:
@@ -59,7 +57,7 @@ def reference_lead_point(agent_pos, j, state, config):
     return p + v * tau
 
 
-def reference_direction(command, agent_pos, members, state, config=None):
+def reference_direction(command, agent_pos, members, state, config):
     if command.kind is CommandKind.GATHER:
         return members.mean(axis=0) - agent_pos
     if command.kind is CommandKind.SCATTER:
@@ -86,6 +84,14 @@ def reference_direction(command, agent_pos, members, state, config=None):
 
 def reference_discretize(direction, move_dirs):
     return int(np.argmax(move_dirs @ direction))
+
+
+def reference_env_agents(graph, cluster_id):
+    """Environment agent ids a cluster controls, in member order: its
+    bottom-layer nodes ascending, each group node's agents in extension row
+    order."""
+    lower = np.flatnonzero(graph.agent_to_cluster == cluster_id)
+    return lower if graph.extension is None else graph.extension[lower].reshape(-1)
 
 
 def reference_target_rows(graph, state, config):
@@ -234,10 +240,12 @@ def test_array_pass_matches_per_member_reference():
     for trial in range(300):
         cfg, state, graph = random_case(rng, trial)
         dirs = cfg.move_dirs
+        stack = stack_states([state])
+        zero = np.zeros(1, dtype=np.int64)  # episode 0, cluster 0
         expected_actions = np.zeros(graph.n_env_agents, dtype=np.int64)
         rows, kinds, entities, clusters, expected_dirs = [], [], [], [], []
         for k in range(graph.n_clusters):
-            env_ids = graph.env_agents_of(k)
+            env_ids = reference_env_agents(graph, k)
             if env_ids.size == 0:
                 continue
             target = graph.targets[graph.cluster_to_target[k]]
@@ -250,21 +258,13 @@ def test_array_pass_matches_per_member_reference():
             if graph.extension is not None and not np.all(np.diff(env_ids) > 0):
                 seen.add("scrambled extension")
             cluster_dirs = [reference_direction(command, p, members, state, cfg) for p in members]
-            cluster_acts = [reference_discretize(d, dirs) for d in cluster_dirs]
-            expected_actions[env_ids] = cluster_acts
-            assert translate(command, env_ids, state, cfg).tolist() == cluster_acts
-            for p, d in zip(members, cluster_dirs):
-                assert same_bits(desired_direction(command, p, members, state, cfg), d)
-                assert same_bits(
-                    desired_direction(command, p, members, state),
-                    reference_direction(command, p, members, state),
-                )
-            outside = state.invader_pos[0]  # an agent steering against members it is not among
-            for group in (members, members[:1]):
-                assert same_bits(
-                    desired_direction(command, outside, group, state, cfg),
-                    reference_direction(command, outside, group, state, cfg),
-                )
+            expected_actions[env_ids] = [reference_discretize(d, dirs) for d in cluster_dirs]
+            lone = state.invader_pos[:1]  # a one-agent cluster sitting on invader 0
+            kind, entity = (np.array([c]) for c in command.code)
+            assert same_bits(
+                steer_rows(kind, entity, zero, zero, lone, stack, cfg),
+                reference_direction(command, lone[0], lone, state, cfg),
+            )
             rows.extend(env_ids.tolist())
             kinds.extend([command.code[0]] * env_ids.size)
             entities.extend([command.code[1]] * env_ids.size)
@@ -272,13 +272,12 @@ def test_array_pass_matches_per_member_reference():
             expected_dirs.extend(cluster_dirs)
         if rows:
             episode = np.zeros(len(rows), dtype=np.int64)
-            got = steer_rows(
-                np.array(kinds), np.array(entities), episode, np.array(clusters),
-                state.agent_pos[rows], stack_states([state]), cfg,
-            )
-            assert same_bits(got, expected_dirs), f"trial {trial}"
-        assert resolve_agent_actions(graph, state, cfg).tolist() == expected_actions.tolist()
-        assert same_bits(target_raw_reps(graph, state, cfg), reference_target_rows(graph, state, cfg))
+            coded = (np.array(kinds), np.array(entities), episode, np.array(clusters), state.agent_pos[rows])
+            assert same_bits(steer_rows(*coded, stack, cfg), expected_dirs), f"trial {trial}"
+            assert translate_rows(*coded, stack, cfg).tolist() == expected_actions[rows].tolist()
+        graphs = stack_graphs([graph])
+        assert resolve_agent_actions(graphs, stack, cfg)[0].tolist() == expected_actions.tolist()
+        assert same_bits(target_raw_reps(graphs, stack, cfg)[0], reference_target_rows(graph, state, cfg))
     assert BRANCHES <= seen, f"never reached: {sorted(BRANCHES - seen)}"
 
 
@@ -298,18 +297,19 @@ def test_batched_passes_match_each_episode_alone():
         assert same_bits(batch.target_reps, target_raw_reps(graph, state, cfg))
         assert same_bits(batch.obs, agent_rows(graph, state, cfg))
         for e, (g, s) in enumerate(zip(graphs, states)):
-            assert actions[e].tolist() == resolve_agent_actions(g, s, cfg).tolist(), f"trial {trial}"
-            alone = node_batch(g, s, cfg)
+            g1, s1 = stack_graphs([g]), stack_states([s])
+            assert actions[e].tolist() == resolve_agent_actions(g1, s1, cfg)[0].tolist(), f"trial {trial}"
+            alone = node_batch(g1, s1, cfg)
             for name in ("obs", "target_reps", "agent_to_cluster", "cluster_to_target"):
                 assert same_bits(getattr(batch, name)[e], getattr(alone, name)[0]), name
-            assert same_bits(batch.obs[e], agent_rows(g, s, cfg))
-            assert same_bits(batch.target_reps[e], target_raw_reps(g, s, cfg))
-            one = action_masks(g)
-            assert masks.cluster_mask[e].tolist() == one.cluster_mask.tolist()
-            assert masks.target_mask[e].tolist() == one.target_mask.tolist()
+            assert same_bits(batch.obs[e], agent_rows(g1, s1, cfg)[0])
+            assert same_bits(batch.target_reps[e], target_raw_reps(g1, s1, cfg)[0])
+            one = action_masks(g1)
+            assert masks.cluster_mask[e].tolist() == one.cluster_mask[0].tolist()
+            assert masks.target_mask[e].tolist() == one.target_mask[0].tolist()
             for k in range(g.n_clusters):
                 target = g.targets[g.cluster_to_target[k]]
-                env_ids = g.env_agents_of(k)
+                env_ids = reference_env_agents(g, k)
                 if env_ids.size and not target.is_primitive:
                     seen |= coverage(target.command, s.agent_pos[env_ids], s, cfg)
             if g.extension is not None and not np.array_equal(np.sort(g.extension, axis=None), g.extension.ravel()):
@@ -329,7 +329,7 @@ def test_batched_passes_match_each_episode_alone():
 )
 def test_scatter_tie_follows_member_order(extension, flee):
     """Agent 0 sits between agents 1 and 2 at equal distance; scatter flees
-    the first of them in ``env_agents_of`` order, which the extension sets."""
+    the first of them in member order, which the extension sets."""
     cfg = EnvConfig(n_agents=4, k_threshold=1, m_invaders=1, n_bases=1)
     state = reset(cfg, np.random.default_rng(0))
     state.agent_pos[:] = [[11, 10, 10], [10, 10, 10], [12, 10, 10], [60, 60, 60]]
@@ -337,4 +337,4 @@ def test_scatter_tie_follows_member_order(extension, flee):
         random_topology(np.random.default_rng(0), 2, 1, [TargetNode(0, command=CoopCommand(CommandKind.SCATTER))]),
         extension=np.array(extension, dtype=np.int64),
     )
-    assert resolve_agent_actions(graph, state, cfg)[0] == flee  # 0: +x, 1: -x
+    assert resolve_agent_actions(stack_graphs([graph]), stack_states([state]), cfg)[0, 0] == flee  # 0: +x, 1: -x

@@ -1,5 +1,7 @@
 """Cluster-command controllers: steering laws, discretization, translation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from coopgraph.commands import (
     CommandKind,
     CoopCommand,
     R_DEFEND,
-    command_raw_repr,
-    desired_direction,
-    discretize,
-    translate,
+    anchor_slots,
+    command_rows,
+    snap,
+    steer_rows,
+    translate_rows,
 )
-from coopgraph.env import EnvConfig, PrimitiveSet, move_directions, reset
+from coopgraph.env import EnvConfig, PrimitiveSet, move_directions, stack_states
 
 from test_env import hover_state
 
@@ -22,48 +25,66 @@ def cfg():
     return EnvConfig(n_agents=2, k_threshold=1, m_invaders=2, n_bases=2)
 
 
+def cluster_rows(command, member_ids, state):
+    """The rows of one cluster of ``member_ids`` executing ``command`` in a
+    one-episode stack: (kind, entity, episode, cluster, positions, stack)."""
+    n = len(member_ids)
+    kind, entity = (np.full(n, c) for c in command.code)
+    zeros = np.zeros(n, dtype=np.int64)
+    return kind, entity, zeros, zeros, state.agent_pos[member_ids], stack_states([state])
+
+
+def steer_cluster(command, member_ids, state, cfg):
+    return steer_rows(*cluster_rows(command, member_ids, state), cfg)
+
+
+def translate_cluster(command, member_ids, state, cfg):
+    return translate_rows(*cluster_rows(command, member_ids, state), cfg)
+
+
 def test_gather_pulls_to_centroid(cfg):
     state = hover_state(cfg, [[0, 0, 0], [4, 0, 0]], [[90, 90, 90], [80, 80, 80]])
-    d = desired_direction(CoopCommand(CommandKind.GATHER), state.agent_pos[0], state.agent_pos, state)
+    d = steer_cluster(CoopCommand(CommandKind.GATHER), [0, 1], state, cfg)[0]
     np.testing.assert_allclose(d, [2, 0, 0])
 
 
 def test_scatter_singleton_is_zero(cfg):
     state = hover_state(cfg, [[5, 5, 5], [50, 50, 50]], [[90, 90, 90], [80, 80, 80]])
-    d = desired_direction(CoopCommand(CommandKind.SCATTER), state.agent_pos[0], state.agent_pos[:1], state)
+    d = steer_cluster(CoopCommand(CommandKind.SCATTER), [0], state, cfg)[0]
     np.testing.assert_array_equal(d, [0, 0, 0])
 
 
 def test_scatter_pushes_from_nearest(cfg):
     state = hover_state(cfg, [[0, 0, 0], [1, 0, 0]], [[90, 90, 90], [80, 80, 80]])
-    d = desired_direction(CoopCommand(CommandKind.SCATTER), state.agent_pos[0], state.agent_pos, state)
+    d = steer_cluster(CoopCommand(CommandKind.SCATTER), [0, 1], state, cfg)[0]
     np.testing.assert_allclose(d, [-1, 0, 0])
 
 
 def test_intercept_dead_invader_holds(cfg):
     state = hover_state(cfg, [[0, 0, 0], [4, 0, 0]], [[90, 90, 90], [80, 80, 80]])
     state.invader_active[1] = False
-    d = desired_direction(CoopCommand(CommandKind.INTERCEPT, 1), state.agent_pos[0], state.agent_pos, state)
+    d = steer_cluster(CoopCommand(CommandKind.INTERCEPT, 1), [0, 1], state, cfg)[0]
     np.testing.assert_array_equal(d, [0, 0, 0])
-    live = desired_direction(CoopCommand(CommandKind.INTERCEPT, 0), state.agent_pos[0], state.agent_pos, state)
+    # a pursuer no faster than the invader gets no lead: straight at it
+    even = dataclasses.replace(cfg, v_inv=cfg.v_def)
+    live = steer_cluster(CoopCommand(CommandKind.INTERCEPT, 0), [0, 1], state, even)[0]
     np.testing.assert_allclose(live, [90, 90, 90])
 
 
 def test_defend_ring(cfg):
     state = hover_state(cfg, [[20, 50, R_DEFEND - 1], [20, 50, 30]], [[90, 90, 90], [80, 80, 80]])
-    inside = desired_direction(CoopCommand(CommandKind.DEFEND, 0), state.agent_pos[0], state.agent_pos, state)
+    inside, outside = steer_cluster(CoopCommand(CommandKind.DEFEND, 0), [0, 1], state, cfg)
     np.testing.assert_array_equal(inside, [0, 0, 0])
-    outside = desired_direction(CoopCommand(CommandKind.DEFEND, 0), state.agent_pos[1], state.agent_pos, state)
     np.testing.assert_allclose(outside, [0, 0, -30])
 
 
 def test_discretize_examples():
     six = move_directions(PrimitiveSet.SIX)
     fourteen = move_directions(PrimitiveSet.FOURTEEN)
-    assert discretize(np.array([1.0, 0.1, 0.0]), six) == 0  # +x dominates
-    assert discretize(np.zeros(3), six) == 0  # tie rule
+    # +x dominates; a zero direction takes the lowest id by the tie rule
+    assert snap(np.array([[1.0, 0.1, 0.0], [0.0, 0.0, 0.0]]), six).tolist() == [0, 0]
     # (1,1,1) against the (+1,+1,+1)/sqrt(3) diagonal scores sqrt(3) > 1
-    assert discretize(np.array([1.0, 1.0, 1.0]), fourteen) == 6
+    assert snap(np.array([[1.0, 1.0, 1.0]]), fourteen).tolist() == [6]
 
 
 def test_discretize_brute_force_oracle():
@@ -71,38 +92,34 @@ def test_discretize_brute_force_oracle():
     rng = np.random.default_rng(123)
     for dirs in (move_directions(PrimitiveSet.SIX), move_directions(PrimitiveSet.FOURTEEN)):
         table = [tuple(map(float, row)) for row in dirs]
-        for _ in range(5000):
-            d = rng.normal(size=3)
+        directions = rng.normal(size=(5000, 3))
+        expected = []
+        for d in directions:
             best, best_dot = 0, -float("inf")
             for idx, u in enumerate(table):
                 dot = u[0] * d[0] + u[1] * d[1] + u[2] * d[2]
                 if dot > best_dot:
                     best, best_dot = idx, dot
-            assert discretize(d, dirs) == best
+            expected.append(best)
+        assert snap(directions, dirs).tolist() == expected
 
 
 def test_translate_gather_pair(cfg):
     state = hover_state(cfg, [[0, 0, 0], [4, 0, 0]], [[90, 90, 90], [80, 80, 80]])
-    acts = translate(CoopCommand(CommandKind.GATHER), np.array([0, 1]), state, cfg)
+    acts = translate_cluster(CoopCommand(CommandKind.GATHER), [0, 1], state, cfg)
     assert acts.tolist() == [0, 1]  # +x and -x
 
 
 def test_translate_intercept_colocated_below(cfg):
     state = hover_state(cfg, [[50, 50, 10], [50, 50, 10]], [[50, 50, 90], [80, 80, 80]])
-    acts = translate(CoopCommand(CommandKind.INTERCEPT, 0), np.array([0, 1]), state, cfg)
+    acts = translate_cluster(CoopCommand(CommandKind.INTERCEPT, 0), [0, 1], state, cfg)
     assert acts.tolist() == [4, 4]  # both climb +z
 
 
 def test_translate_defend_inside_ring_dithers(cfg):
     state = hover_state(cfg, [[20, 50, 2], [20, 50, 30]], [[90, 90, 90], [80, 80, 80]])
-    acts = translate(CoopCommand(CommandKind.DEFEND, 0), np.array([0]), state, cfg)
+    acts = translate_cluster(CoopCommand(CommandKind.DEFEND, 0), [0], state, cfg)
     assert acts.tolist() == [0]  # zero direction -> +x by the tie rule
-
-
-def test_translate_requires_members(cfg):
-    state = reset(cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        translate(CoopCommand(CommandKind.GATHER), np.array([], dtype=int), state, cfg)
 
 
 def test_command_entity_validation():
@@ -145,13 +162,13 @@ def run_gather_scatter_properties(n_clusters: int, seed: int = 0) -> None:
         )
 
         centroid = pts.mean(axis=0)
-        acts = translate(CoopCommand(CommandKind.GATHER), np.arange(n), state, cfg)
+        acts = translate_cluster(CoopCommand(CommandKind.GATHER), np.arange(n), state, cfg)
         moved = pts + cfg.v_def * dirs[acts]
         before = np.linalg.norm(pts - centroid, axis=1).sum()
         after = np.linalg.norm(moved - centroid, axis=1).sum()
         assert after < before, f"gather failed to contract: {before:.3f} -> {after:.3f}"
 
-        acts = translate(CoopCommand(CommandKind.SCATTER), np.arange(n), state, cfg)
+        acts = translate_cluster(CoopCommand(CommandKind.SCATTER), np.arange(n), state, cfg)
         moved = pts + cfg.v_def * dirs[acts]
 
         def min_pairwise(p):
@@ -167,21 +184,27 @@ def test_gather_contraction_scatter_expansion():
 
 def test_same_command_different_actions(cfg):
     state = hover_state(cfg, [[0, 0, 0], [4, 0, 0]], [[90, 90, 90], [80, 80, 80]])
-    acts = translate(CoopCommand(CommandKind.GATHER), np.array([0, 1]), state, cfg)
+    acts = translate_cluster(CoopCommand(CommandKind.GATHER), [0, 1], state, cfg)
     assert len(set(acts.tolist())) == 2
 
 
 def test_command_raw_repr_layout(cfg):
     state = hover_state(cfg, [[0, 0, 0], [4, 0, 0]], [[50, 60, 70], [80, 80, 80]])
-    rep = command_raw_repr(CoopCommand(CommandKind.INTERCEPT, 0), state, cfg, width=10)
+
+    def row(command, width):
+        kind, entity = (np.array([c]) for c in command.code)
+        slot = anchor_slots(kind, entity, cfg.m_invaders, cfg.n_bases)
+        return command_rows(kind, slot, stack_states([state]), cfg, width)[0, 0]
+
+    rep = row(CoopCommand(CommandKind.INTERCEPT, 0), width=10)
     assert rep.shape == (10,)
     assert rep[0] == 1.0 and rep[1:4].sum() == 0.0  # kind one-hot
     np.testing.assert_allclose(rep[4:7], [0.5, 0.6, 0.7])
     assert rep[7] == 1.0 and rep[8] == rep[9] == 0.0
 
     state.invader_active[0] = False
-    rep = command_raw_repr(CoopCommand(CommandKind.INTERCEPT, 0), state, cfg, width=10)
+    rep = row(CoopCommand(CommandKind.INTERCEPT, 0), width=10)
     assert rep[7] == 0.0
 
     with pytest.raises(ValueError):
-        command_raw_repr(CoopCommand(CommandKind.GATHER), state, cfg, width=4)
+        row(CoopCommand(CommandKind.GATHER), width=4)

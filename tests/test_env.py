@@ -12,15 +12,14 @@ from coopgraph.env import (
     PrimitiveSet,
     StepOutcome,
     TaskNameError,
-    config_for_task,
     move_directions,
     obs_dim,
-    observe,
     observe_all,
     parse_task_name,
     primitive_directions,
     reset,
     row_norms,
+    stack_states,
     step,
 )
 
@@ -63,7 +62,7 @@ def test_config_invariants():
         EnvConfig(n_agents=4, k_threshold=1, m_invaders=1, slow_count=2)  # slow_count > k
     with pytest.raises(ValueError):
         EnvConfig(n_agents=4, k_threshold=2, m_invaders=1, v_def=0.3)  # slowed invader faster
-    cfg = config_for_task("CSI-27/3/9")
+    cfg = EnvConfig(*parse_task_name("CSI-27/3/9"))
     assert (cfg.n_agents, cfg.k_threshold, cfg.m_invaders) == (27, 3, 9)
     assert cfg.slow_count == 2  # ceil(3/2)
 
@@ -261,14 +260,14 @@ def test_trajectory_determinism(tiny_env_config):
 def test_slowed_invader_is_overtaken_under_pursuit():
     """v_def > v_inv * slow_fraction makes a slowed invader catchable even in
     a tail chase with axis-discretized pursuit."""
-    from coopgraph.commands import CommandKind, CoopCommand, translate
+    from coopgraph.commands import INTERCEPT, translate_rows
 
     cfg = EnvConfig(n_agents=1, k_threshold=99, m_invaders=1, n_bases=1, slow_count=1, t_max=400)
     state = hover_state(cfg, [[47, 47, 96]], [[50, 50, 98]], invader_target=[0])
-    chase = CoopCommand(CommandKind.INTERCEPT, 0)
+    chase, zero = np.array([INTERCEPT]), np.zeros(1, dtype=np.int64)  # intercept invader 0
     dists = []
     for _ in range(300):
-        action = translate(chase, np.array([0]), state, cfg)
+        action = translate_rows(chase, zero, zero, zero, state.agent_pos, stack_states([state]), cfg)
         state, out = step(state, action, cfg)
         dists.append(float(np.linalg.norm(state.agent_pos[0] - state.invader_pos[0])))
         if out.done:
@@ -432,7 +431,7 @@ def branches_taken(state, ref_state, outcome, cfg):
     [("CSI-12/2/3", {"n_bases": 2}), ("CSI-27/3/9", {}), ("CSI-6/1/9", {}), ("CSI-8/4/5", {})],
 )
 def test_step_matches_per_invader_loop(task, overrides):
-    cfg = config_for_task(task, **overrides)
+    cfg = EnvConfig(*parse_task_name(task), **overrides)
     rng = np.random.default_rng(sum(map(ord, task)))
     taken = Counter()
     for _ in range(150):
@@ -529,27 +528,22 @@ def test_observation_length_formula():
     cfg = EnvConfig(n_agents=2, k_threshold=1, m_invaders=9, n_bases=4)
     assert obs_dim(cfg) == 3 + 36 + 16 == 55
     state = reset(cfg, np.random.default_rng(0))
-    assert observe_all(state, cfg).shape == (2, 55)
+    assert observe_all(stack_states([state]), cfg).shape == (1, 2, 55)
 
 
 def test_observation_blocks(tiny_env_config):
     cfg = tiny_env_config
     state = reset(cfg, np.random.default_rng(3))
     state.agent_pos[0] = state.base_pos[0]
-    obs = observe(state, 0, cfg)
+    obs = observe_all(stack_states([state]), cfg)[0, 0]
     m = cfg.m_invaders
     base_block = obs[3 + 4 * m: 3 + 4 * m + 4]
     np.testing.assert_allclose(base_block, [0, 0, 0, 1], atol=1e-12)
 
     state.invader_active[1] = False
-    obs = observe(state, 0, cfg)
+    obs = observe_all(stack_states([state]), cfg)[0, 0]
     assert obs[3 + 4 * 1 + 3] == 0.0  # invader 1 flag cleared
 
     assert np.all(np.abs(obs) <= 1.0 + 1e-12)
     assert np.isfinite(obs).all()
 
-
-def test_observe_range_check(tiny_env_config):
-    state = reset(tiny_env_config, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        observe(state, 99, tiny_env_config)

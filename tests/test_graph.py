@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopgraph.commands import CommandKind, CoopCommand
-from coopgraph.env import EnvConfig, PrimitiveSet, reset
+from coopgraph.env import EnvConfig, PrimitiveSet, reset, stack_states
 from coopgraph.graph import (
     ActionMasks,
     CooperationGraph,
@@ -24,6 +24,7 @@ from coopgraph.graph import (
     random_topology,
     resolve_agent_actions,
     select_initial_topology,
+    stack_graphs,
     to_dot,
     to_json,
     topology_entropy,
@@ -142,7 +143,7 @@ def test_resolve_broadcast_primitive():
         agent_to_cluster=np.zeros(3, dtype=np.int64),
         cluster_to_target=np.array([0], dtype=np.int64),
     )
-    acts = resolve_agent_actions(g, state, cfg)
+    acts = resolve_agent_actions(stack_graphs([g]), stack_states([state]), cfg)[0]
     assert acts.tolist() == [0, 0, 0]
 
 
@@ -156,7 +157,7 @@ def test_resolve_cooperative_gather():
         agent_to_cluster=np.zeros(2, dtype=np.int64),
         cluster_to_target=np.array([1], dtype=np.int64),
     )
-    acts = resolve_agent_actions(g, state, cfg)
+    acts = resolve_agent_actions(stack_graphs([g]), stack_states([state]), cfg)[0]
     assert acts.tolist() == [0, 1]  # +x toward centroid, -x back
 
 
@@ -169,7 +170,7 @@ def test_resolve_total_with_empty_cluster():
         agent_to_cluster=np.array([0, 0, 2], dtype=np.int64),
         cluster_to_target=np.array([3, 1, 4], dtype=np.int64),
     )
-    acts = resolve_agent_actions(g, state, cfg)
+    acts = resolve_agent_actions(stack_graphs([g]), stack_states([state]), cfg)[0]
     assert acts.shape == (3,)
     assert acts.tolist() == [3, 3, 4]
 
@@ -333,7 +334,7 @@ def test_extend_resolution_total_and_neutral():
     cfg = EnvConfig(n_agents=54, k_threshold=2, m_invaders=2, n_bases=2)
     g = extend(random_topology(np.random.default_rng(3), 27, 14, six_targets(6)), 2)
     state = reset(cfg, np.random.default_rng(0))
-    acts = resolve_agent_actions(g, state, cfg)
+    acts = resolve_agent_actions(stack_graphs([g]), stack_states([state]), cfg)[0]
     assert acts.shape == (54,)
     # all-primitive targets: sibling agents of each group act identically
     for i in range(27):

@@ -2,7 +2,8 @@
 
 ``env_steps_per_s`` in the benchmark counts ``env.step`` calls, so each of
 ``collect``, ``evaluate_policy`` and ``cmd_oracle`` must call it exactly
-sum(episode lengths) times. The lockstep oracle must also play the same
+sum(episode lengths) times; ``cmd_export_topology`` steps only as far as
+its last wanted snapshot. The lockstep oracle must also play the same
 episodes as the scripted operator run one episode at a time, and every one
 of its ``env.step`` calls, in call order, must match a recorded digest.
 """
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 
 from coopgraph import env
-from coopgraph.graph import apply_operator_action, resolve_agent_actions
+from coopgraph.graph import apply_operator_action, resolve_agent_actions, stack_graphs
 from coopgraph.runner import (
     build_env_config,
+    cmd_export_topology,
     cmd_oracle,
     frozen_topology,
     parse_run_config,
@@ -27,7 +29,7 @@ from coopgraph.training import (
     EPISODE_SEED_STRIDE, TrainConfig, collect, evaluate_policy, policy_operator, rollout,
 )
 
-from test_training import desk_nano
+from test_training import desk_nano, nano_run_config, nano_trainer
 
 
 def wrap_step(monkeypatch, wrapper):
@@ -104,6 +106,17 @@ def test_evaluate_policy_steps_once_per_episode_step(env_steps):
     assert calls == sum(lengths)
 
 
+@pytest.mark.parametrize("steps,calls", [([0], 0), ([3], 3)])
+def test_export_topology_stops_after_its_last_wanted_step(env_steps, tmp_path, steps, calls):
+    """Step 0 is the frozen topology, which needs no replay; step 3 is the
+    graph the fourth step starts from, known after the third."""
+    ckpt = tmp_path / "policy.ckpt"
+    nano_trainer(tmp_path).save(ckpt)
+    written = cmd_export_topology(nano_run_config(), str(ckpt), episode_seed=77, steps=steps, out_dir=str(tmp_path))
+    assert [p.name for p in written] == [f"topology_step_{steps[0]:04d}.{ext}" for ext in ("dot", "json")]
+    assert len(env_steps) == calls
+
+
 def serial_oracle(rc):
     """Episode lengths and success rate of the scripted operator, one episode at a time."""
     env_config = build_env_config(rc)
@@ -114,7 +127,8 @@ def serial_oracle(rc):
         graph, done = graph0, False
         while not done:
             graph, _ = apply_operator_action(graph, scripted_operator_action(graph, state, env_config))
-            state, outcome = env.step(state, resolve_agent_actions(graph, state, env_config), env_config)
+            actions = resolve_agent_actions(stack_graphs([graph]), env.stack_states([state]), env_config)[0]
+            state, outcome = env.step(state, actions, env_config)
             done = outcome.done
         lengths.append(state.t)
         wins += outcome.reward > 0

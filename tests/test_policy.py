@@ -55,7 +55,7 @@ def test_paper_scale_dimensions():
     cfg, graph, params, state = make_setup(n_agents=27, n_clusters=14, m=9, n_bases=4, hidden=64)
     assert params.tensors["trunk.W"].shape == (128, 64)
     assert params.tensors["latent.W"].shape == (14 * 64, 64)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     e_h = encode(batch, params)
     assert e_h.shape == (1, 14, 64)
     assert latent(e_h, params).shape == (1, 64)
@@ -74,7 +74,7 @@ def test_identical_agent_rows_give_identical_cluster_mixes():
         agent_to_cluster=np.array([0, 0, 1, 1, 2, 2], dtype=np.int64),
         cluster_to_target=np.zeros(3, dtype=np.int64),
     )
-    e_h = encode(node_batch(graph, state, cfg), params).data[0]
+    e_h = encode(node_batch(stack_graphs([graph]), stack_states([state]), cfg), params).data[0]
     for k in range(1, 3):
         np.testing.assert_allclose(e_h[k], e_h[0], atol=1e-12)
 
@@ -83,7 +83,7 @@ def test_zero_params_give_zero_embeddings_and_value():
     cfg, graph, params, state = make_setup(seed=4)
     for t in params.tensors.values():
         t.data[:] = 0.0
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     e_h = encode(batch, params)
     assert np.abs(e_h.data).max() == 0.0
     z = latent(e_h, params)
@@ -98,7 +98,7 @@ def test_empty_cluster_rows_are_zero():
         agent_to_cluster=np.zeros(6, dtype=np.int64),  # clusters 1, 2 empty
         cluster_to_target=np.array([0, 1, 2], dtype=np.int64),
     )
-    batch = node_batch(g, state, cfg)
+    batch = node_batch(stack_graphs([g]), stack_states([state]), cfg)
     member_contrib = _attention_ac_rows(batch, params)
     assert np.abs(member_contrib[1]).max() == 0.0
     assert np.abs(member_contrib[2]).max() == 0.0
@@ -185,7 +185,7 @@ def test_act_masking_forces_single_choice():
         agent_to_cluster=np.full(6, 2, dtype=np.int64),
         cluster_to_target=np.full(3, 4, dtype=np.int64),
     )
-    batch = node_batch(g, state, cfg)
+    batch = node_batch(stack_graphs([g]), stack_states([state]), cfg)
     masks = action_masks(g)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -196,7 +196,7 @@ def test_act_masking_forces_single_choice():
 
 def test_act_argmax_deterministic():
     cfg, graph, params, state = make_setup(seed=7)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     masks = action_masks(graph)
     cm, tm = masks.cluster_mask[None], masks.target_mask[None]
     a1, lp1, v1 = act_batch(batch, cm, tm, params, [None], mode="argmax")
@@ -214,7 +214,7 @@ def test_masked_probability_exactly_zero():
         agent_to_cluster=np.full(6, 1, dtype=np.int64),  # only cluster 1 nonempty
         cluster_to_target=graph.cluster_to_target,
     )
-    batch = node_batch(g, state, cfg)
+    batch = node_batch(stack_graphs([g]), stack_states([state]), cfg)
     masks = action_masks(g)
     actions = np.array([[0, 0, int(g.cluster_to_target[0]), 0]])  # a1=0 is masked
     out = evaluate_actions(batch, actions, masks.cluster_mask[None], masks.target_mask[None], params)
@@ -225,7 +225,7 @@ def test_mask_soundness_sampled():
     rng = np.random.default_rng(9)
     for trial in range(5):
         cfg, graph, params, state = make_setup(seed=20 + trial)
-        batch = node_batch(graph, state, cfg)
+        batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
         masks = action_masks(graph)
         for _ in range(200):
             actions, _, _ = act_batch(batch, masks.cluster_mask[None], masks.target_mask[None], params, [rng])
@@ -236,7 +236,7 @@ def test_mask_soundness_sampled():
 def test_act_and_evaluate_logprobs_agree():
     """The factorized log-probs seen at sampling time match the tape path."""
     cfg, graph, params, state = make_setup(seed=10)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     masks = action_masks(graph)
     cm, tm = masks.cluster_mask[None], masks.target_mask[None]
     actions, log_probs, values = act_batch(batch, cm, tm, params, [np.random.default_rng(1)])
@@ -248,7 +248,7 @@ def test_act_and_evaluate_logprobs_agree():
 def test_sequential_conditioning_sensitivity():
     """Changing op1's choice shifts op2's distribution."""
     cfg, graph, params, state = make_setup(seed=11)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     masks = action_masks(graph)
     base = np.array([[0, 1, 0, 1]])
     alt = np.array([[1, 1, 0, 1]])
@@ -261,7 +261,7 @@ def test_sequential_conditioning_sensitivity():
 def test_value_permutation_invariance():
     """Permuting agents together with their graph labels leaves e_h alone."""
     cfg, graph, params, state = make_setup(seed=12)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     perm = np.random.default_rng(2).permutation(graph.n_agents)
     state2_pos = state.agent_pos[perm]
     state.agent_pos = state2_pos
@@ -271,7 +271,7 @@ def test_value_permutation_invariance():
         agent_to_cluster=graph.agent_to_cluster[perm].copy(),
         cluster_to_target=graph.cluster_to_target,
     )
-    batch2 = node_batch(g2, state, cfg)
+    batch2 = node_batch(stack_graphs([g2]), stack_states([state]), cfg)
     e1 = encode(batch, params).data
     e2 = encode(batch2, params).data
     np.testing.assert_allclose(e2, e1, atol=1e-10)
@@ -285,7 +285,7 @@ def test_reconstruct_zero_decoder_closed_form():
     for name, t in params.tensors.items():
         if name.startswith("ae_"):
             t.data[:] = 0.0
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     e_h = encode(batch, params)
     _, _, _, l_ae = reconstruct(e_h, batch, params)
     expected = (
@@ -299,7 +299,7 @@ def test_reconstruct_zero_decoder_closed_form():
 def test_value_finite_on_random_inputs():
     cfg, graph, params, state = make_setup(seed=14)
     rng = np.random.default_rng(3)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     for _ in range(200):
         b = NodeBatch(
             obs=rng.normal(size=batch.obs.shape),
@@ -334,7 +334,7 @@ def test_surgery_inherits_bit_exact():
 def test_surgery_identity_at_fan_out_one():
     """Merge attention over a single member reproduces its embedding exactly."""
     cfg, graph, params, state = make_setup(seed=16)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     before = encode(batch, params).data
     merged = surgery_for_extension(params, 1, np.random.default_rng(4))
     after = encode(batch, merged).data
@@ -343,7 +343,7 @@ def test_surgery_identity_at_fan_out_one():
 
 def test_extended_forward_needs_merge_block():
     cfg, graph, params, state = make_setup(seed=17, fan_out=2)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     assert params.has_merge  # init_params added it for an extended layout
     e_h = encode(batch, params)
     assert e_h.shape == (1, 3, 16)
@@ -364,22 +364,22 @@ def test_noncontiguous_extension_groups_are_gathered():
     scrambled = dataclasses.replace(
         graph, extension=np.array([[11, 0], [1, 10], [2, 9], [3, 8], [4, 7], [5, 6]])
     )
-    rows = agent_rows(scrambled, state, cfg)
+    rows = agent_rows(stack_graphs([scrambled]), stack_states([state]), cfg)[0]
     from coopgraph.env import observe_all
 
-    obs = observe_all(state, cfg)
+    obs = observe_all(stack_states([state]), cfg)[0]
     np.testing.assert_array_equal(rows[0], obs[11])
     np.testing.assert_array_equal(rows[1], obs[0])
     # encode consumes the gathered layout without error and differs from the
     # contiguous grouping (different group compositions)
-    e1 = encode(node_batch(graph, state, cfg), params).data
-    e2 = encode(node_batch(scrambled, state, cfg), params).data
+    e1 = encode(node_batch(stack_graphs([graph]), stack_states([state]), cfg), params).data
+    e2 = encode(node_batch(stack_graphs([scrambled]), stack_states([state]), cfg), params).data
     assert not np.allclose(e1, e2)
 
 
 def test_extended_reconstruction_targets_group_means():
     cfg, graph, params, state = make_setup(seed=18, fan_out=2)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     for name, t in params.tensors.items():
         if name.startswith("ae_"):
             t.data[:] = 0.0
@@ -445,6 +445,30 @@ def test_checkpoint_drops_retired_tensors(tmp_path):
     save_checkpoint(tmp_path / "again.ckpt", loaded)
     save_checkpoint(tmp_path / "fresh.ckpt", params)
     assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit,error",
+    [
+        (lambda tensors: tensors.pop("head1.fc1.W"), "tensor head1.fc1.W is missing"),
+        (lambda tensors: tensors.update({"head5.fc1.W": Tensor(np.zeros((16, 2)))}), "unexpected tensor head5.fc1.W"),
+        (
+            lambda tensors: tensors.update({"trunk.W": Tensor(tensors["trunk.W"].data.T.copy())}),
+            "tensor trunk.W has shape (16, 32), its layout needs (32, 16)",
+        ),
+    ],
+    ids=["missing", "unexpected", "misshaped"],
+)
+def test_checkpoint_rejects_tensors_its_layout_does_not_have(tmp_path, edit, error):
+    """Checked against ``init_params`` of the header's layout, before any
+    forward pass could fail on it."""
+    cfg, graph, params, state = make_setup(seed=25)
+    bad = params.copy()
+    edit(bad.tensors)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, bad)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_other_format_version(tmp_path):
@@ -597,7 +621,7 @@ def test_full_policy_loss_gradient_oracle():
 def test_layer_gradcheck_encode_path():
     """Direct finite differences through encode -> value on a tiny setup."""
     cfg, graph, params, state = make_setup(seed=31, hidden=8)
-    batch = node_batch(graph, state, cfg)
+    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
 
     names = ["proj.agent.W", "ac.Wq", "ct.Wv", "trunk.W", "latent.W", "value.fc2.W"]
 

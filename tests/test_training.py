@@ -429,11 +429,13 @@ def test_trainer_smoke_and_metrics_schema(tmp_path):
     assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
 
 
-def resave(src, dst, drop=(), **env_config):
-    """Write ``src`` again as ``dst`` without the ``drop`` extra tensors and
-    with ``env_config`` keys added to its header."""
+def resave(src, dst, drop=(), swap=None, **env_config):
+    """Write ``src`` again as ``dst`` without the ``drop`` extra tensors,
+    with the ``swap`` ones in place of its own and with ``env_config`` keys
+    added to its header."""
     params, extra, header = load_checkpoint(src)
     header["env_config"].update(env_config)
+    extra.update(swap or {})
     save_checkpoint(
         dst, params,
         extra_tensors={k: v for k, v in extra.items() if k not in drop},
@@ -474,6 +476,17 @@ def test_restore_rejects_missing_optimizer_moment(tmp_path):
     resave(tmp_path / "run" / "checkpoint_last.ckpt", cut, drop={"adam.m.ct.Wv"})
     with pytest.raises(ValueError, match=re.escape(str(cut)) + ".*adam.m.ct.Wv"):
         Trainer.restore(cut, trainer.settings, tmp_path / "resumed")
+
+
+def test_restore_rejects_misshaped_optimizer_moment(tmp_path):
+    """A moment of another shape would broadcast or fail inside Adam.step."""
+    trainer = nano_trainer(tmp_path, total=1)
+    trainer.run()
+    bad = tmp_path / "bad.ckpt"
+    moment = trainer.optimizer.v["trunk.W"]
+    resave(tmp_path / "run" / "checkpoint_last.ckpt", bad, swap={"adam.v.trunk.W": moment.T})
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: optimizer moment adam.v.trunk.W has shape (16, 32)")):
+        Trainer.restore(bad, trainer.settings, tmp_path / "resumed")
 
 
 def test_killed_run_resumes_from_checkpoint_last(tmp_path, monkeypatch):
