@@ -1,4 +1,4 @@
-"""Tour of the cooperation graph: topology, operator moves, masks, extension.
+"""Tour of the cooperation graph: topology, operator moves, extension.
 
 The graph has three layers. Agents (bottom) each belong to one cluster;
 clusters (middle) each execute one target; targets (top) are primitive moves
@@ -10,7 +10,6 @@ import numpy as np
 
 from coopgraph import (
     OperatorAction,
-    action_masks,
     apply_operator_action,
     build_targets,
     extend,
@@ -49,8 +48,10 @@ print("agent -> cluster:", graph2.agent_to_cluster)
 noop, flags = apply_operator_action(graph2, OperatorAction(1, 1, 3, 3))
 print("same-node pairs:", flags, "(nothing changed)")
 
-masks = action_masks(graph2)
-print("\nsource masks -- clusters:", masks.cluster_mask, " targets:", masks.target_mask)
+# only a nonempty source can move, which is what the policy masks op1/op3 to
+# (demo 05): clusters with a member agent, targets with a cluster
+print("\noccupied sources -- clusters:", np.unique(graph2.agent_to_cluster),
+      " targets:", np.unique(graph2.cluster_to_target))
 
 # random interference used during training to harden the operators
 graph3, fake = interfere(graph2, rng)

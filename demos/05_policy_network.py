@@ -10,7 +10,7 @@ import numpy as np
 
 from coopgraph import build_targets, init_params, layout_for, random_topology
 from coopgraph.env import EnvConfig, parse_task_name, reset, stack_states
-from coopgraph.graph import action_masks, stack_graphs
+from coopgraph.graph import stack_graphs
 from coopgraph.policy import act_batch, encode, latent, node_batch, reconstruct, value
 
 cfg = EnvConfig(*parse_task_name("CSI-12/2/3"), n_bases=2)
@@ -32,12 +32,14 @@ z = latent(e_h, params)
 print(f"\nper-cluster embeddings e_h {e_h.shape} -> shared latent z {z.shape}")
 print(f"critic value: {float(value(z, params).data[0]):+.4f}")
 
-masks = action_masks(graph)
-cmask, tmask = masks.cluster_mask[None], masks.target_mask[None]
-actions, log_probs, _ = act_batch(batch, cmask, tmask, params, [np.random.default_rng(0)])
-print(f"\nsampled operator action: {tuple(actions[0].tolist())}")
+# op1/op3 are masked to nonempty sources, read off the batch's edge maps
+cluster_mask, target_mask = batch.head_masks()
+print(f"\nhead masks: {cluster_mask.sum()} of {graph.n_clusters} clusters, "
+      f"{target_mask.sum()} of {graph.n_targets} targets selectable as sources")
+actions, log_probs, _ = act_batch(batch, params, [np.random.default_rng(0)])
+print(f"sampled operator action: {tuple(actions[0].tolist())}")
 print(f"  per-head log-probs {log_probs[0].round(2)}")
-print(f"  op1 respected the nonempty-cluster mask: {bool(masks.cluster_mask[actions[0, 0]])}")
+print(f"  op1 respected the nonempty-cluster mask: {bool(cluster_mask[0, actions[0, 0]])}")
 
 agent_hat, cluster_hat, target_hat, l_ae = reconstruct(e_h, batch, params)
 print(f"\ndecoder reconstructions: agents {agent_hat.shape}, clusters {cluster_hat.shape}, "
@@ -45,6 +47,6 @@ print(f"\ndecoder reconstructions: agents {agent_hat.shape}, clusters {cluster_h
 print(f"reconstruction loss at init: {float(l_ae.data):.4f}")
 
 # greedy mode is deterministic, used for evaluation
-again, _, _ = act_batch(batch, cmask, tmask, params, [None], mode="argmax")
-assert (again == act_batch(batch, cmask, tmask, params, [None], mode="argmax")[0]).all()
+again, _, _ = act_batch(batch, params, [None], mode="argmax")
+assert (again == act_batch(batch, params, [None], mode="argmax")[0]).all()
 print("\nargmax decisions are reproducible:", tuple(again[0].tolist()))

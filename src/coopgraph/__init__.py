@@ -14,11 +14,9 @@ __version__ = "0.1.0"
 from .commands import CommandKind, CoopCommand
 from .env import EnvConfig, EnvState, PrimitiveSet, parse_task_name
 from .graph import (
-    ActionMasks,
     CooperationGraph,
     OperatorAction,
     TargetNode,
-    action_masks,
     apply_operator_action,
     build_targets,
     extend,
@@ -32,7 +30,6 @@ from .policy import PolicyParams, init_params, layout_for, surgery_for_extension
 from .training import TrainConfig, Trainer, TrainSettings, collect, compute_gae, ppo_update
 
 __all__ = [
-    "ActionMasks",
     "CommandKind",
     "CooperationGraph",
     "CoopCommand",
@@ -45,7 +42,6 @@ __all__ = [
     "TrainConfig",
     "TrainSettings",
     "Trainer",
-    "action_masks",
     "apply_operator_action",
     "build_targets",
     "collect",

@@ -9,8 +9,8 @@ member (one array pass over every cooperative member, see ``commands``).
 
 A lockstep rollout stacks the graphs of its B alive episodes into one graph
 whose edge maps carry a leading episode axis (``stack_graphs``).
-``action_masks`` and ``resolve_agent_actions`` take such a stack in one
-array pass; a caller with one episode stacks it alone.
+``resolve_agent_actions`` takes such a stack in one array pass; a caller
+with one episode stacks it alone.
 
 Four operator choices form one joint action: (src_cluster, dst_cluster)
 moves one agent between clusters and (src_target, dst_target) moves one
@@ -110,12 +110,6 @@ class OperatorAction:
         return (self.src_cluster, self.dst_cluster, self.src_target, self.dst_target)
 
 
-@dataclass
-class ActionMasks:
-    cluster_mask: np.ndarray  # (n_clusters,) bool, True = nonempty, selectable as source
-    target_mask: np.ndarray   # (n_targets,) bool, True = has a connected cluster
-
-
 @dataclass(frozen=True)
 class CooperationGraph:
     """Immutable snapshot of the graph; rewiring returns a new instance.
@@ -163,7 +157,7 @@ def stack_graphs(graphs: Sequence[CooperationGraph]) -> CooperationGraph:
     """B graphs as one graph whose edge maps carry a leading episode axis.
 
     The graphs must share the target layer and the extension, as every graph
-    rewired from one start topology does. ``action_masks`` and
+    rewired from one start topology does. ``policy.node_batch`` and
     ``resolve_agent_actions`` read such a stack as B episodes at once.
     """
     return replace(
@@ -235,18 +229,6 @@ def apply_operator_action(
     if not (moved_agent or moved_cluster):
         return graph, (False, False)
     return replace(graph, agent_to_cluster=a2c, cluster_to_target=c2t), (moved_agent, moved_cluster)
-
-
-def action_masks(graph: CooperationGraph) -> ActionMasks:
-    """Source masks: nonempty clusters and targets with a connected cluster.
-
-    A ``stack_graphs`` stack gives (B, n) masks, one row per episode.
-    """
-    a2c, c2t = graph.agent_to_cluster, graph.cluster_to_target
-    return ActionMasks(
-        cluster_mask=(a2c[..., None] == np.arange(graph.n_clusters)).any(axis=-2),
-        target_mask=(c2t[..., None] == np.arange(graph.n_targets)).any(axis=-2),
-    )
 
 
 def resolve_agent_actions(

@@ -16,7 +16,10 @@ embeddings e_h, which feed
 
 The node inputs of a lockstep step are built in one pass over a
 ``stack_graphs`` and a ``stack_states`` stack of its B episodes
-(``node_batch``); one episode is a stack of one.
+(``node_batch``); one episode is a stack of one. That NodeBatch is the
+policy's whole input: the op1/op3 head masks follow from its edge maps.
+Sampling (``act_batch``) and the PPO re-evaluation (``evaluate_actions``)
+run one head chain, off and on the tape.
 
 After a curriculum extension, each bottom-layer node stands for a fixed
 group of agents; a small merge-attention block (added by surgery, everything
@@ -29,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Literal
 
@@ -126,20 +129,12 @@ class PolicyParams:
     tensors: dict[str, Tensor]
     normalizer: ObsNormalizer
 
-    @property
-    def has_merge(self) -> bool:
-        return "merge.q" in self.tensors
-
     def copy(self) -> "PolicyParams":
         return PolicyParams(
             layout=self.layout,
             tensors={k: Tensor(t.data.copy(), requires_grad=t.requires_grad) for k, t in self.tensors.items()},
             normalizer=ObsNormalizer.from_state(self.normalizer.state_dict()),
         )
-
-    def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.grad = None
 
 
 def _init_linear(tensors, rng, name, fan_in, fan_out, w_scale=None):
@@ -209,14 +204,16 @@ def surgery_for_extension(
     """Add a randomly initialized merge-attention block for group inputs.
 
     Every inherited tensor is copied bit-exact; only the merge block is new.
+    At fan-out 1 there are no groups to merge, so the result is a plain copy.
     """
-    if params.has_merge or params.layout.fan_out != 1:
+    if params.layout.fan_out != 1:
         raise ValueError("params already carry a merge block")
     if fan_out < 1:
         raise ValueError("fan_out must be >= 1")
     new = params.copy()
-    new.layout = PolicyLayout(**{**asdict(params.layout), "fan_out": fan_out})
-    _init_merge(new.tensors, rng, params.layout.hidden)
+    if fan_out > 1:
+        new.layout = PolicyLayout(**{**asdict(params.layout), "fan_out": fan_out})
+        _init_merge(new.tensors, rng, params.layout.hidden)
     return new
 
 
@@ -232,13 +229,28 @@ class NodeBatch:
     ``obs`` holds one row per environment agent; with an extension present
     the rows of each group are consecutive. ``agent_to_cluster`` builds the
     member attention mask; ``cluster_to_target`` picks each cluster's target
-    row.
+    row. The two edge maps also fix the head masks (``head_masks``), so a
+    NodeBatch is the policy's whole input.
     """
 
     obs: np.ndarray                # (B, n_env, d_obs)
     target_reps: np.ndarray        # (B, n_targets, d_raw)
     agent_to_cluster: np.ndarray   # (B, n_lower)
     cluster_to_target: np.ndarray  # (B, n_clusters)
+
+    def rows(self, idx: np.ndarray) -> "NodeBatch":
+        """The NodeBatch of the steps ``idx``."""
+        return NodeBatch(*(getattr(self, f.name)[idx] for f in fields(NodeBatch)))
+
+    def head_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source masks of heads op1 and op3, (B, n_clusters) and (B,
+        n_targets) bool: the clusters with a member and the targets with a
+        cluster, the only sources whose move is not a no-op."""
+        n_k, n_t = self.cluster_to_target.shape[-1], self.target_reps.shape[-2]
+        return (
+            (self.agent_to_cluster[..., None] == np.arange(n_k)).any(axis=-2),
+            (self.cluster_to_target[..., None] == np.arange(n_t)).any(axis=-2),
+        )
 
 
 def target_raw_reps(graph: CooperationGraph, state: EnvState, config: EnvConfig) -> np.ndarray:
@@ -313,9 +325,9 @@ def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
 
     obs_n = params.normalizer.normalize(batch.obs)
     agents = _linear(Tensor(obs_n), params, "proj.agent")  # (B, n_env, h)
-    if lay.fan_out > 1 and not params.has_merge:
-        raise ValueError("extended inputs need a merge block; run surgery first")
-    if params.has_merge:
+    if lay.fan_out > 1:
+        if "merge.q" not in p:
+            raise ValueError("extended inputs need a merge block; run surgery first")
         grouped = ad.reshape(agents, (B * lay.n_lower, lay.fan_out, lay.hidden))
         keys = ad.linear(grouped, p["merge.Wk"], p["merge.bk"])
         merged = ad.scaled_dot_attention(p["merge.q"], keys, grouped)
@@ -355,76 +367,71 @@ def _head_logits(z_cond: Tensor, params: PolicyParams, i: int) -> Tensor:
     return _linear(hid, params, f"head{i}.fc2")
 
 
-def _masked(logits: Tensor, mask: np.ndarray | None) -> Tensor:
-    if mask is None:
-        return logits
-    return ad.add(logits, Tensor((1.0 - mask) * ad.MASK_FILL))
-
-
 def _one_hot(idx: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((len(idx), n), dtype=np.float64)
     out[np.arange(len(idx)), idx] = 1.0
     return out
 
 
-def _heads(
-    layout: PolicyLayout, cluster_masks: np.ndarray, target_masks: np.ndarray
-) -> tuple[tuple[np.ndarray | None, int], ...]:
-    """(logit mask or None, choice count) of each head, in head order."""
-    n_k, n_t = layout.n_clusters, layout.n_targets
-    return (
-        (cluster_masks.astype(np.float64), n_k),
-        (None, n_k),
-        (target_masks.astype(np.float64), n_t),
-        (None, n_t),
-    )
+def _head_chain(
+    z: Tensor, batch: NodeBatch, params: PolicyParams, choose
+) -> list[tuple[Tensor, Tensor, np.ndarray]]:
+    """The four sequential heads, op1 to op4.
+
+    Heads op1/op3 are masked to the sources of ``batch.head_masks``;
+    op2/op4 are unmasked. ``choose(i, probs)`` gives head i's choice per
+    row, and each later head sees the earlier choices as one-hot
+    conditioning. Returns each head's (log-probabilities, probabilities,
+    choices).
+    """
+    cluster_mask, target_mask = batch.head_masks()
+    assert cluster_mask.any(axis=1).all() and target_mask.any(axis=1).all(), \
+        "graph with agents cannot fully mask a head"
+    n_k, n_t = params.layout.n_clusters, params.layout.n_targets
+    heads = ((cluster_mask, n_k), (None, n_k), (target_mask, n_t), (None, n_t))
+    cond = z
+    dists = []
+    for i, (mask, size) in enumerate(heads):
+        logits = _head_logits(cond, params, i + 1)
+        if mask is not None:
+            logits = ad.add(logits, Tensor((1.0 - mask.astype(np.float64)) * ad.MASK_FILL))
+        logp_all = ad.log_softmax(logits, axis=-1)
+        p_all = ad.softmax(logits, axis=-1)
+        chosen = choose(i, p_all.data)
+        dists.append((logp_all, p_all, chosen))
+        cond = ad.concat([cond, Tensor(_one_hot(chosen, size))], axis=-1)
+    return dists
 
 
 def act_batch(
     batch: NodeBatch,
-    cluster_masks: np.ndarray,
-    target_masks: np.ndarray,
     params: PolicyParams,
     rngs: list[np.random.Generator | None],
     mode: Literal["sample", "argmax"] = "sample",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the sequential masked heads for a batch of independent episode steps.
+    """Pick an operator action for each of a batch of independent episode
+    steps, with the head chain of ``evaluate_actions`` run off the tape.
 
-    Heads op1/op3 are masked to nonempty sources; op2/op4 are unmasked.
-    Each later head sees the earlier choices as one-hot conditioning. In
-    sample mode row i draws its samples from rngs[i] (one uniform per head,
-    in head order), so per-episode streams stay reproducible no matter how
-    episodes are batched together; argmax mode draws nothing. Returns
-    (actions (B, 4), log_probs (B, 4), values (B,)).
+    In sample mode row i draws its samples from rngs[i] (one uniform per
+    head, in head order), so per-episode streams stay reproducible no
+    matter how episodes are batched together; argmax mode draws nothing.
+    Returns (actions (B, 4), log_probs (B, 4), values (B,)).
     """
     B = batch.obs.shape[0]
-    assert cluster_masks.any(axis=1).all() and target_masks.any(axis=1).all(), \
-        "graph with agents cannot fully mask a head"
-    actions = np.empty((B, 4), dtype=np.int64)
-    log_probs = np.empty((B, 4))
+
+    def choose(i: int, probs: np.ndarray) -> np.ndarray:
+        if mode == "argmax":
+            return np.argmax(probs, axis=1)
+        cums = np.cumsum(probs, axis=1)
+        size = probs.shape[1]
+        return np.array([min(int(np.searchsorted(cums[b], rngs[b].random())), size - 1) for b in range(B)])
 
     with ad.no_grad():
         z = latent(encode(batch, params), params)
         values = value(z, params).data.copy()
-        cond = z
-        for i, (mask, size) in enumerate(_heads(params.layout, cluster_masks, target_masks)):
-            logits = _masked(_head_logits(cond, params, i + 1), mask).data
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            expo = np.exp(shifted)
-            probs = expo / expo.sum(axis=1, keepdims=True)
-            logp = shifted - np.log(expo.sum(axis=1, keepdims=True))
-            if mode == "argmax":
-                chosen = np.argmax(probs, axis=1)
-            else:
-                cums = np.cumsum(probs, axis=1)
-                chosen = np.empty(B, dtype=np.int64)
-                for b in range(B):
-                    chosen[b] = min(
-                        int(np.searchsorted(cums[b], rngs[b].random())), size - 1
-                    )
-            actions[:, i] = chosen
-            log_probs[:, i] = logp[np.arange(B), chosen]
-            cond = ad.concat([cond, Tensor(_one_hot(chosen, size))], axis=-1)
+        dists = _head_chain(z, batch, params, choose)
+    actions = np.stack([chosen for _, _, chosen in dists], axis=1)
+    log_probs = np.stack([logp.data[np.arange(B), chosen] for logp, _, chosen in dists], axis=1)
     return actions, log_probs, values
 
 
@@ -466,8 +473,6 @@ def reconstruct(
 def evaluate_actions(
     batch: NodeBatch,
     actions: np.ndarray,
-    cluster_masks: np.ndarray,
-    target_masks: np.ndarray,
     params: PolicyParams,
 ) -> dict[str, Tensor]:
     """Differentiable re-evaluation of stored decisions for the PPO update.
@@ -480,19 +485,12 @@ def evaluate_actions(
     z = latent(e_h, params)
     v = value(z, params)
     _, _, _, l_ae = reconstruct(e_h, batch, params)
-
-    cond = z
-    logps: list[Tensor] = []
-    ents: list[Tensor] = []
-    for i, (mask, size) in enumerate(_heads(params.layout, cluster_masks, target_masks)):
-        logits = _masked(_head_logits(cond, params, i + 1), mask)
-        logp_all = ad.log_softmax(logits, axis=-1)
-        p_all = ad.softmax(logits, axis=-1)
-        logps.append(ad.reshape(ad.take_per_row(logp_all, actions[:, i]), (B, 1)))
-        ent = ad.mul(ad.sum_(ad.mul(p_all, logp_all), axis=-1, keepdims=True), Tensor(-1.0))
-        ents.append(ent)
-        cond = ad.concat([cond, Tensor(_one_hot(actions[:, i], size))], axis=-1)
-
+    dists = _head_chain(z, batch, params, lambda i, probs: actions[:, i])
+    logps = [ad.reshape(ad.take_per_row(logp_all, chosen), (B, 1)) for logp_all, _, chosen in dists]
+    ents = [
+        ad.mul(ad.sum_(ad.mul(p_all, logp_all), axis=-1, keepdims=True), Tensor(-1.0))
+        for logp_all, p_all, _ in dists
+    ]
     return {
         "log_prob": ad.concat(logps, axis=-1),
         "entropy": ad.concat(ents, axis=-1),
@@ -558,10 +556,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarray], dict]:
     """Inverse of save_checkpoint: (params, extra tensors, full header).
 
-    Rejects a foreign file, another format version, a truncated file and a
-    tensor set that differs in a name or a shape from the one ``init_params``
-    gives for the header's layout; drops the retired tensors of older
-    checkpoints.
+    Rejects a foreign file, another format version, a truncated file, a
+    header without its layout, manifest or normalizer, and a tensor set
+    that differs in a name or a shape from the one ``init_params`` gives for
+    the header's layout; drops the retired tensors of older checkpoints.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -576,9 +574,14 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarra
             raise ValueError(f"{path}: header truncated ({len(head_bytes)} of {head_len} bytes)")
         header = json.loads(head_bytes.decode("utf-8"))
         blob = f.read()
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint format version {version!r}, expected {CHECKPOINT_VERSION}")
+    for key in ("layout", "manifest", "normalizer"):
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
     counts = [int(np.prod(entry["shape"])) for entry in header["manifest"]]
     needed = max((e["offset"] + 8 * n for e, n in zip(header["manifest"], counts)), default=0)
     if len(blob) < needed:
@@ -595,8 +598,6 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarra
         elif entry["name"] not in RETIRED_TENSORS:
             tensors[entry["name"]] = Tensor(arr, requires_grad=True)
     schema = init_params(layout, np.random.default_rng(0)).tensors
-    if "merge.q" in tensors and layout.fan_out == 1:  # a surgery at fan-out 1 adds the block too
-        _init_merge(schema, np.random.default_rng(0), layout.hidden)
     for name in sorted(schema.keys() | tensors.keys()):
         if name not in tensors:
             raise ValueError(f"{path}: tensor {name} is missing")

@@ -7,7 +7,7 @@ the one episode loop: episodes start from one frozen initial topology and
 run in lockstep, and each step an operator stage rewires every alive graph
 (``policy_operator``, or the scripted oracle of ``runner.cmd_oracle``), one
 array pass translates them and each episode steps. The policy stage builds
-node inputs and masks in one pass each and runs one batched forward; its
+the node inputs in one pass and runs one batched forward on them; its
 moves and interference stay per episode, so each episode's generator is
 consumed in its own order. A small per-step probability replaces the
 learned operator action with a random fake one (interference); those steps
@@ -35,7 +35,6 @@ from .env import EnvConfig, reset, stack_states, step, trajectory_record
 from .graph import (
     CooperationGraph,
     OperatorAction,
-    action_masks,
     apply_operator_action,
     from_json_dict,
     interfere,
@@ -85,19 +84,15 @@ class TrainConfig:
 
 
 @dataclass
-class RolloutBatch:
-    """Flat per-step arrays for one batch of episodes (episode order).
+class RolloutBatch(NodeBatch):
+    """Flat per-step arrays for one batch of episodes (episode order): the
+    policy inputs of every step (the ``NodeBatch`` fields, T rows) and what
+    followed from them.
 
     ``policy_operator`` records each step's columns by field name;
     ``collect`` takes rewards and dones from the step outcomes.
     """
 
-    obs: np.ndarray                # (T, n_env, d_obs)
-    target_reps: np.ndarray        # (T, n_targets, d_raw)
-    agent_to_cluster: np.ndarray   # (T, n_lower)
-    cluster_to_target: np.ndarray  # (T, n_clusters)
-    cluster_masks: np.ndarray      # (T, n_clusters) bool
-    target_masks: np.ndarray       # (T, n_targets) bool
     actions: np.ndarray            # (T, 4)
     log_probs: np.ndarray          # (T, 4) zero rows on interfered steps
     values: np.ndarray             # (T,)
@@ -115,14 +110,6 @@ class RolloutBatch:
     @property
     def interference_count(self) -> int:
         return int(self.interfered.sum())
-
-    def node_slice(self, idx: np.ndarray) -> NodeBatch:
-        return NodeBatch(
-            obs=self.obs[idx],
-            target_reps=self.target_reps[idx],
-            agent_to_cluster=self.agent_to_cluster[idx],
-            cluster_to_target=self.cluster_to_target[idx],
-        )
 
 
 def rollout(
@@ -173,12 +160,8 @@ def policy_operator(
     interfered row holds the fake action and zero log probabilities.
     """
     def operate(alive, graphs, states, stack):
-        before = stack_graphs([graphs[e] for e in alive])
-        batch = node_batch(before, stack, env_config)
-        masks = action_masks(before)
-        actions, log_probs, values = act_batch(
-            batch, masks.cluster_mask, masks.target_mask, params, [rngs[e] for e in alive], mode=mode,
-        )
+        batch = node_batch(stack_graphs([graphs[e] for e in alive]), stack, env_config)
+        actions, log_probs, values = act_batch(batch, params, [rngs[e] for e in alive], mode=mode)
         interfered = np.zeros(len(alive), dtype=bool)
         for row, e in enumerate(alive):
             # drawn even at p=0, so every mode consumes the same stream
@@ -189,10 +172,7 @@ def policy_operator(
                 interfered[row] = True
             else:
                 graphs[e], _ = apply_operator_action(graphs[e], OperatorAction(*actions[row]))
-        return dict(
-            vars(batch), cluster_masks=masks.cluster_mask, target_masks=masks.target_mask,
-            actions=actions, log_probs=log_probs, values=values, interfered=interfered,
-        )
+        return dict(vars(batch), actions=actions, log_probs=log_probs, values=values, interfered=interfered)
     return operate
 
 
@@ -311,13 +291,7 @@ def _minibatch_step(params, optimizer, batch, mb, advantages, returns, old_logp_
     Only floats leave this function, so the minibatch's tape and its
     gradients are freed on return, before the next minibatch builds its own.
     """
-    out = evaluate_actions(
-        batch.node_slice(mb),
-        batch.actions[mb],
-        batch.cluster_masks[mb],
-        batch.target_masks[mb],
-        params,
-    )
+    out = evaluate_actions(batch.rows(mb), batch.actions[mb], params)
     valid = (~batch.interfered[mb]).astype(np.float64)
     n_valid = max(valid.sum(), 1.0)
     adv = Tensor(advantages[mb])

@@ -59,11 +59,10 @@ def test_criterion_02_masking_soundness():
         params = init_params(layout_for(graph, cfg, hidden=8), np.random.default_rng(combo))
         state = reset(cfg, rng)
         from coopgraph.env import stack_states
-        from coopgraph.graph import action_masks, stack_graphs
+        from coopgraph.graph import stack_graphs
         from coopgraph.policy import node_batch
 
         nb1 = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-        masks = action_masks(graph)
         B = 1000
         nb = NodeBatch(
             obs=np.repeat(nb1.obs, B, axis=0) + rng.normal(scale=0.1, size=(B,) + nb1.obs.shape[1:]),
@@ -72,12 +71,9 @@ def test_criterion_02_masking_soundness():
             cluster_to_target=np.repeat(nb1.cluster_to_target, B, axis=0),
         )
         rngs = [np.random.default_rng(1000 * combo + b) for b in range(B)]
-        actions, _, _ = act_batch(
-            nb, np.repeat(masks.cluster_mask[None], B, axis=0),
-            np.repeat(masks.target_mask[None], B, axis=0), params, rngs,
-        )
-        assert masks.cluster_mask[actions[:, 0]].all(), "op1 picked an empty cluster"
-        assert masks.target_mask[actions[:, 2]].all(), "op3 picked an unconnected target"
+        actions, _, _ = act_batch(nb, params, rngs)
+        assert np.isin(actions[:, 0], graph.agent_to_cluster).all(), "op1 picked an empty cluster"
+        assert np.isin(actions[:, 2], graph.cluster_to_target).all(), "op3 picked an unconnected target"
         total += B
     report(2, f"{total} sampled decisions: op1 always a nonempty cluster, "
               f"op3 always a connected target")

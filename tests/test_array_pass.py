@@ -25,7 +25,6 @@ from coopgraph.commands import (
 from coopgraph.env import EnvConfig, PrimitiveSet, reset, stack_states
 from coopgraph.graph import (
     TargetNode,
-    action_masks,
     build_targets,
     random_topology,
     resolve_agent_actions,
@@ -293,7 +292,7 @@ def test_batched_passes_match_each_episode_alone():
         graph, state = stack_graphs(graphs), stack_states(states)
         actions = resolve_agent_actions(graph, state, cfg)
         batch = node_batch(graph, state, cfg)
-        masks = action_masks(graph)
+        masks = batch.head_masks()
         assert same_bits(batch.target_reps, target_raw_reps(graph, state, cfg))
         assert same_bits(batch.obs, agent_rows(graph, state, cfg))
         for e, (g, s) in enumerate(zip(graphs, states)):
@@ -304,9 +303,8 @@ def test_batched_passes_match_each_episode_alone():
                 assert same_bits(getattr(batch, name)[e], getattr(alone, name)[0]), name
             assert same_bits(batch.obs[e], agent_rows(g1, s1, cfg)[0])
             assert same_bits(batch.target_reps[e], target_raw_reps(g1, s1, cfg)[0])
-            one = action_masks(g1)
-            assert masks.cluster_mask[e].tolist() == one.cluster_mask[0].tolist()
-            assert masks.target_mask[e].tolist() == one.target_mask[0].tolist()
+            for mask, one in zip(masks, alone.head_masks()):
+                assert mask[e].tolist() == one[0].tolist()
             for k in range(g.n_clusters):
                 target = g.targets[g.cluster_to_target[k]]
                 env_ids = reference_env_agents(g, k)

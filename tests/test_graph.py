@@ -1,4 +1,5 @@
-"""Cooperation graph: rewiring rules, masks, entropy, extension, export."""
+"""Cooperation graph: rewiring rules, the head masks its edge maps give,
+entropy, extension, export."""
 
 import math
 
@@ -10,12 +11,10 @@ from hypothesis import strategies as st
 from coopgraph.commands import CommandKind, CoopCommand
 from coopgraph.env import EnvConfig, PrimitiveSet, reset, stack_states
 from coopgraph.graph import (
-    ActionMasks,
     CooperationGraph,
     GraphInvariantError,
     OperatorAction,
     TargetNode,
-    action_masks,
     apply_operator_action,
     build_targets,
     extend,
@@ -30,12 +29,22 @@ from coopgraph.graph import (
     topology_entropy,
     validate,
 )
+from coopgraph.policy import node_batch
 
 from test_env import hover_state
 
 
 def six_targets(n=2):
     return tuple(TargetNode(id=i, action_id=i) for i in range(n))
+
+
+def head_masks(g):
+    """The op1/op3 source masks the policy derives from the node inputs of
+    graph g alone: (cluster mask, target mask), one row each."""
+    cfg = EnvConfig(n_agents=g.n_env_agents, k_threshold=1, m_invaders=1, n_bases=1)
+    state = reset(cfg, np.random.default_rng(0))
+    cluster_mask, target_mask = node_batch(stack_graphs([g]), stack_states([state]), cfg).head_masks()
+    return cluster_mask[0], target_mask[0]
 
 
 def small_graph():
@@ -111,9 +120,9 @@ def test_masks_single_occupied_cluster():
         agent_to_cluster=np.zeros(4, dtype=np.int64),
         cluster_to_target=np.array([0, 0, 0], dtype=np.int64),
     )
-    m = action_masks(g)
-    assert m.cluster_mask.tolist() == [True, False, False]
-    assert m.target_mask.tolist() == [True, False]
+    cluster_mask, target_mask = head_masks(g)
+    assert cluster_mask.tolist() == [True, False, False]
+    assert target_mask.tolist() == [True, False]
 
 
 def test_masks_spread_and_concentrated():
@@ -124,9 +133,9 @@ def test_masks_spread_and_concentrated():
         agent_to_cluster=np.arange(14, dtype=np.int64),
         cluster_to_target=np.full(14, 5, dtype=np.int64),
     )
-    m = action_masks(g)
-    assert m.cluster_mask.all()
-    assert m.target_mask.tolist() == [False] * 5 + [True]
+    cluster_mask, target_mask = head_masks(g)
+    assert cluster_mask.all()
+    assert target_mask.tolist() == [False] * 5 + [True]
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +410,15 @@ def test_closure_smoke():
 def test_mask_completeness_property(n_agents, n_k, n_t, seed, data):
     """An action passing the source masks with distinct nodes always applies."""
     g = random_topology(np.random.default_rng(seed), n_agents, n_k, six_targets(n_t))
-    masks = action_masks(g)
+    cluster_mask, target_mask = head_masks(g)
     src_c = data.draw(st.integers(0, n_k - 1))
     dst_c = data.draw(st.integers(0, n_k - 1))
     src_t = data.draw(st.integers(0, n_t - 1))
     dst_t = data.draw(st.integers(0, n_t - 1))
     _, flags = apply_operator_action(g, OperatorAction(src_c, dst_c, src_t, dst_t))
-    if masks.cluster_mask[src_c] and src_c != dst_c:
+    if cluster_mask[src_c] and src_c != dst_c:
         assert flags[0]
-    if masks.target_mask[src_t] and src_t != dst_t:
+    if target_mask[src_t] and src_t != dst_t:
         assert flags[1]
 
 
@@ -468,7 +477,13 @@ def test_validate_catches_violations():
         TargetNode(id=0)  # neither primitive nor cooperative
 
 
-def test_masks_dataclass_shapes():
-    m = action_masks(small_graph())
-    assert isinstance(m, ActionMasks)
-    assert m.cluster_mask.shape == (2,) and m.target_mask.shape == (2,)
+def test_head_mask_shapes():
+    """One bool row per episode of a stack, over the clusters and the targets."""
+    cfg = EnvConfig(n_agents=3, k_threshold=1, m_invaders=1, n_bases=1)
+    g = small_graph()
+    emptied, _ = apply_operator_action(g, OperatorAction(1, 0, 1, 0))  # c1 and t1 lose their edge
+    states = [reset(cfg, np.random.default_rng(e)) for e in range(3)]
+    cluster_mask, target_mask = node_batch(stack_graphs([g, emptied, g]), stack_states(states), cfg).head_masks()
+    assert cluster_mask.dtype == bool and target_mask.dtype == bool
+    assert cluster_mask.tolist() == [[True, True], [True, False], [True, True]]
+    assert target_mask.tolist() == [[True, True], [True, False], [True, True]]

@@ -5,7 +5,8 @@ method defined in src/ is referenced from src/ itself (the package
 alone; ``ALLOWED_UNREFERENCED`` names the one exception. src/ uses no numpy
 name that the declared floor, numpy 1.24, lacks, and only
 ``training.rollout`` calls ``env.step`` and ``env.reset``, so there is one
-episode loop."""
+episode loop. No src class spells out again the fields of another src
+class it does not inherit from, so a record schema is declared once."""
 
 import ast
 import re
@@ -203,6 +204,28 @@ def unreferenced_definitions(
     ]
 
 
+def respelled_classes(paths: list[Path]) -> list[str]:
+    """``"A respells B"`` for each class A that annotates every field of
+    another class B of two or more fields without having B among its bases.
+    A field is a name annotated in the class body; the match is by name."""
+    classes: dict[str, tuple[set[str], set[str]]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                fields = {
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                }
+                bases = {base.id if isinstance(base, ast.Name) else getattr(base, "attr", "") for base in node.bases}
+                classes[node.name] = (fields, bases)
+    return [
+        f"{name} respells {other}"
+        for name, (fields, bases) in sorted(classes.items())
+        for other, (theirs, _) in sorted(classes.items())
+        if other != name and len(theirs) >= 2 and theirs <= fields and other not in bases
+    ]
+
+
 def test_unused_imports_detected(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -250,6 +273,20 @@ def test_episode_loop_calls_detected(tmp_path):
     assert episode_loop_calls(module) == [("a", "step", 5), ("b", "reset", 9), ("b", "step", 10), ("<module>", "reset", 15)]
 
 
+def test_respelled_classes_detected(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import mod\n"
+        "class Node:\n    obs: int\n    reps: int\n    def f(self): pass\n"
+        "class Copy:\n    obs: int\n    reps: int\n    more: int\n"
+        "class Child(Node):\n    more: int\n"
+        "class Redeclared(mod.Node):\n    obs: int\n    reps: int\n    extra: int\n"
+        "class Part:\n    obs: int\n    x = 1\n    reps = 2\n"
+    )
+    # Part has one field, so nothing respells it; its plain assignments are no fields
+    assert respelled_classes([module]) == ["Copy respells Node"]
+
+
 def test_unreferenced_definitions_detected(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "bench").mkdir()
@@ -278,6 +315,10 @@ def test_unreferenced_definitions_detected(tmp_path):
 def test_no_unreferenced_definitions():
     src = sorted((ROOT / "src").rglob("*.py"))
     assert unreferenced_definitions(src, src, ALLOWED_UNREFERENCED) == []
+
+
+def test_no_class_respells_another():
+    assert respelled_classes(sorted((ROOT / "src").rglob("*.py"))) == []
 
 
 def test_no_unused_imports():

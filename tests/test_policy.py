@@ -1,7 +1,10 @@
 """Policy network: encoding, masked sequential heads, decoder, surgery."""
 
+import dataclasses
 import hashlib
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from coopgraph import policy as policy_module
 from coopgraph.autodiff import Tensor
 from coopgraph.env import EnvConfig, PrimitiveSet, obs_dim, reset, stack_states
 from coopgraph.graph import (
-    action_masks,
     build_targets,
     extend,
     random_topology,
@@ -186,10 +188,9 @@ def test_act_masking_forces_single_choice():
         cluster_to_target=np.full(3, 4, dtype=np.int64),
     )
     batch = node_batch(stack_graphs([g]), stack_states([state]), cfg)
-    masks = action_masks(g)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        actions, _, _ = act_batch(batch, masks.cluster_mask[None], masks.target_mask[None], params, [rng])
+        actions, _, _ = act_batch(batch, params, [rng])
         assert actions[0, 0] == 2
         assert actions[0, 2] == 4
 
@@ -197,10 +198,8 @@ def test_act_masking_forces_single_choice():
 def test_act_argmax_deterministic():
     cfg, graph, params, state = make_setup(seed=7)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    masks = action_masks(graph)
-    cm, tm = masks.cluster_mask[None], masks.target_mask[None]
-    a1, lp1, v1 = act_batch(batch, cm, tm, params, [None], mode="argmax")
-    a2, lp2, v2 = act_batch(batch, cm, tm, params, [None], mode="argmax")
+    a1, lp1, v1 = act_batch(batch, params, [None], mode="argmax")
+    a2, lp2, v2 = act_batch(batch, params, [None], mode="argmax")
     np.testing.assert_array_equal(a1, a2)
     np.testing.assert_array_equal(lp1, lp2)
     np.testing.assert_array_equal(v1, v2)
@@ -215,9 +214,8 @@ def test_masked_probability_exactly_zero():
         cluster_to_target=graph.cluster_to_target,
     )
     batch = node_batch(stack_graphs([g]), stack_states([state]), cfg)
-    masks = action_masks(g)
     actions = np.array([[0, 0, int(g.cluster_to_target[0]), 0]])  # a1=0 is masked
-    out = evaluate_actions(batch, actions, masks.cluster_mask[None], masks.target_mask[None], params)
+    out = evaluate_actions(batch, actions, params)
     assert np.exp(out["log_prob"].data[0, 0]) == 0.0
 
 
@@ -226,35 +224,45 @@ def test_mask_soundness_sampled():
     for trial in range(5):
         cfg, graph, params, state = make_setup(seed=20 + trial)
         batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-        masks = action_masks(graph)
         for _ in range(200):
-            actions, _, _ = act_batch(batch, masks.cluster_mask[None], masks.target_mask[None], params, [rng])
-            assert masks.cluster_mask[actions[0, 0]]
-            assert masks.target_mask[actions[0, 2]]
+            actions, _, _ = act_batch(batch, params, [rng])
+            assert (graph.agent_to_cluster == actions[0, 0]).any()
+            assert (graph.cluster_to_target == actions[0, 2]).any()
 
 
 def test_act_and_evaluate_logprobs_agree():
-    """The factorized log-probs seen at sampling time match the tape path."""
-    cfg, graph, params, state = make_setup(seed=10)
-    batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    masks = action_masks(graph)
-    cm, tm = masks.cluster_mask[None], masks.target_mask[None]
-    actions, log_probs, values = act_batch(batch, cm, tm, params, [np.random.default_rng(1)])
-    out = evaluate_actions(batch, actions, cm, tm, params)
-    np.testing.assert_allclose(out["log_prob"].data[0], log_probs[0], atol=1e-10)
-    assert float(out["value"].data[0]) == pytest.approx(values[0], abs=1e-12)
+    """The log-probs and values seen at sampling time are the tape path's,
+    bit for bit: one head chain serves both, in sample and argmax mode, over
+    a stack of episodes with different topologies, unextended and extended."""
+    for fan_out in (1, 2):
+        cfg, graph, params, state = make_setup(seed=10, fan_out=fan_out)
+        rng = np.random.default_rng(7)
+        graphs = [graph] + [
+            dataclasses.replace(
+                graph,
+                agent_to_cluster=rng.integers(0, graph.n_clusters, graph.n_agents),
+                cluster_to_target=rng.integers(0, graph.n_targets, graph.n_clusters),
+            )
+            for _ in range(4)
+        ]
+        states = [reset(cfg, np.random.default_rng(30 + e)) for e in range(len(graphs))]
+        batch = node_batch(stack_graphs(graphs), stack_states(states), cfg)
+        for mode in ("sample", "argmax"):
+            rngs = [np.random.default_rng(e) for e in range(len(graphs))]
+            actions, log_probs, values = act_batch(batch, params, rngs, mode=mode)
+            out = evaluate_actions(batch, actions, params)
+            np.testing.assert_array_equal(out["log_prob"].data, log_probs)
+            np.testing.assert_array_equal(out["value"].data, values)
 
 
 def test_sequential_conditioning_sensitivity():
     """Changing op1's choice shifts op2's distribution."""
     cfg, graph, params, state = make_setup(seed=11)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    masks = action_masks(graph)
     base = np.array([[0, 1, 0, 1]])
     alt = np.array([[1, 1, 0, 1]])
-    cm, tm = masks.cluster_mask[None], masks.target_mask[None]
-    lp_base = evaluate_actions(batch, base, cm, tm, params)["log_prob"].data[0, 1]
-    lp_alt = evaluate_actions(batch, alt, cm, tm, params)["log_prob"].data[0, 1]
+    lp_base = evaluate_actions(batch, base, params)["log_prob"].data[0, 1]
+    lp_alt = evaluate_actions(batch, alt, params)["log_prob"].data[0, 1]
     assert lp_base != lp_alt
 
 
@@ -322,7 +330,7 @@ def test_surgery_inherits_bit_exact():
     new = surgery_for_extension(params, 2, np.random.default_rng(0))
     for k, arr in before.items():
         assert np.array_equal(new.tensors[k].data, arr), k
-    assert new.has_merge and not params.has_merge
+    assert "merge.q" in new.tensors and "merge.q" not in params.tensors
     assert new.layout.fan_out == 2
     # output head shapes unchanged
     for i in (1, 2, 3, 4):
@@ -332,19 +340,23 @@ def test_surgery_inherits_bit_exact():
 
 
 def test_surgery_identity_at_fan_out_one():
-    """Merge attention over a single member reproduces its embedding exactly."""
+    """At fan-out 1 there is nothing to merge: surgery returns a copy with
+    the same layout and tensors and no merge block, so the embeddings stay."""
     cfg, graph, params, state = make_setup(seed=16)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     before = encode(batch, params).data
-    merged = surgery_for_extension(params, 1, np.random.default_rng(4))
-    after = encode(batch, merged).data
-    np.testing.assert_array_equal(after, before)
+    same = surgery_for_extension(params, 1, np.random.default_rng(4))
+    assert same.layout == params.layout
+    assert same.tensors.keys() == params.tensors.keys()
+    for name, t in params.tensors.items():
+        assert same.tensors[name] is not t and np.array_equal(same.tensors[name].data, t.data), name
+    np.testing.assert_array_equal(encode(batch, same).data, before)
 
 
 def test_extended_forward_needs_merge_block():
     cfg, graph, params, state = make_setup(seed=17, fan_out=2)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    assert params.has_merge  # init_params added it for an extended layout
+    assert "merge.q" in params.tensors  # init_params added it for an extended layout
     e_h = encode(batch, params)
     assert e_h.shape == (1, 3, 16)
     stripped = params.copy()
@@ -356,8 +368,6 @@ def test_extended_forward_needs_merge_block():
 def test_noncontiguous_extension_groups_are_gathered():
     """Imported graphs may bind group nodes to arbitrary agent ids; the
     network input rows must follow extension order, not env order."""
-    import dataclasses
-
     from coopgraph.policy import agent_rows
 
     cfg, graph, params, state = make_setup(seed=40, fan_out=2)
@@ -456,8 +466,10 @@ def test_checkpoint_drops_retired_tensors(tmp_path):
             lambda tensors: tensors.update({"trunk.W": Tensor(tensors["trunk.W"].data.T.copy())}),
             "tensor trunk.W has shape (16, 32), its layout needs (32, 16)",
         ),
+        # what a fan-out-1 surgery used to add: an unextended layout has no merge block
+        (lambda tensors: policy_module._init_merge(tensors, np.random.default_rng(0), 16), "unexpected tensor merge.Wk"),
     ],
-    ids=["missing", "unexpected", "misshaped"],
+    ids=["missing", "unexpected", "misshaped", "merge_at_fan_out_one"],
 )
 def test_checkpoint_rejects_tensors_its_layout_does_not_have(tmp_path, edit, error):
     """Checked against ``init_params`` of the header's layout, before any
@@ -476,6 +488,27 @@ def test_checkpoint_rejects_other_format_version(tmp_path):
     path = tmp_path / "future.ckpt"
     save_checkpoint(path, params, extra_header={"format_version": 2})
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 2"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("missing", ["layout", "manifest", "normalizer", None])
+def test_checkpoint_rejects_malformed_header(tmp_path, missing):
+    """A header without one of the keys the loader reads, or one that is not
+    a JSON object (``None``), is refused with the path and the key."""
+    cfg, graph, params, state = make_setup(seed=26)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, params)
+    raw = path.read_bytes()
+    (head_len,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12:12 + head_len])
+    if missing is None:
+        header, error = [header], "checkpoint header is not a JSON object"
+    else:
+        del header[missing]
+        error = f"checkpoint header lacks {missing!r}"
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + struct.pack("<Q", len(head)) + head + raw[12 + head_len:])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
         load_checkpoint(path)
 
 
@@ -515,9 +548,9 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _loss_from_params(params, batch, actions, cmask, tmask, adv, old_logp, v_old, returns):
+def _loss_from_params(params, batch, actions, adv, old_logp, v_old, returns):
     clip_eps = 0.2
-    out = evaluate_actions(batch, actions, cmask, tmask, params)
+    out = evaluate_actions(batch, actions, params)
     logp_new = ad.sum_(out["log_prob"], axis=1)
     ratio = ad.exp(ad.sub(logp_new, Tensor(old_logp)))
     clipped = ad.clip(ratio, 1 - clip_eps, 1 + clip_eps)
@@ -554,15 +587,11 @@ def run_policy_loss_gradcheck(instances: int, coords_per_tensor: int = 2, seed: 
             agent_to_cluster=rng.integers(0, lay.n_clusters, size=(B, lay.n_lower)),
             cluster_to_target=rng.integers(0, lay.n_targets, size=(B, lay.n_clusters)),
         )
-        cmask = np.zeros((B, lay.n_clusters))
-        for b in range(B):
-            cmask[b, batch.agent_to_cluster[b]] = 1.0
-        tmask = np.zeros((B, lay.n_targets))
-        for b in range(B):
-            tmask[b, batch.cluster_to_target[b]] = 1.0
+        # op1/op3 pick an occupied source: the lowest cluster with a member
+        # and the lowest target with a cluster
         actions = np.stack([
-            np.array([np.flatnonzero(cmask[b])[0], rng.integers(lay.n_clusters),
-                      np.flatnonzero(tmask[b])[0], rng.integers(lay.n_targets)])
+            np.array([batch.agent_to_cluster[b].min(), rng.integers(lay.n_clusters),
+                      batch.cluster_to_target[b].min(), rng.integers(lay.n_targets)])
             for b in range(B)
         ])
         adv = rng.normal(size=B)
@@ -570,15 +599,12 @@ def run_policy_loss_gradcheck(instances: int, coords_per_tensor: int = 2, seed: 
         returns = rng.normal(scale=0.5, size=B)
 
         def loss_value():
-            return _loss_from_params(
-                params, batch, actions, cmask, tmask, adv, old_logp, v_old, returns
-            )
+            return _loss_from_params(params, batch, actions, adv, old_logp, v_old, returns)
 
         # keep every ratio strictly inside the trust region: smooth loss
-        probe = evaluate_actions(batch, actions, cmask, tmask, params)
+        probe = evaluate_actions(batch, actions, params)
         old_logp = probe["log_prob"].data.sum(axis=1) + rng.uniform(-0.05, 0.05, size=B)
 
-        params.zero_grad()
         loss = loss_value()
         ad.backward(loss)
 
@@ -633,7 +659,6 @@ def test_layer_gradcheck_encode_path():
         return float(v.data[0])
 
     arrays = [params.tensors[n].data.copy() for n in names]
-    params.zero_grad()
     ad.backward(value(latent(encode(batch, params), params), params))
     numeric = numeric_gradient(f, [a.copy() for a in arrays], h=1e-6)
     for n, num in zip(names, numeric):

@@ -180,7 +180,7 @@ def test_eval_and_export_reject_other_physics(nano_run, tmp_path):
 
 
 def test_transfer_identity_fan_out(nano_run, tmp_path):
-    """g=1 transfer: merge attention is exactly identity-preserving, so the
+    """g=1 transfer: surgery at fan-out 1 copies the policy unchanged, so the
     zero-shot success equals the source evaluation."""
     rc, out, _ = nano_run
     ckpt = out / "seed_0" / "checkpoint_last.ckpt"

@@ -157,10 +157,7 @@ def test_ratio_is_one_at_epoch_zero():
     env_config, graph, params = desk_nano()
     cfg = TrainConfig(batch_episodes=4, p_interference=0.0)
     batch = collect(graph, params, env_config, cfg, master_seed=5, episode_offset=0)
-    out = evaluate_actions(
-        NodeBatch(batch.obs, batch.target_reps, batch.agent_to_cluster, batch.cluster_to_target),
-        batch.actions, batch.cluster_masks, batch.target_masks, params,
-    )
+    out = evaluate_actions(batch, batch.actions, params)
     diff = np.abs(out["log_prob"].data.sum(axis=1) - batch.log_probs.sum(axis=1))
     assert diff.max() < 1e-10
 
@@ -220,10 +217,7 @@ def test_ppo_gradients_match_recorded_digest(task, fan_out, hidden, digest):
             k_threshold=env_config.k_threshold * fan_out, slow_count=0,
         )
     batch = collect(graph, params, env_config, TrainConfig(batch_episodes=4), master_seed=0, episode_offset=0)
-    out = evaluate_actions(
-        NodeBatch(batch.obs, batch.target_reps, batch.agent_to_cluster, batch.cluster_to_target),
-        batch.actions, batch.cluster_masks, batch.target_masks, params,
-    )
+    out = evaluate_actions(batch, batch.actions, params)
     ad.backward(ad.add(
         ad.add(ad.sum_(out["log_prob"]), ad.sum_(out["entropy"])),
         ad.add(ad.sum_(out["value"]), out["l_ae"]),
@@ -291,9 +285,7 @@ def test_ppo_update_peak_memory_is_about_one_tape():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = evaluate_actions(
-            batch.node_slice(mb), batch.actions[mb], batch.cluster_masks[mb], batch.target_masks[mb], params,
-        )
+        out = evaluate_actions(batch.rows(mb), batch.actions[mb], params)
         tape = tracemalloc.get_traced_memory()[0] - base
         out.clear()  # the outputs held the whole tape
         tracemalloc.reset_peak()
@@ -316,11 +308,8 @@ def bandit_layout(hidden=16):
     )
 
 
-# both clusters nonempty and both targets connected: no head is masked
-BANDIT_MASK = np.ones((1, 2), dtype=bool)
-
-
 def _bandit_node_batch(contexts: np.ndarray) -> NodeBatch:
+    """Both clusters nonempty and both targets connected: no head is masked."""
     B = len(contexts)
     obs = np.repeat(contexts[:, None, None].astype(np.float64), 2, axis=1)
     obs = np.repeat(obs, 4, axis=2)  # (B, 2 agents, 4 dims) all equal to context
@@ -339,7 +328,7 @@ def bandit_greedy_accuracy(params) -> float:
     hits = 0
     for c in (0, 1):
         nb = _bandit_node_batch(np.array([c]))
-        actions, _, _ = act_batch(nb, BANDIT_MASK, BANDIT_MASK, params, [None], mode="argmax")
+        actions, _, _ = act_batch(nb, params, [None], mode="argmax")
         hits += int(actions[0, 0] == c)
     return hits / 2.0
 
@@ -360,19 +349,13 @@ def run_bandit(seed: int, updates: int = 200, episodes: int = 128, target: float
         values = np.zeros(episodes)
         rewards = np.zeros(episodes)
         for e in range(episodes):
-            single = NodeBatch(nb.obs[e:e + 1], nb.target_reps[e:e + 1],
-                               nb.agent_to_cluster[e:e + 1], nb.cluster_to_target[e:e + 1])
-            a, lp, v = act_batch(single, BANDIT_MASK, BANDIT_MASK, params, [rng])
+            a, lp, v = act_batch(nb.rows(slice(e, e + 1)), params, [rng])
             actions[e] = a[0]
             log_probs[e] = lp[0]
             values[e] = v[0]
             rewards[e] = 1.0 if a[0, 0] == contexts[e] else 0.0
         batch = RolloutBatch(
-            obs=nb.obs, target_reps=nb.target_reps,
-            agent_to_cluster=nb.agent_to_cluster, cluster_to_target=nb.cluster_to_target,
-            cluster_masks=np.ones((episodes, 2), dtype=bool),
-            target_masks=np.ones((episodes, 2), dtype=bool),
-            actions=actions, log_probs=log_probs, values=values, rewards=rewards,
+            **vars(nb), actions=actions, log_probs=log_probs, values=values, rewards=rewards,
             dones=np.ones(episodes, dtype=bool),
             interfered=np.zeros(episodes, dtype=bool),
             episode_lengths=[1] * episodes,
