@@ -1,6 +1,7 @@
 """The tensor engine: taped ops, attention, gradients, Adam.
 
-Everything the policy network needs runs on float64 numpy arrays with a
+Everything the policy network needs runs on float32 or float64 numpy arrays
+(a tape keeps its data's dtype; these examples are float64) with a
 micrograd-style tape; backward() walks it in reverse topological order.
 """
 

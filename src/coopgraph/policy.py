@@ -21,6 +21,11 @@ policy's whole input: the op1/op3 head masks follow from its edge maps.
 Sampling (``act_batch``) and the PPO re-evaluation (``evaluate_actions``)
 run one head chain, off and on the tape.
 
+The parameters are float32 (``PARAM_DTYPE``), and every numpy input of the
+forward goes to the tape in the parameters' dtype (``PolicyParams.constant``),
+so the forward, backward and Adam all run in float32; the same parameters
+widened to float64 run a float64 tape. Observation statistics stay float64.
+
 After a curriculum extension, each bottom-layer node stands for a fixed
 group of agents; a small merge-attention block (added by surgery, everything
 else inherited bit-exact) compresses the group's observation embeddings
@@ -44,6 +49,8 @@ from .commands import COMMAND_REPR_WIDTH, command_rows
 from .env import EnvConfig, EnvState, obs_dim, observe_all
 from .graph import CooperationGraph
 
+# the one dtype of the parameters, and so of the forward, backward and Adam
+PARAM_DTYPE = np.float32
 CHECKPOINT_MAGIC = b"CGCK"
 CHECKPOINT_VERSION = 1
 # the cluster->target query/key projections, retired when that edge became a
@@ -129,6 +136,11 @@ class PolicyParams:
     tensors: dict[str, Tensor]
     normalizer: ObsNormalizer
 
+    def constant(self, value) -> Tensor:
+        """value as a constant Tensor in the parameters' dtype: every numpy
+        input of the forward goes through here, so the tape keeps that dtype."""
+        return Tensor(np.asarray(value, dtype=self.tensors["proj.agent.W"].data.dtype))
+
     def copy(self) -> "PolicyParams":
         return PolicyParams(
             layout=self.layout,
@@ -137,37 +149,42 @@ class PolicyParams:
         )
 
 
+def _param(data: np.ndarray) -> Tensor:
+    return Tensor(np.asarray(data, dtype=PARAM_DTYPE), requires_grad=True)
+
+
 def _init_linear(tensors, rng, name, fan_in, fan_out, w_scale=None):
     scale = (1.0 / np.sqrt(fan_in)) if w_scale is None else w_scale
-    tensors[f"{name}.W"] = Tensor(rng.normal(0.0, scale, size=(fan_in, fan_out)), requires_grad=True)
-    tensors[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+    tensors[f"{name}.W"] = _param(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+    tensors[f"{name}.b"] = _param(np.zeros(fan_out))
 
 
 def _init_attention(tensors, rng, name, h):
     for part in ("Wq", "Wk", "Wv"):
-        tensors[f"{name}.{part}"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)), requires_grad=True)
+        tensors[f"{name}.{part}"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)))
     for part in ("bq", "bk", "bv"):
-        tensors[f"{name}.{part}"] = Tensor(np.zeros(h), requires_grad=True)
+        tensors[f"{name}.{part}"] = _param(np.zeros(h))
 
 
 def _init_merge(tensors, rng, h):
-    tensors["merge.q"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(1, h)), requires_grad=True)
-    tensors["merge.Wk"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)), requires_grad=True)
-    tensors["merge.bk"] = Tensor(np.zeros(h), requires_grad=True)
+    tensors["merge.q"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(1, h)))
+    tensors["merge.Wk"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)))
+    tensors["merge.bk"] = _param(np.zeros(h))
 
 
 def _init_decoder(tensors, rng, name, n_queries, h, d_out):
-    tensors[f"{name}.Q"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(n_queries, h)), requires_grad=True)
+    tensors[f"{name}.Q"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(n_queries, h)))
     for part in ("Wk", "Wv"):
-        tensors[f"{name}.{part}"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)), requires_grad=True)
+        tensors[f"{name}.{part}"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)))
     for part in ("bk", "bv"):
-        tensors[f"{name}.{part}"] = Tensor(np.zeros(h), requires_grad=True)
+        tensors[f"{name}.{part}"] = _param(np.zeros(h))
     _init_linear(tensors, rng, f"{name}.out", h, d_out)
 
 
 def init_params(layout: PolicyLayout, rng: np.random.Generator) -> PolicyParams:
     """Fresh parameters; head output layers start small so the initial
-    operator policy is near uniform."""
+    operator policy is near uniform. Each tensor is drawn in float64 and
+    stored rounded to ``PARAM_DTYPE``."""
     h = layout.hidden
     n_k, n_t = layout.n_clusters, layout.n_targets
     tensors: dict[str, Tensor] = {}
@@ -179,8 +196,8 @@ def init_params(layout: PolicyLayout, rng: np.random.Generator) -> PolicyParams:
     # drop the two retired query/key matrices so every seed's other tensors
     # stay what they were
     rng.normal(0.0, 1.0 / np.sqrt(h), size=(2, h, h))
-    tensors["ct.Wv"] = Tensor(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)), requires_grad=True)
-    tensors["ct.bv"] = Tensor(np.zeros(h), requires_grad=True)
+    tensors["ct.Wv"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)))
+    tensors["ct.bv"] = _param(np.zeros(h))
     _init_linear(tensors, rng, "trunk", 2 * h, h)
     _init_linear(tensors, rng, "latent", n_k * h, h)
     _init_linear(tensors, rng, "value.fc1", h, h)
@@ -313,18 +330,18 @@ def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
     """Per-cluster embeddings e_h, shape (B, n_clusters, hidden).
 
     Raises NonFiniteError naming the first layer that produces a non-finite
-    intermediate (via the op-level checks in the autodiff engine).
+    intermediate (via the op-level checks in the autodiff engine). The
+    observations are normalized in float64, then cast to the parameters'
+    dtype.
     """
     lay = params.layout
     p = params.tensors
     B = batch.obs.shape[0]
-    # 0/1 mask (B, n_k, n_lower): cluster k attends over its member agents
-    member_mask = (
-        batch.agent_to_cluster[:, None, :] == np.arange(lay.n_clusters)[None, :, None]
-    ).astype(np.float64)
+    # mask (B, n_k, n_lower): cluster k attends over its member agents
+    member_mask = batch.agent_to_cluster[:, None, :] == np.arange(lay.n_clusters)[None, :, None]
 
     obs_n = params.normalizer.normalize(batch.obs)
-    agents = _linear(Tensor(obs_n), params, "proj.agent")  # (B, n_env, h)
+    agents = _linear(params.constant(obs_n), params, "proj.agent")  # (B, n_env, h)
     if lay.fan_out > 1:
         if "merge.q" not in p:
             raise ValueError("extended inputs need a merge block; run surgery first")
@@ -334,7 +351,7 @@ def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
         agents = ad.reshape(merged, (B, lay.n_lower, lay.hidden))
 
     clusters = ad.add(p["proj.cluster.W"], p["proj.cluster.b"])  # (n_k, h)
-    targets = _linear(Tensor(batch.target_reps), params, "proj.target")  # (B, n_t, h)
+    targets = _linear(params.constant(batch.target_reps), params, "proj.target")  # (B, n_t, h)
 
     h_ac = _attend(params, "ac", clusters, agents, member_mask)  # (B, n_k, h)
     # a cluster has exactly one target edge, so attention over it is
@@ -368,8 +385,8 @@ def _head_logits(z_cond: Tensor, params: PolicyParams, i: int) -> Tensor:
 
 
 def _one_hot(idx: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((len(idx), n), dtype=np.float64)
-    out[np.arange(len(idx)), idx] = 1.0
+    out = np.zeros((len(idx), n), dtype=bool)
+    out[np.arange(len(idx)), idx] = True
     return out
 
 
@@ -394,12 +411,12 @@ def _head_chain(
     for i, (mask, size) in enumerate(heads):
         logits = _head_logits(cond, params, i + 1)
         if mask is not None:
-            logits = ad.add(logits, Tensor((1.0 - mask.astype(np.float64)) * ad.MASK_FILL))
+            logits = ad.add(logits, params.constant((1.0 - mask) * ad.MASK_FILL))
         logp_all = ad.log_softmax(logits, axis=-1)
         p_all = ad.softmax(logits, axis=-1)
         chosen = choose(i, p_all.data)
         dists.append((logp_all, p_all, chosen))
-        cond = ad.concat([cond, Tensor(_one_hot(chosen, size))], axis=-1)
+        cond = ad.concat([cond, params.constant(_one_hot(chosen, size))], axis=-1)
     return dists
 
 
@@ -415,7 +432,8 @@ def act_batch(
     In sample mode row i draws its samples from rngs[i] (one uniform per
     head, in head order), so per-episode streams stay reproducible no
     matter how episodes are batched together; argmax mode draws nothing.
-    Returns (actions (B, 4), log_probs (B, 4), values (B,)).
+    Returns (actions (B, 4), log_probs (B, 4), values (B,)), the last two
+    in the parameters' dtype.
     """
     B = batch.obs.shape[0]
 
@@ -463,10 +481,10 @@ def reconstruct(
     agent_hat = decode("ae_a")
     cluster_hat = decode("ae_c")
     target_hat = decode("ae_t")
-    mse_a = ad.mean(ad.square(ad.sub(agent_hat, Tensor(agent_target))))
-    mse_c = ad.mean(ad.square(ad.sub(cluster_hat, Tensor(cluster_target))))
-    mse_t = ad.mean(ad.square(ad.sub(target_hat, Tensor(batch.target_reps))))
-    l_ae = ad.mul(ad.add(ad.add(mse_a, mse_c), mse_t), Tensor(1.0 / 3.0))
+    mse_a = ad.mean(ad.square(ad.sub(agent_hat, params.constant(agent_target))))
+    mse_c = ad.mean(ad.square(ad.sub(cluster_hat, params.constant(cluster_target))))
+    mse_t = ad.mean(ad.square(ad.sub(target_hat, params.constant(batch.target_reps))))
+    l_ae = ad.mul(ad.add(ad.add(mse_a, mse_c), mse_t), params.constant(1.0 / 3.0))
     return agent_hat, cluster_hat, target_hat, l_ae
 
 
@@ -488,7 +506,7 @@ def evaluate_actions(
     dists = _head_chain(z, batch, params, lambda i, probs: actions[:, i])
     logps = [ad.reshape(ad.take_per_row(logp_all, chosen), (B, 1)) for logp_all, _, chosen in dists]
     ents = [
-        ad.mul(ad.sum_(ad.mul(p_all, logp_all), axis=-1, keepdims=True), Tensor(-1.0))
+        ad.mul(ad.sum_(ad.mul(p_all, logp_all), axis=-1, keepdims=True), params.constant(-1.0))
         for logp_all, p_all, _ in dists
     ]
     return {
@@ -514,7 +532,8 @@ def save_checkpoint(
 
     The header carries the layout, normalizer statistics and a manifest of
     (name, shape, byte offset) entries; the blob is the little-endian
-    float64 tensor data in manifest order.
+    float64 tensor data in manifest order. Float32 tensors are widened to
+    float64, which is exact, so the format is the same for either dtype.
     """
     manifest = []
     blobs = []
@@ -560,6 +579,9 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarra
     header without its layout, manifest or normalizer, and a tensor set
     that differs in a name or a shape from the one ``init_params`` gives for
     the header's layout; drops the retired tensors of older checkpoints.
+    The policy tensors come back in ``PARAM_DTYPE`` (a float32 tensor saved
+    by this version comes back bit-exact, a float64 one from before it
+    rounded); the extra tensors stay float64.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -596,7 +618,7 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarra
         if entry["name"].startswith("extra."):
             extra[entry["name"][len("extra."):]] = arr
         elif entry["name"] not in RETIRED_TENSORS:
-            tensors[entry["name"]] = Tensor(arr, requires_grad=True)
+            tensors[entry["name"]] = _param(arr)
     schema = init_params(layout, np.random.default_rng(0)).tensors
     for name in sorted(schema.keys() | tensors.keys()):
         if name not in tensors:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Tensor
+from .autodiff import Adam
 from .env import EnvConfig, reset, stack_states, step, trajectory_record
 from .graph import (
     CooperationGraph,
@@ -227,8 +227,10 @@ def compute_gae(
 
     Episodes always terminate, so the bootstrap value beyond a terminal step
     is 0. Returns (normalized advantages, value targets); the raw advantage
-    plus the stored value gives the return target.
+    plus the stored value gives the return target. Float32 values are
+    widened, so the recursion runs in float64.
     """
+    values = np.asarray(values, dtype=np.float64)
     T = len(rewards)
     adv = np.zeros(T, dtype=np.float64)
     last = 0.0
@@ -291,21 +293,22 @@ def _minibatch_step(params, optimizer, batch, mb, advantages, returns, old_logp_
     Only floats leave this function, so the minibatch's tape and its
     gradients are freed on return, before the next minibatch builds its own.
     """
+    const = params.constant
     out = evaluate_actions(batch.rows(mb), batch.actions[mb], params)
-    valid = (~batch.interfered[mb]).astype(np.float64)
-    n_valid = max(valid.sum(), 1.0)
-    adv = Tensor(advantages[mb])
+    valid = const(~batch.interfered[mb])
+    n_valid = max(float(valid.data.sum()), 1.0)
+    adv = const(advantages[mb])
 
     logp_new = ad.sum_(out["log_prob"], axis=1)
-    ratio = ad.exp(ad.sub(logp_new, Tensor(old_logp_sum[mb])))
+    ratio = ad.exp(ad.sub(logp_new, const(old_logp_sum[mb])))
     clipped = ad.clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps)
     surrogate = ad.minimum(ad.mul(ratio, adv), ad.mul(clipped, adv))
     policy_loss = ad.mul(
-        ad.sum_(ad.mul(surrogate, Tensor(valid))), Tensor(-1.0 / n_valid)
+        ad.sum_(ad.mul(surrogate, valid)), const(-1.0 / n_valid)
     )
 
-    v_old = Tensor(batch.values[mb])
-    ret = Tensor(returns[mb])
+    v_old = const(batch.values[mb])
+    ret = const(returns[mb])
     v_new = out["value"]
     v_clipped = ad.add(v_old, ad.clip(ad.sub(v_new, v_old), -config.clip_eps, config.clip_eps))
     value_loss = ad.mean(
@@ -313,13 +316,13 @@ def _minibatch_step(params, optimizer, batch, mb, advantages, returns, old_logp_
     )
 
     ent_per_step = ad.sum_(out["entropy"], axis=1)
-    entropy = ad.mul(ad.sum_(ad.mul(ent_per_step, Tensor(valid))), Tensor(1.0 / n_valid))
+    entropy = ad.mul(ad.sum_(ad.mul(ent_per_step, valid)), const(1.0 / n_valid))
 
     total = ad.add(
-        ad.add(policy_loss, ad.mul(value_loss, Tensor(config.value_coef))),
+        ad.add(policy_loss, ad.mul(value_loss, const(config.value_coef))),
         ad.add(
-            ad.mul(entropy, Tensor(-config.entropy_coef)),
-            ad.mul(out["l_ae"], Tensor(config.ae_coef)),
+            ad.mul(entropy, const(-config.entropy_coef)),
+            ad.mul(out["l_ae"], const(config.ae_coef)),
         ),
     )
     if not np.isfinite(total.data):
@@ -513,7 +516,7 @@ class Trainer:
                         f"{checkpoint}: optimizer moment {prefix + name} has shape {moment.shape}, "
                         f"tensor {name} has {param.data.shape}"
                     )
-                moments[name] = moment
+                moments[name] = moment.astype(param.data.dtype)
         # a run resumed in its own directory rewrites every record after the
         # checkpoint, so those go
         for log in ("metrics.jsonl", "eval.jsonl"):

@@ -8,7 +8,7 @@ import pytest
 from coopgraph import autodiff as ad
 from coopgraph.env import EnvConfig, PrimitiveSet, reset
 from coopgraph.graph import build_targets, random_topology
-from coopgraph.policy import init_params, layout_for
+from coopgraph.policy import PolicyParams, init_params, layout_for
 
 
 def numeric_gradient(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
@@ -56,6 +56,17 @@ def gradcheck(build, arrays: list[np.ndarray], tol: float = 1e-3) -> float:
         worst = max(worst, relative_error(analytic, n))
     assert worst < tol, f"gradient mismatch: relative error {worst:.2e} >= {tol}"
     return worst
+
+
+def float64_params(params: PolicyParams) -> PolicyParams:
+    """The same parameters widened to float64 (exact), so the policy runs a
+    float64 tape: the gradient oracles and the float64-tolerance property
+    tests run on these."""
+    return PolicyParams(
+        layout=params.layout,
+        tensors={k: ad.Tensor(t.data.astype(np.float64), requires_grad=True) for k, t in params.tensors.items()},
+        normalizer=params.normalizer,
+    )
 
 
 @pytest.fixture

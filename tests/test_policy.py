@@ -38,7 +38,7 @@ from coopgraph.policy import (
     value,
 )
 
-from conftest import numeric_gradient, relative_error
+from conftest import float64_params, numeric_gradient, relative_error
 
 
 def make_setup(seed=0, n_agents=6, n_clusters=3, m=2, n_bases=2, hidden=16, fan_out=1):
@@ -155,15 +155,17 @@ def test_encode_reads_only_selected_target_rows():
 
 
 # sha256 of init_params' tensors (sorted names and little-endian float64
-# bytes) recorded before the cluster->target query/key parameters were
-# retired: dropping them must leave every other tensor of a seed unchanged
+# bytes). Each equals the digest of the float64 tensors of before the switch
+# to float32 parameters, rounded to float32: the draws are unchanged, and
+# dropping the retired cluster->target query/key parameters left every other
+# tensor of a seed unchanged
 INIT_DIGESTS = [
     (PolicyLayout(6, 1, 14, 3, 9, 9, 16), 1,
-     "800283428662e46f8eb7ab5b809086993447a8d4f02da7c291f84398fc3b25aa"),
+     "0167c8f98dab6cbe0560d4809a3ad6e05519058348bca3cfa1a03e77fbc3d716"),
     (PolicyLayout(6, 2, 14, 3, 9, 9, 16), 41,
-     "f62507d9564dd11693dca72bcf247c04e69475defe67dcc9c67c087fad57a519"),
+     "264c2c3350aaf8f39085c112776418b826eb0ad175656b6f49975244ccbec72f"),
     (PolicyLayout(12, 1, 20, 6, 11, 11, 64), 3,
-     "500dab72ba92cf6d68c62474eeaa2a12a09cd1953c711732d050920eda48be90"),
+     "c514589518dfbbad759e7cfba3b6520afd3babcc6b7669bd57d65fecc21e5125"),
 ]
 
 
@@ -269,6 +271,7 @@ def test_sequential_conditioning_sensitivity():
 def test_value_permutation_invariance():
     """Permuting agents together with their graph labels leaves e_h alone."""
     cfg, graph, params, state = make_setup(seed=12)
+    params = float64_params(params)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     perm = np.random.default_rng(2).permutation(graph.n_agents)
     state2_pos = state.agent_pos[perm]
@@ -290,6 +293,7 @@ def test_value_permutation_invariance():
 
 def test_reconstruct_zero_decoder_closed_form():
     cfg, graph, params, state = make_setup(seed=13)
+    params = float64_params(params)
     for name, t in params.tensors.items():
         if name.startswith("ae_"):
             t.data[:] = 0.0
@@ -389,6 +393,7 @@ def test_noncontiguous_extension_groups_are_gathered():
 
 def test_extended_reconstruction_targets_group_means():
     cfg, graph, params, state = make_setup(seed=18, fan_out=2)
+    params = float64_params(params)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     for name, t in params.tensors.items():
         if name.startswith("ae_"):
@@ -550,60 +555,67 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 
 def _loss_from_params(params, batch, actions, adv, old_logp, v_old, returns):
     clip_eps = 0.2
+    const = params.constant
     out = evaluate_actions(batch, actions, params)
     logp_new = ad.sum_(out["log_prob"], axis=1)
-    ratio = ad.exp(ad.sub(logp_new, Tensor(old_logp)))
+    ratio = ad.exp(ad.sub(logp_new, const(old_logp)))
     clipped = ad.clip(ratio, 1 - clip_eps, 1 + clip_eps)
-    adv_t = Tensor(adv)
+    adv_t = const(adv)
     surrogate = ad.minimum(ad.mul(ratio, adv_t), ad.mul(clipped, adv_t))
-    policy_loss = ad.mul(ad.mean(surrogate), Tensor(-1.0))
+    policy_loss = ad.mul(ad.mean(surrogate), const(-1.0))
     v_new = out["value"]
-    v_clip = ad.add(Tensor(v_old), ad.clip(ad.sub(v_new, Tensor(v_old)), -clip_eps, clip_eps))
-    ret = Tensor(returns)
+    v_clip = ad.add(const(v_old), ad.clip(ad.sub(v_new, const(v_old)), -clip_eps, clip_eps))
+    ret = const(returns)
     value_loss = ad.mean(ad.maximum(ad.square(ad.sub(v_new, ret)), ad.square(ad.sub(v_clip, ret))))
     entropy = ad.mean(ad.sum_(out["entropy"], axis=1))
     return ad.add(
-        ad.add(policy_loss, ad.mul(value_loss, Tensor(0.5))),
-        ad.add(ad.mul(entropy, Tensor(-0.01)), ad.mul(out["l_ae"], Tensor(0.1))),
+        ad.add(policy_loss, ad.mul(value_loss, const(0.5))),
+        ad.add(ad.mul(entropy, const(-0.01)), ad.mul(out["l_ae"], const(0.1))),
     )
 
 
+def _jittered_loss_inputs(rng, params, B=4):
+    """Jitter params in place and draw a random B-step batch with its PPO
+    inputs: (batch, actions, adv, old_logp, v_old, returns)."""
+    for t in params.tensors.values():
+        # zero-initialized biases put relu pre-activations exactly on the
+        # kink, where no finite-difference oracle is defined; jitter off it
+        t.data += rng.uniform(-0.05, 0.05, size=t.shape)
+    lay = params.layout
+    batch = NodeBatch(
+        obs=rng.normal(scale=0.5, size=(B, lay.n_lower, lay.d_obs)),
+        target_reps=rng.normal(scale=0.5, size=(B, lay.n_targets, lay.d_raw)),
+        agent_to_cluster=rng.integers(0, lay.n_clusters, size=(B, lay.n_lower)),
+        cluster_to_target=rng.integers(0, lay.n_targets, size=(B, lay.n_clusters)),
+    )
+    # op1/op3 pick an occupied source: the lowest cluster with a member
+    # and the lowest target with a cluster
+    actions = np.stack([
+        np.array([batch.agent_to_cluster[b].min(), rng.integers(lay.n_clusters),
+                  batch.cluster_to_target[b].min(), rng.integers(lay.n_targets)])
+        for b in range(B)
+    ])
+    adv = rng.normal(size=B)
+    v_old = rng.normal(scale=0.1, size=B)
+    returns = rng.normal(scale=0.5, size=B)
+    # keep every ratio strictly inside the trust region: smooth loss
+    probe = evaluate_actions(batch, actions, params)
+    old_logp = probe["log_prob"].data.sum(axis=1) + rng.uniform(-0.05, 0.05, size=B)
+    return batch, actions, adv, old_logp, v_old, returns
+
+
 def run_policy_loss_gradcheck(instances: int, coords_per_tensor: int = 2, seed: int = 0) -> float:
-    """Full PPO loss at hidden width 8 vs central finite differences on
-    randomly sampled parameter coordinates."""
+    """Full PPO loss at hidden width 8, on float64 parameters, vs central
+    finite differences on randomly sampled parameter coordinates."""
     worst = 0.0
     rng = np.random.default_rng(seed)
     for inst in range(instances):
         cfg, graph, params, state = make_setup(seed=100 + inst, hidden=8)
-        for t in params.tensors.values():
-            # zero-initialized biases put relu pre-activations exactly on the
-            # kink, where no finite-difference oracle is defined; jitter off it
-            t.data += rng.uniform(-0.05, 0.05, size=t.shape)
-        B = 4
-        lay = params.layout
-        batch = NodeBatch(
-            obs=rng.normal(scale=0.5, size=(B, lay.n_lower, lay.d_obs)),
-            target_reps=rng.normal(scale=0.5, size=(B, lay.n_targets, lay.d_raw)),
-            agent_to_cluster=rng.integers(0, lay.n_clusters, size=(B, lay.n_lower)),
-            cluster_to_target=rng.integers(0, lay.n_targets, size=(B, lay.n_clusters)),
-        )
-        # op1/op3 pick an occupied source: the lowest cluster with a member
-        # and the lowest target with a cluster
-        actions = np.stack([
-            np.array([batch.agent_to_cluster[b].min(), rng.integers(lay.n_clusters),
-                      batch.cluster_to_target[b].min(), rng.integers(lay.n_targets)])
-            for b in range(B)
-        ])
-        adv = rng.normal(size=B)
-        v_old = rng.normal(scale=0.1, size=B)
-        returns = rng.normal(scale=0.5, size=B)
+        params = float64_params(params)
+        inputs = _jittered_loss_inputs(rng, params)
 
         def loss_value():
-            return _loss_from_params(params, batch, actions, adv, old_logp, v_old, returns)
-
-        # keep every ratio strictly inside the trust region: smooth loss
-        probe = evaluate_actions(batch, actions, params)
-        old_logp = probe["log_prob"].data.sum(axis=1) + rng.uniform(-0.05, 0.05, size=B)
+            return _loss_from_params(params, *inputs)
 
         loss = loss_value()
         ad.backward(loss)
@@ -644,9 +656,31 @@ def test_full_policy_loss_gradient_oracle():
     assert worst < 1e-3
 
 
+def test_float32_gradient_matches_float64_oracle():
+    """The float32 tape's full PPO-loss gradient agrees with the float64
+    tape's on the same parameters to 1e-3 relative, each coordinate scaled
+    as in ``run_policy_loss_gradcheck``."""
+    rng = np.random.default_rng(8)
+    for inst in range(3):
+        cfg, graph, params, state = make_setup(seed=200 + inst)
+        assert params.tensors["trunk.W"].data.dtype == np.float32
+        inputs = _jittered_loss_inputs(rng, params)
+        wide = float64_params(params)
+        for p in (params, wide):
+            ad.backward(_loss_from_params(p, *inputs))
+        for name, t in wide.tensors.items():
+            g32 = params.tensors[name].grad
+            assert g32.dtype == np.float32 and t.grad.dtype == np.float64, name
+            scale = np.maximum(np.abs(t.grad), max(np.abs(g32).max(), 1e-6))
+            err = (np.abs(g32 - t.grad) / scale).max()
+            assert err < 1e-3, f"{name}: float32 vs float64 relative error {err:.2e}"
+
+
 def test_layer_gradcheck_encode_path():
-    """Direct finite differences through encode -> value on a tiny setup."""
+    """Direct finite differences through encode -> value on a tiny setup,
+    on float64 parameters."""
     cfg, graph, params, state = make_setup(seed=31, hidden=8)
+    params = float64_params(params)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
 
     names = ["proj.agent.W", "ac.Wq", "ct.Wv", "trunk.W", "latent.W", "value.fc2.W"]

@@ -12,7 +12,9 @@ from coopgraph.training import TrainConfig, collect, evaluate_policy
 from test_training import desk_nano
 
 COLLECT_FIELDS = ("obs", "actions", "log_probs", "values", "rewards", "interfered")
-COLLECT_SHA256 = "390e9759fe097053dd5365ed6c2e5793583aac9a798f89cfe082e27c680999c9"
+# re-recorded when the parameters became float32: log_probs and values are
+# float32 columns now; the greedy trajectory kept its bytes
+COLLECT_SHA256 = "cf42887159752fbb042a188ae53fd84b24b05b0cd6fa155bb6183111016099c8"
 EVAL_TRAJECTORY_SHA256 = "216c2317e219dce2582fa39df3d6e817def51e0b6a0f44872e91db7342fe9f9f"
 
 

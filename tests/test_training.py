@@ -4,7 +4,10 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -38,6 +41,8 @@ from coopgraph.training import (
     ppo_update,
 )
 from coopgraph.runner import frozen_topology, RunConfig, build_env_config, cmd_eval
+
+from conftest import float64_params
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +198,18 @@ def test_ppo_update_reports_components():
 
 # sha256 over every parameter gradient (sorted names, shapes, little-endian
 # float64 bytes) of one evaluate_actions -> backward on a fixed 4-episode
-# batch, recorded when each linear layer was still a matmul and an add node
-# and each attention a chain of seven ops: any change to a gradient bit fails
+# batch, with one BLAS thread, recorded when the parameters became float32
+# and a broadcast gradient's leading-axis sum became one gemv: any change to
+# a gradient bit fails
 PPO_GRADIENT_GOLDENS = [
     # the desk task at full width: GEMM pairs above the backward's handoff gate
-    ("CSI-12/2/3", 1, 64, "f4aa1ad5121463dc0b477e6d54d7aa0c96007e1fcb434f26eea677739d978f07"),
+    ("CSI-12/2/3", 1, 64, "1c29ada808d7eb502ecbeaab2d1bcdfff0812123de95cf003340740ff5028024"),
     # an extended policy: the merge block's linear and attention
-    ("CSI-4/1/2", 2, 16, "580880621fb8f9c033db5449e2a508eb69c18d3990b7b9567c6a1e3a4cecfa18"),
+    ("CSI-4/1/2", 2, 16, "2c5aaddc9b99b6760c46badf15fc276c244bd2d5c0d4baf43c61eecff2d17fe9"),
 ]
 
 
-@pytest.mark.parametrize("task,fan_out,hidden,digest", PPO_GRADIENT_GOLDENS, ids=["desk", "extended"])
-def test_ppo_gradients_match_recorded_digest(task, fan_out, hidden, digest):
+def ppo_gradient_digest(task, fan_out, hidden) -> str:
     rc = RunConfig(task=task, n_clusters=6, seeds=[0], env={"n_bases": 2})
     env_config = build_env_config(rc)
     graph = frozen_topology(rc, env_config, seed=0)
@@ -228,7 +233,88 @@ def test_ppo_gradients_match_recorded_digest(task, fan_out, hidden, digest):
         h.update(name.encode())
         h.update(str(grad.shape).encode())
         h.update(grad.tobytes())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("task,fan_out,hidden,digest", PPO_GRADIENT_GOLDENS, ids=["desk", "extended"])
+def test_ppo_gradients_match_recorded_digest(task, fan_out, hidden, digest):
+    """Taken in a child process with one BLAS thread: OpenBLAS splits the
+    reduction of some weight-gradient GEMM shapes (in float32, (64, k) @
+    (k, 64) at k of about 600-2000) over its threads, so those bits depend
+    on the thread count."""
+    code = f"from test_training import ppo_gradient_digest; print(ppo_gradient_digest({task!r}, {fan_out}, {hidden}))"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == digest
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["float32", "float64"])
+def test_tape_keeps_the_parameters_dtype(monkeypatch, wide):
+    """Through collect and a PPO update, every tape node's data, every
+    gradient that reaches a node, every leaf gradient and Adam's moments are
+    in the parameters' dtype: float32 as initialized, float64 when widened."""
+    env_config, graph, params = desk_nano()
+    dtype = np.float64 if wide else np.float32
+    if wide:
+        params = float64_params(params)
+    made, arriving = set(), set()
+    make, accumulate = ad._make, ad._accumulate
+
+    def recording_make(data, *rest):
+        out = make(data, *rest)
+        made.add(out.data.dtype)
+        return out
+
+    def recording_accumulate(t, g, fresh=False):
+        if g is not None:
+            arriving.add((t.data.dtype, g.dtype))
+        accumulate(t, g, fresh)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    monkeypatch.setattr(ad, "_accumulate", recording_accumulate)
+    cfg = TrainConfig(batch_episodes=2, ppo_epochs=2, n_minibatches=2)
+    batch = collect(graph, params, env_config, cfg, master_seed=0, episode_offset=0)
+    assert batch.log_probs.dtype == batch.values.dtype == dtype
+    adv, ret = compute_gae(batch.rewards, batch.values, batch.dones, cfg.gamma, cfg.gae_lambda)
+    assert adv.dtype == ret.dtype == np.float64
+    opt = Adam(dict(params.tensors), lr=cfg.lr)
+    ppo_update(params, opt, batch, adv, ret, cfg, np.random.default_rng(0))
+    assert made == {np.dtype(dtype)}
+    assert arriving == {(np.dtype(dtype), np.dtype(dtype))}
+    for name, t in params.tensors.items():
+        assert t.data.dtype == t.grad.dtype == opt.m[name].dtype == opt.v[name].dtype == dtype, name
+
+
+def test_float64_checkpoint_loads_rounded(tmp_path):
+    """A trainer checkpoint of the float64 engine (the same format, holding
+    values float32 cannot) loads rounded to float32, Adam's moments too;
+    ``cmd_eval`` runs on it and training resumes from it."""
+    trainer = nano_trainer(tmp_path, total=1)
+    trainer.run()
+    params, extra, header = load_checkpoint(tmp_path / "run" / "checkpoint_last.ckpt")
+    rng = np.random.default_rng(0)
+    old = float64_params(params)
+    for t in old.tensors.values():
+        t.data += rng.normal(scale=1e-3, size=t.shape)
+    extra = {k: np.abs(v + rng.normal(scale=1e-6, size=v.shape)) for k, v in extra.items()}
+    path = tmp_path / "float64.ckpt"
+    save_checkpoint(path, old, extra_tensors=extra, extra_header={k: header[k] for k in TRAINER_HEADER_KEYS})
+
+    loaded, _, _ = load_checkpoint(path)
+    for name, t in old.tensors.items():
+        assert not np.array_equal(t.data.astype(np.float32).astype(np.float64), t.data), name
+        assert loaded.tensors[name].data.dtype == np.float32
+        assert np.array_equal(loaded.tensors[name].data, t.data.astype(np.float32)), name
+    report = cmd_eval(nano_run_config(), str(path))
+    assert 0.0 <= report["success_mean"] <= 1.0
+    resumed = Trainer.restore(path, trainer.settings, tmp_path / "resumed")
+    for prefix, moments in resumed._moments().items():
+        for name, moment in moments.items():
+            assert moment.dtype == np.float32
+            assert np.array_equal(moment, extra[prefix + name].astype(np.float32)), prefix + name
+    resumed.settings.total_updates = 2
+    assert resumed.run()["updates"] == 2
 
 
 def _nano_update_inputs():
