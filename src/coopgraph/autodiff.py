@@ -2,19 +2,27 @@
 
 Every value is a :class:`Tensor` wrapping a ``float32`` or ``float64``
 ndarray, kept in the dtype it came in (anything else becomes ``float64``).
-A tape follows its data's dtype: a constant wrapped by operator sugar and a
-gradient reaching a node take that node's dtype, so a float32 tape stays in
-float32 GEMMs end to end and a float64 tape in float64 ones. Ops record
-their inputs on an implicit tape (the parent links of each output tensor);
-``backward(loss)`` walks the graph in reverse topological order and
-accumulates gradients into ``.grad``. Shapes follow numpy broadcasting;
-gradients of broadcast operands are summed back to the operand shape.
+A tape follows its data's dtype: a gradient reaching a node takes that
+node's dtype, so a float32 tape stays in float32 GEMMs end to end and a
+float64 tape in float64 ones. Ops record their inputs on an implicit tape
+(the parent links of each output tensor); ``backward(loss)`` walks the
+graph in reverse topological order and accumulates gradients into
+``.grad``. Shapes follow numpy broadcasting; gradients of broadcast
+operands are summed back to the operand shape.
 
 Only leaf gradients survive ``backward``: an interior node's ``.grad`` is
 dropped as soon as its own backward has used it, so a spent gradient is
 freed while the rest of the pass runs. A caller that keeps no reference
 to a loss frees its whole tape with it; the PPO update keeps one tape
 alive per minibatch.
+
+Non-finite values are caught by one rule. An op whose output goes on no
+tape (under ``no_grad``, or with only constant inputs) checks that output
+and raises :class:`NonFiniteError` naming itself. An op on the tape checks
+nothing: ``backward(loss)`` checks the loss once and, if it is non-finite,
+names the first op of the tape, in post-order, whose output is non-finite,
+and its output shape. So a taped forward pays one scalar check per
+backward, not one scan per op.
 
 The engine is deliberately small: only the ops the policy network and the
 PPO learner need, batched over a leading axis where it matters. Reduction
@@ -50,7 +58,6 @@ if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
 _GRAD_ENABLED = True
-_FINITE_CHECKS = True
 
 MASK_FILL = -1e9
 
@@ -80,7 +87,8 @@ def _usable_cores() -> int:
 
 
 class NonFiniteError(FloatingPointError):
-    """A forward op produced nan/inf; the message names the op."""
+    """An op produced nan/inf, or a gradient is nan/inf; the message names
+    the op or the parameters."""
 
 
 @contextmanager
@@ -95,23 +103,10 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-op finiteness validation; returns the previous setting."""
-    global _FINITE_CHECKS
-    prev = _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-    return prev
-
-
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
-
-
 class Tensor:
     """A float32 or float64 ndarray plus the tape links needed for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -121,6 +116,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._grad_owned = False
+        self._op: str | None = None  # the op that put this tensor on the tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,36 +128,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-    # operator sugar; constants are wrapped on the fly, in this tensor's dtype
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self))
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    """value as a Tensor; a constant takes the dtype of the tensor it meets."""
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _live(t: Tensor) -> bool:
@@ -176,11 +142,14 @@ def _needs_graph(parents: Iterable[Tensor]) -> bool:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
-    _check_finite(data, op)
     out = Tensor(data)
     if _needs_graph(parents):
+        # checked by backward, once, through the loss
         out._parents = parents
         out._backward = bwd
+        out._op = op
+    elif not np.all(np.isfinite(data)):
+        raise NonFiniteError(f"non-finite values produced by op '{op}'")
     return out
 
 
@@ -431,7 +400,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), _wrap(1.0 / count, a))
+    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(np.asarray(1.0 / count, dtype=a.data.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +584,11 @@ def backward(loss: Tensor) -> None:
 
     Leaves (tensors with no parents) keep their accumulated ``.grad``; every
     interior node, the loss included, ends with ``.grad`` None.
+
+    A non-finite loss raises NonFiniteError before any gradient is computed,
+    naming the first op of the post-order whose output is non-finite: every
+    op feeding it produced finite values, so the fault is that op's or in
+    one of its leaves (a parameter or constant).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -633,6 +607,13 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
+    if not np.isfinite(loss.data).all():
+        for node in order:
+            if node._op is not None and not np.isfinite(node.data).all():
+                raise NonFiniteError(
+                    f"non-finite values produced by op '{node._op}' (output shape {node.data.shape})"
+                )
+        raise NonFiniteError("non-finite loss")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:
@@ -648,13 +629,21 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    params = [p for p in params if p.grad is not None]
-    total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
+def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
+    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    A non-finite norm raises NonFiniteError, naming each parameter whose
+    gradient norm is non-finite, and leaves every gradient as it was.
+    """
+    params = {k: p for k, p in params.items() if p.grad is not None}
+    squares = {k: float((p.grad * p.grad).sum()) for k, p in params.items()}
+    total = math.sqrt(sum(squares.values()))
+    if not math.isfinite(total):
+        bad = [k for k, sq in squares.items() if not math.isfinite(sq)]
+        raise NonFiniteError(f"non-finite gradient norm of {', '.join(bad)}")
     if total > max_norm and total > 0.0:
         scale = max_norm / total
-        for p in params:
+        for p in params.values():
             if p._grad_owned:
                 p.grad *= scale
             else:

@@ -329,8 +329,8 @@ def _attend(params: PolicyParams, name: str, q_in: Tensor, kv_in: Tensor, mask) 
 def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
     """Per-cluster embeddings e_h, shape (B, n_clusters, hidden).
 
-    Raises NonFiniteError naming the first layer that produces a non-finite
-    intermediate (via the op-level checks in the autodiff engine). The
+    A non-finite intermediate raises NonFiniteError naming its op: off the
+    tape at that op, on the tape in ``backward`` (see ``autodiff``). The
     observations are normalized in float64, then cast to the parameters'
     dtype.
     """

@@ -72,9 +72,9 @@ class RunConfig:
     init_candidates: int = 100
 
 
-_ENV_OVERRIDE_FIELDS = {
-    "n_bases", "world_extent", "v_def", "v_inv", "r_track", "r_destroy",
-    "slow_fraction", "slow_count", "t_max",
+# the task name fixes the first three; primitive_set has its own key
+_ENV_OVERRIDE_FIELDS = {f.name for f in dataclasses.fields(EnvConfig)} - {
+    "n_agents", "k_threshold", "m_invaders", "primitive_set",
 }
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _RUN_FIELDS = {f.name for f in dataclasses.fields(TrainSettings)}

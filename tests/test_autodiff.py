@@ -77,14 +77,19 @@ def test_determinism_bit_identical():
 
 
 def test_nonfinite_forward_raises():
+    x = Tensor([1000.0], requires_grad=True)
     with np.errstate(over="ignore"):
+        # off the tape (a constant input, or no_grad) the op itself raises
         with pytest.raises(ad.NonFiniteError, match="exp"):
             ad.exp(Tensor([1000.0]))
-        prev = ad.set_finite_checks(False)
-        try:
-            ad.exp(Tensor([1000.0]))  # checks disabled: no error
-        finally:
-            ad.set_finite_checks(prev)
+        with ad.no_grad(), pytest.raises(ad.NonFiniteError, match="exp"):
+            ad.exp(x)
+        # on the tape it does not; backward names the first non-finite op,
+        # not the later mul on the same path
+        loss = ad.sum_(ad.mul(ad.exp(x), Tensor([2.0])))
+    with pytest.raises(ad.NonFiniteError, match=r"op 'exp' \(output shape \(1,\)\)"):
+        ad.backward(loss)
+    assert x.grad is None
 
 
 def test_no_grad_builds_no_graph():
@@ -454,9 +459,38 @@ def test_adam_quadratic_bowl_converges():
 def test_clip_grad_norm_scales_to_bound():
     p = Tensor(np.zeros(4), requires_grad=True)
     p.grad = np.full(4, 10.0)
-    total = ad.clip_grad_norm([p], max_norm=1.0)
+    total = ad.clip_grad_norm({"p": p}, max_norm=1.0)
     assert total == pytest.approx(20.0)
     assert np.linalg.norm(p.grad) == pytest.approx(1.0)
+
+
+def test_nan_gradient_never_reaches_the_parameters():
+    """exp(1000 x) overflows and clip cuts it off: the loss is finite, but
+    exp's backward makes 0 * inf = nan. clip_grad_norm raises naming x, so
+    the step never reaches Adam."""
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    w = Tensor(np.array([0.5]), requires_grad=True)
+    opt = Adam({"x": x, "w": w}, lr=0.1)
+
+    def train_step(scale):
+        opt.zero_grad()
+        with np.errstate(over="ignore"):
+            exp = ad.exp(ad.mul(x, Tensor(np.array([scale]))))
+        loss = ad.add(ad.sum_(ad.clip(exp, 0.0, 1.0)), ad.sum_(ad.square(w)))
+        assert np.isfinite(loss.data).all()
+        with np.errstate(invalid="ignore"):
+            ad.backward(loss)
+        ad.clip_grad_norm(opt.params, max_norm=1.0)
+        opt.step()
+
+    train_step(-1.0)  # a finite step, so the moments are not zero
+    state = [a.copy() for a in (x.data, w.data, opt.m["x"], opt.m["w"], opt.v["x"], opt.v["w"])]
+    with pytest.raises(ad.NonFiniteError, match=r"gradient norm of x$"):
+        train_step(1000.0)
+    assert np.isnan(x.grad).all() and np.isfinite(w.grad).all()
+    assert opt.t == 1
+    after = (x.data, w.data, opt.m["x"], opt.m["w"], opt.v["x"], opt.v["w"])
+    assert all(np.array_equal(a, b) for a, b in zip(state, after))
 
 
 def test_gradient_accumulates_for_shared_parameters():

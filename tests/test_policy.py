@@ -169,7 +169,10 @@ INIT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("layout,seed,digest", INIT_DIGESTS)
+@pytest.mark.parametrize(
+    "layout,seed,digest", INIT_DIGESTS,
+    ids=[f"lower{lay.n_lower}-fan{lay.fan_out}-seed{seed}" for lay, seed, _ in INIT_DIGESTS],
+)
 def test_init_params_digest(layout, seed, digest):
     params = init_params(layout, np.random.default_rng(seed))
     assert not {"ct.Wq", "ct.Wk", "ct.bq", "ct.bk"} & params.tensors.keys()

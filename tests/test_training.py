@@ -358,6 +358,39 @@ def test_ppo_update_frees_each_minibatch_tape_before_the_next(monkeypatch):
     assert starts == [0, 0, 0, 0]
 
 
+def _optimizer_state(optimizer):
+    """Adam's step count and the bytes of every parameter and moment."""
+    arrays = [p.data for p in optimizer.params.values()] + [*optimizer.m.values(), *optimizer.v.values()]
+    return optimizer.t, [a.tobytes() for a in arrays]
+
+
+def test_ppo_update_names_the_op_of_an_inf_parameter():
+    """An inf value bias makes the loss inf; backward names the layer that
+    produced it before any gradient, and Adam never steps."""
+    params, optimizer, batch, advantages, returns, cfg = _nano_update_inputs()
+    ppo_update(params, optimizer, batch, advantages, returns, cfg, np.random.default_rng(0))
+    params.tensors["value.fc2.b"].data[:] = np.inf
+    before = _optimizer_state(optimizer)
+    with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError, match="op 'linear'"):
+        ppo_update(params, optimizer, batch, advantages, returns, cfg, np.random.default_rng(1))
+    assert _optimizer_state(optimizer) == before
+
+
+def test_ppo_update_stops_a_nan_gradient_before_adam():
+    """Old log-probabilities far below the new ones overflow the ratio to
+    inf on the positive-advantage steps, where the clipped branch wins: the
+    loss stays finite, but exp's backward makes 0 * inf = nan. The update
+    raises before Adam steps on that gradient."""
+    params, optimizer, batch, advantages, returns, cfg = _nano_update_inputs()
+    ppo_update(params, optimizer, batch, advantages, returns, cfg, np.random.default_rng(0))
+    batch.log_probs[(advantages > 0) & ~batch.interfered, 0] = -1e4
+    before = _optimizer_state(optimizer)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ad.NonFiniteError, match="non-finite gradient norm of .*head"):
+            ppo_update(params, optimizer, batch, advantages, returns, cfg, np.random.default_rng(1))
+    assert _optimizer_state(optimizer) == before
+
+
 # peak traced memory of a two-minibatch update over one minibatch's forward
 # tape: 2.86 with the previous tape and every interior gradient kept, 1.85
 # with only the tape freed, 2.12 with only the gradients freed, and 1.27 with
