@@ -34,11 +34,7 @@ into one row before the cluster attention.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 from typing import Literal
 
 import numpy as np
@@ -51,11 +47,6 @@ from .graph import CooperationGraph
 
 # the one dtype of the parameters, and so of the forward, backward and Adam
 PARAM_DTYPE = np.float32
-CHECKPOINT_MAGIC = b"CGCK"
-CHECKPOINT_VERSION = 1
-# the cluster->target query/key projections, retired when that edge became a
-# gather; checkpoints written before still hold them, and loading drops them
-RETIRED_TENSORS = frozenset({"ct.Wq", "ct.Wk", "ct.bq", "ct.bk"})
 
 
 def raw_repr_width(n_targets: int) -> int:
@@ -515,124 +506,3 @@ def evaluate_actions(
         "value": v,
         "l_ae": l_ae,
     }
-
-
-# ---------------------------------------------------------------------------
-# checkpoint format
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(
-    path: str | Path,
-    params: PolicyParams,
-    extra_tensors: dict[str, np.ndarray] | None = None,
-    extra_header: dict | None = None,
-) -> None:
-    """Binary checkpoint: magic, header length, JSON header, float64 blob.
-
-    The header carries the layout, normalizer statistics and a manifest of
-    (name, shape, byte offset) entries; the blob is the little-endian
-    float64 tensor data in manifest order. Float32 tensors are widened to
-    float64, which is exact, so the format is the same for either dtype.
-    """
-    manifest = []
-    blobs = []
-    offset = 0
-    entries: list[tuple[str, np.ndarray]] = [(k, t.data) for k, t in sorted(params.tensors.items())]
-    for name, arr in sorted((extra_tensors or {}).items()):
-        entries.append((f"extra.{name}", np.asarray(arr, dtype=np.float64)))
-    for name, arr in entries:
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "layout": asdict(params.layout),
-        "normalizer": params.normalizer.state_dict(),
-        "manifest": manifest,
-    }
-    if extra_header:
-        header.update(extra_header)
-    head_bytes = json.dumps(header).encode("utf-8")
-    # written beside the target and renamed over it, so a reader never sees
-    # a partial file
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<Q", len(head_bytes)))
-            f.write(head_bytes)
-            for raw in blobs:
-                f.write(raw)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict[str, np.ndarray], dict]:
-    """Inverse of save_checkpoint: (params, extra tensors, full header).
-
-    Rejects a foreign file, another format version, a truncated file, a
-    header without its layout, manifest or normalizer, and a tensor set
-    that differs in a name or a shape from the one ``init_params`` gives for
-    the header's layout; drops the retired tensors of older checkpoints.
-    The policy tensors come back in ``PARAM_DTYPE`` (a float32 tensor saved
-    by this version comes back bit-exact, a float64 one from before it
-    rounded); the extra tensors stay float64.
-    """
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a policy checkpoint")
-        length = f.read(8)
-        if len(length) < 8:
-            raise ValueError(f"{path}: header truncated (no header length)")
-        (head_len,) = struct.unpack("<Q", length)
-        head_bytes = f.read(head_len)
-        if len(head_bytes) < head_len:
-            raise ValueError(f"{path}: header truncated ({len(head_bytes)} of {head_len} bytes)")
-        header = json.loads(head_bytes.decode("utf-8"))
-        blob = f.read()
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: checkpoint header is not a JSON object")
-    version = header.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint format version {version!r}, expected {CHECKPOINT_VERSION}")
-    for key in ("layout", "manifest", "normalizer"):
-        if key not in header:
-            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
-    counts = [int(np.prod(entry["shape"])) for entry in header["manifest"]]
-    needed = max((e["offset"] + 8 * n for e, n in zip(header["manifest"], counts)), default=0)
-    if len(blob) < needed:
-        raise ValueError(f"{path}: tensor data truncated ({len(blob)} of {needed} bytes)")
-    layout = PolicyLayout(**header["layout"])
-    tensors: dict[str, Tensor] = {}
-    extra: dict[str, np.ndarray] = {}
-    for entry, count in zip(header["manifest"], counts):
-        arr = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=entry["offset"]
-        ).reshape(entry["shape"]).astype(np.float64)
-        if entry["name"].startswith("extra."):
-            extra[entry["name"][len("extra."):]] = arr
-        elif entry["name"] not in RETIRED_TENSORS:
-            tensors[entry["name"]] = _param(arr)
-    schema = init_params(layout, np.random.default_rng(0)).tensors
-    for name in sorted(schema.keys() | tensors.keys()):
-        if name not in tensors:
-            raise ValueError(f"{path}: tensor {name} is missing")
-        if name not in schema:
-            raise ValueError(f"{path}: unexpected tensor {name} for layout {layout}")
-        if tensors[name].data.shape != schema[name].data.shape:
-            raise ValueError(
-                f"{path}: tensor {name} has shape {tensors[name].data.shape}, "
-                f"its layout needs {schema[name].data.shape}"
-            )
-    params = PolicyParams(
-        layout=layout,
-        tensors=tensors,
-        normalizer=ObsNormalizer.from_state(header["normalizer"]),
-    )
-    return params, extra, header

@@ -120,8 +120,9 @@ def parse_run_config(doc: dict) -> RunConfig:
         parse_task_name(rc.task)
     except TaskNameError as e:
         raise ConfigError(f"task: {e}") from None
-    if rc.n_clusters < 1:
-        raise ConfigError("n_clusters must be >= 1")
+    for name in ("n_clusters", "eval_episodes", "init_candidates"):
+        if type(getattr(rc, name)) is not int or getattr(rc, name) < 1:
+            raise ConfigError(f"{name} must be an integer >= 1")
     if not rc.seeds:
         raise ConfigError("seeds must be a nonempty list")
     try:
@@ -137,17 +138,16 @@ def parse_run_config(doc: dict) -> RunConfig:
     for key in rc.run:
         if key not in _RUN_FIELDS:
             raise ConfigError(f"run.{key} is not a run setting")
-    if rc.eval_episodes < 1 or rc.init_candidates < 1:
-        raise ConfigError("eval_episodes and init_candidates must be >= 1")
     try:
         TrainConfig(**rc.train)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"train: {e}") from None
     try:
         TrainSettings(**rc.run)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"run: {e}") from None
-    build_env_config(rc)  # validates env overrides against the physics constraints
+    # the env overrides against the physics constraints, and a graph with targets
+    build_run_targets(rc, build_env_config(rc))
     return rc
 
 
@@ -257,7 +257,7 @@ def cmd_train(rc: RunConfig) -> list[dict]:
     for seed, graph0 in zip(rc.seeds, graphs):
         last = out_root / f"seed_{seed}" / "checkpoint_last.ckpt"
         if last.exists():
-            _check_resumable(last, graph0, env_config, train_config)
+            _load_fitting(last, env_config, graph0, train_config)
     _write_run_metadata(rc, env_config, out_root)
 
     summaries = []
@@ -287,60 +287,43 @@ def _differing(trained: dict, config: dict, prefix: str = "") -> list[str]:
             for k in config if trained[k] != config[k]]
 
 
-def _check_resumable(
-    checkpoint: Path, graph0: CooperationGraph, env_config: EnvConfig, train_config: TrainConfig
-) -> None:
-    """Refuse to resume a checkpoint trained under another configuration,
-    naming every differing field."""
-    run = load_run_checkpoint(checkpoint)
-    differ = _differing(run.env_config.to_json_dict(), env_config.to_json_dict(), "env.")
-    differ += _differing(run.header["train_config"], dataclasses.asdict(train_config), "train.")
-    if to_json_dict(run.graph0) != to_json_dict(graph0):
-        differ.append("the initial topology")
-    if differ:
-        raise ConfigError(
-            f"{checkpoint} was trained under another config, so the run cannot resume: "
-            f"{', '.join(differ)}; use another out_dir to start afresh"
-        )
-
-
 def _final_checkpoint(seed_dir: Path) -> Path:
     """The best checkpoint of a run, or its last when no eval ever ran."""
     best = seed_dir / "checkpoint_best.ckpt"
     return best if best.exists() else seed_dir / "checkpoint_last.ckpt"
 
 
-def _load_checked(rc: RunConfig, checkpoint: str) -> tuple[RunCheckpoint, EnvConfig]:
-    """The checkpoint and the run config's env config, checked to fit each
-    other: the same shapes and the same physics the checkpoint trained under."""
-    run, env_config = load_run_checkpoint(checkpoint), build_env_config(rc)
-    expected = layout_for(run.graph0, env_config, hidden=run.params.layout.hidden)
-    if expected != run.params.layout:
-        raise ValueError(
-            "checkpoint is shape-incompatible with this config: "
-            f"checkpoint layout {run.params.layout}, config needs {expected}"
-        )
-    if run.graph0.n_env_agents != env_config.n_agents:
-        raise ValueError(
-            "checkpoint is shape-incompatible with this config: its topology drives "
-            f"{run.graph0.n_env_agents} agents but the task has {env_config.n_agents}"
-        )
-    differ = _differing(run.env_config.to_json_dict(), env_config.to_json_dict())
+def _load_fitting(
+    checkpoint: str | Path,
+    env_config: EnvConfig,
+    graph0: CooperationGraph | None = None,
+    train_config: TrainConfig | None = None,
+) -> RunCheckpoint:
+    """The checkpoint, refused unless it trained under ``env_config`` and, to
+    resume it, under ``train_config`` from ``graph0``; the refusal names each
+    differing field."""
+    run = load_run_checkpoint(checkpoint)
+    differ = _differing(run.env_config.to_json_dict(), env_config.to_json_dict(), "env.")
+    if train_config is not None:
+        differ += _differing(dataclasses.asdict(run.train_config), dataclasses.asdict(train_config), "train.")
+        if to_json_dict(run.graph0) != to_json_dict(graph0):
+            differ.append("the initial topology")
     if differ:
-        raise ConfigError(f"{checkpoint} was trained under other env settings: {', '.join(differ)}")
-    return run, env_config
+        hint = "; use another out_dir to start afresh" if train_config is not None else ""
+        raise ConfigError(f"{checkpoint} was trained under another config: {', '.join(differ)}{hint}")
+    return run
 
 
 def cmd_eval(
     rc: RunConfig, checkpoint: str, dump_trajectory: str | None = None
 ) -> dict:
     """Greedy evaluation of a checkpoint: mean and sample std across seeds."""
-    run, env_config = _load_checked(rc, checkpoint)
+    run = _load_fitting(checkpoint, build_env_config(rc))
     rates = []
     for i, seed in enumerate(rc.seeds):
         traj = dump_trajectory if (dump_trajectory and i == 0) else None
         rates.append(
-            evaluate_policy(run.graph0, run.params, env_config, seed, rc.eval_episodes, trajectory_path=traj)
+            evaluate_policy(run.graph0, run.params, run.env_config, seed, rc.eval_episodes, trajectory_path=traj)
         )
     mean = float(np.mean(rates))
     std = 0.0 if len(rates) < 2 else float(np.std(rates, ddof=1))
@@ -414,21 +397,31 @@ def cmd_transfer(
 
 
 def cmd_ablate(rc: RunConfig, sweep: str, values: list) -> Path:
-    """Train each sweep setting with the shared seeds; emit a CSV table."""
-    if sweep not in ("clusters", "primitives"):
+    """Train each sweep setting with the shared seeds; emit a CSV table.
+
+    A setting reads as a ``--set`` value does (JSON, else a string), and
+    every setting's run config is validated before the first one trains.
+    """
+    swept = {"clusters": "n_clusters", "primitives": "primitive_set"}
+    if sweep not in swept:
         raise ConfigError("sweep must be 'clusters' or 'primitives'")
     out_root = Path(rc.out_dir)
+    subs = []
+    for value in values:
+        doc = {
+            **dataclasses.asdict(rc), **parse_overrides([f"{swept[sweep]}={value}"]),
+            "out_dir": str(out_root / f"{sweep}_{value}"),
+        }
+        try:
+            subs.append(parse_run_config(doc))
+        except ConfigError as e:
+            raise ConfigError(f"{sweep} setting {value!r}: {e}") from None
     _write_run_metadata(rc, build_env_config(rc), out_root)
     csv_path = out_root / "ablation.csv"
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["setting", "seed", "success"])
-        for value in values:
-            if sweep == "clusters":
-                sub = dataclasses.replace(rc, n_clusters=int(value))
-            else:
-                sub = dataclasses.replace(rc, primitive_set=str(value))
-            sub = dataclasses.replace(sub, out_dir=str(out_root / f"{sweep}_{value}"))
+        for value, sub in zip(values, subs):
             summaries = cmd_train(sub)
             env_config = build_env_config(sub)
             for seed, summary in zip(sub.seeds, summaries):
@@ -605,7 +598,10 @@ def cmd_export_topology(
     end are skipped with a warning. The replay stops once every wanted
     snapshot is written.
     """
-    run, env_config = _load_checked(rc, checkpoint)
+    negative = [t for t in steps if t < 0]
+    if negative:
+        raise ConfigError(f"steps count from 0, not {negative[0]}")
+    run = _load_fitting(checkpoint, build_env_config(rc))
     out = Path(out_dir or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -625,8 +621,8 @@ def cmd_export_topology(
     if not wanted:  # the frozen topology needs no replay
         return written
     rngs = [np.random.default_rng(episode_seed * EPISODE_SEED_STRIDE)]
-    operate = policy_operator(run.params, env_config, rngs, "argmax", 0.0)
-    for _, graphs, states, outcomes, _ in rollout(run.graph0, env_config, rngs, operate):
+    operate = policy_operator(run.params, run.env_config, rngs, "argmax", 0.0)
+    for _, graphs, states, outcomes, _ in rollout(run.graph0, run.env_config, rngs, operate):
         # the graph that acted in this step is the one the next step starts from
         if not outcomes[0].done:
             write(states[0].t, graphs[0])

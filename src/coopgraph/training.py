@@ -19,18 +19,21 @@ reconstruction loss, over minibatches of shuffled timesteps.
 ``Trainer.save`` writes the trainer checkpoint (policy, frozen topology,
 configs, trainer state, Adam's moments) that eval, transfer, topology export
 and resumed training start from; ``load_run_checkpoint`` is its one reader.
+This module is the only one that knows the checkpoint's layout.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam
+from .autodiff import Adam, Tensor
 from .env import EnvConfig, reset, stack_states, step, trajectory_record
 from .graph import (
     CooperationGraph,
@@ -43,17 +46,19 @@ from .graph import (
     to_json_dict,
 )
 from .policy import (
+    PARAM_DTYPE,
     NodeBatch,
+    ObsNormalizer,
+    PolicyLayout,
     PolicyParams,
     act_batch,
     evaluate_actions,
-    load_checkpoint,
+    init_params,
+    layout_for,
     node_batch,
-    save_checkpoint,
 )
 
 EPISODE_SEED_STRIDE = 10**6
-TRAINER_HEADER_KEYS = ("initial_topology", "env_config", "train_config", "trainer_state")
 PPO_REPORT_KEYS = ("L_policy", "L_value", "L_ae", "entropy")
 
 
@@ -357,6 +362,115 @@ def evaluate_policy(
 
 
 # ---------------------------------------------------------------------------
+# the trainer checkpoint
+# ---------------------------------------------------------------------------
+
+CHECKPOINT_MAGIC = b"CGCK"
+CHECKPOINT_VERSION = 1
+# the header keys, in the order they are written
+HEADER_KEYS = (
+    "format_version", "layout", "normalizer", "manifest",
+    "initial_topology", "env_config", "train_config", "trainer_state",
+)
+# the manifest names of Adam's first and second moment of a parameter
+MOMENT_PREFIXES = ("extra.adam.m.", "extra.adam.v.")
+# the cluster->target query/key projections, retired when that edge became a
+# gather; checkpoints written before still hold them and their moments, and
+# loading drops them
+RETIRED_TENSORS = frozenset(
+    prefix + name for prefix in ("", *MOMENT_PREFIXES) for name in ("ct.Wq", "ct.Wk", "ct.bq", "ct.bk")
+)
+
+
+@dataclass(frozen=True)
+class RunCheckpoint:
+    """A trainer checkpoint read back; ``adam_m`` and ``adam_v`` are Adam's
+    moments by parameter name, in the parameters' dtype."""
+
+    params: PolicyParams
+    graph0: CooperationGraph
+    env_config: EnvConfig
+    train_config: TrainConfig
+    header: dict
+    adam_m: dict[str, np.ndarray]
+    adam_v: dict[str, np.ndarray]
+
+
+def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
+    """The one reader of the checkpoints ``Trainer.save`` writes.
+
+    Rejects a foreign file, another format version, a truncated file and a
+    header that is not a JSON object or lacks one of ``HEADER_KEYS``. Then
+    one schema check: every tensor of ``init_params`` for the header's layout
+    is there with its two Adam moments, all of its shape, and nothing else
+    is (the retired tensors of older checkpoints are dropped); and the
+    layout is the one its topology and env config give. Tensors come back
+    in ``PARAM_DTYPE``: bit-exact from a float32 run, rounded from a float64
+    one.
+    """
+    with open(path, "rb") as f:
+        magic = f.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path} is not a trainer checkpoint")
+        length = f.read(8)
+        if len(length) < 8:
+            raise ValueError(f"{path}: header truncated (no header length)")
+        (head_len,) = struct.unpack("<Q", length)
+        head_bytes = f.read(head_len)
+        if len(head_bytes) < head_len:
+            raise ValueError(f"{path}: header truncated ({len(head_bytes)} of {head_len} bytes)")
+        header = json.loads(head_bytes.decode("utf-8"))
+        blob = f.read()
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    version = header.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint format version {version!r}, expected {CHECKPOINT_VERSION}")
+    for key in HEADER_KEYS:
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
+    counts = [int(np.prod(entry["shape"])) for entry in header["manifest"]]
+    needed = max((e["offset"] + 8 * n for e, n in zip(header["manifest"], counts)), default=0)
+    if len(blob) < needed:
+        raise ValueError(f"{path}: tensor data truncated ({len(blob)} of {needed} bytes)")
+    found = {
+        e["name"]: np.frombuffer(blob, dtype="<f8", count=n, offset=e["offset"]).reshape(e["shape"])
+        for e, n in zip(header["manifest"], counts)
+        if e["name"] not in RETIRED_TENSORS
+    }
+
+    layout = PolicyLayout(**header["layout"])
+    schema = init_params(layout, np.random.default_rng(0)).tensors
+    # parameters first, so a missing parameter is named before its moments
+    expected = {
+        prefix + name: schema[name].shape for prefix in ("", *MOMENT_PREFIXES) for name in sorted(schema)
+    }
+    unexpected = [name for name in found if name not in expected]
+    if unexpected:
+        raise ValueError(f"{path}: unexpected tensor {unexpected[0]} for layout {layout}")
+    for name, shape in expected.items():
+        if name not in found:
+            raise ValueError(f"{path}: tensor {name} is missing")
+        if found[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name} has shape {found[name].shape}, its layout needs {shape}")
+    graph0 = from_json_dict(header["initial_topology"])
+    env_config = EnvConfig.from_json_dict(header["env_config"])
+    fitting = layout_for(graph0, env_config, hidden=layout.hidden)
+    if layout != fitting:
+        raise ValueError(
+            f"{path}: layout {layout} does not fit its topology and env config, which give {fitting}"
+        )
+
+    # in manifest order: clip_grad_norm sums the gradient norms in this order
+    tensors = {
+        name: Tensor(arr.astype(PARAM_DTYPE), requires_grad=True) for name, arr in found.items() if name in schema
+    }
+    m, v = ({name: found[prefix + name].astype(PARAM_DTYPE) for name in tensors} for prefix in MOMENT_PREFIXES)
+    params = PolicyParams(layout, tensors, ObsNormalizer.from_state(header["normalizer"]))
+    return RunCheckpoint(params, graph0, env_config, TrainConfig(**header["train_config"]), header, m, v)
+
+
+# ---------------------------------------------------------------------------
 # training orchestration
 # ---------------------------------------------------------------------------
 
@@ -371,26 +485,15 @@ class TrainSettings:
     checkpoint_every: int = 50
     stop_success: float | None = None
 
-
-@dataclass(frozen=True)
-class RunCheckpoint:
-    """A trainer checkpoint read back; ``extra`` holds Adam's moments."""
-
-    params: PolicyParams
-    graph0: CooperationGraph
-    env_config: EnvConfig
-    header: dict
-    extra: dict[str, np.ndarray]
-
-
-def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
-    """The one reader of the checkpoints ``Trainer.save`` writes."""
-    params, extra, header = load_checkpoint(path)
-    missing = [key for key in TRAINER_HEADER_KEYS if key not in header]
-    if missing:
-        raise ValueError(f"{path} is not a trainer checkpoint: its header lacks {missing}")
-    graph0 = from_json_dict(header["initial_topology"])
-    return RunCheckpoint(params, graph0, EnvConfig.from_json_dict(header["env_config"]), header, extra)
+    def __post_init__(self):
+        # eval_every and checkpoint_every at 0 turn those off
+        for name in ("total_updates", "eval_every", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
+        if self.stop_success is not None and not 0.0 <= self.stop_success <= 1.0:
+            raise ValueError("stop_success must be a success rate in [0, 1]")
 
 
 def _truncate_log(path: Path, update: int) -> None:
@@ -449,28 +552,49 @@ class Trainer:
 
     # -- persistence --------------------------------------------------------
 
-    def _trainer_header(self) -> dict:
-        return {
-            "initial_topology": to_json_dict(self.graph0),
-            "env_config": self.env_config.to_json_dict(),
-            "train_config": asdict(self.train_config),
-            "trainer_state": {
-                "master_seed": self.master_seed,
-                "update": self.update,
-                "episodes": self.episodes,
-                "best_success": self.best_success,
-                "rng_update": self.rng_update.bit_generator.state,
-                "adam_t": self.optimizer.t,
-            },
-        }
-
-    def _moments(self) -> dict[str, dict[str, np.ndarray]]:
-        # Adam's moment stores by the extra-tensor prefix they are saved under
-        return {"adam.m.": self.optimizer.m, "adam.v.": self.optimizer.v}
-
     def save(self, path: str | Path) -> None:
-        extra = {p + name: m[name] for p, m in self._moments().items() for name in self.optimizer.params}
-        save_checkpoint(path, self.params, extra_tensors=extra, extra_header=self._trainer_header())
+        """Write the trainer checkpoint: magic, header length, JSON header,
+        then the little-endian float64 blob in manifest order (the
+        parameters by name, then Adam's first and second moments by name).
+
+        Float32 tensors are widened to float64, which is exact. Written
+        beside the target and renamed over it, so a reader never sees a
+        partial file.
+        """
+        names = sorted(self.params.tensors)
+        entries = [(name, self.params.tensors[name].data) for name in names]
+        for prefix, moments in zip(MOMENT_PREFIXES, (self.optimizer.m, self.optimizer.v)):
+            entries += [(prefix + name, moments[name]) for name in names]
+        manifest, offset = [], 0
+        for name, arr in entries:
+            manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
+            offset += 8 * arr.size
+        trainer_state = {
+            "master_seed": self.master_seed,
+            "update": self.update,
+            "episodes": self.episodes,
+            "best_success": self.best_success,
+            "rng_update": self.rng_update.bit_generator.state,
+            "adam_t": self.optimizer.t,
+        }
+        header = dict(zip(HEADER_KEYS, (
+            CHECKPOINT_VERSION, asdict(self.params.layout), self.params.normalizer.state_dict(), manifest,
+            to_json_dict(self.graph0), self.env_config.to_json_dict(), asdict(self.train_config), trainer_state,
+        ), strict=True))
+        head_bytes = json.dumps(header).encode("utf-8")
+        tmp = Path(f"{path}.tmp")
+        try:
+            with open(tmp, "wb") as f:
+                f.write(CHECKPOINT_MAGIC)
+                f.write(struct.pack("<Q", len(head_bytes)))
+                f.write(head_bytes)
+                for _, arr in entries:
+                    f.write(np.ascontiguousarray(arr, dtype="<f8"))
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def restore(
@@ -482,7 +606,7 @@ class Trainer:
         run = load_run_checkpoint(checkpoint)
         state = run.header["trainer_state"]
         trainer = cls(
-            run.graph0, run.params, run.env_config, TrainConfig(**run.header["train_config"]),
+            run.graph0, run.params, run.env_config, run.train_config,
             settings, master_seed=state["master_seed"], out_dir=out_dir,
         )
         trainer.update = state["update"]
@@ -490,18 +614,7 @@ class Trainer:
         trainer.best_success = state["best_success"]
         trainer.rng_update.bit_generator.state = state["rng_update"]
         trainer.optimizer.t = state["adam_t"]
-        # a moment restarted at 0 would silently break the bit-exact resume
-        for prefix, moments in trainer._moments().items():
-            for name, param in trainer.optimizer.params.items():
-                moment = run.extra.get(prefix + name)
-                if moment is None:
-                    raise ValueError(f"{checkpoint}: no optimizer moment {prefix + name} for tensor {name}")
-                if moment.shape != param.data.shape:
-                    raise ValueError(
-                        f"{checkpoint}: optimizer moment {prefix + name} has shape {moment.shape}, "
-                        f"tensor {name} has {param.data.shape}"
-                    )
-                moments[name] = moment.astype(param.data.dtype)
+        trainer.optimizer.m, trainer.optimizer.v = run.adam_m, run.adam_v
         # a run resumed in its own directory rewrites every record after the
         # checkpoint, so those go
         for log in ("metrics.jsonl", "eval.jsonl"):

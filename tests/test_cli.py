@@ -78,6 +78,21 @@ def test_ablate_csv(tmp_path, capsys):
     assert len(rows) == 3  # two settings x one seed
 
 
+def test_ablate_validates_every_setting_before_training(tmp_path, capsys):
+    """A bad setting anywhere in the sweep is a config error before the
+    first setting trains, so nothing is written."""
+    for sweep, values, error in [
+        ("clusters", "3,0", "clusters setting '0': n_clusters must be an integer >= 1"),
+        ("clusters", "3,x", "clusters setting 'x': n_clusters must be an integer >= 1"),
+        ("primitives", "six,bogus", "primitives setting 'bogus': primitive_set:"),
+    ]:
+        out = tmp_path / sweep / values
+        code = main(["ablate", "--sweep", sweep, "--values", values, "--out", str(out)] + NANO_ARGS)
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_transfer_subcommand(tmp_path, capsys):
     out = tmp_path / "src"
     assert main(["train", "--seed", "2", "--out", str(out)] + NANO_ARGS) == 0

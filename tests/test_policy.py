@@ -2,15 +2,14 @@
 
 import dataclasses
 import hashlib
-import json
 import re
-import struct
 
 import numpy as np
 import pytest
 
 from coopgraph import autodiff as ad
 from coopgraph import policy as policy_module
+from coopgraph import training as training_module
 from coopgraph.autodiff import Tensor
 from coopgraph.env import EnvConfig, PrimitiveSet, obs_dim, reset, stack_states
 from coopgraph.graph import (
@@ -20,7 +19,6 @@ from coopgraph.graph import (
     stack_graphs,
 )
 from coopgraph.policy import (
-    RETIRED_TENSORS,
     NodeBatch,
     PolicyLayout,
     act_batch,
@@ -29,16 +27,15 @@ from coopgraph.policy import (
     init_params,
     latent,
     layout_for,
-    load_checkpoint,
     node_batch,
     raw_repr_width,
     reconstruct,
-    save_checkpoint,
     surgery_for_extension,
     value,
 )
+from coopgraph.training import TrainConfig, Trainer, TrainSettings, load_run_checkpoint
 
-from conftest import float64_params, numeric_gradient, relative_error
+from conftest import float64_params, numeric_gradient, relative_error, rewrite_checkpoint
 
 
 def make_setup(seed=0, n_agents=6, n_clusters=3, m=2, n_bases=2, hidden=16, fan_out=1):
@@ -418,50 +415,62 @@ def test_extended_reconstruction_targets_group_means():
 # ---------------------------------------------------------------------------
 
 
+def trainer_for(tmp_path, cfg, graph, params):
+    """A fresh trainer on ``params``: the one checkpoint writer."""
+    return Trainer(graph, params, cfg, TrainConfig(), TrainSettings(), 0, tmp_path)
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg, graph, params, state = make_setup(seed=19)
     params.normalizer.update(np.random.default_rng(0).normal(size=(50, obs_dim(cfg))))
+    trainer = trainer_for(tmp_path, cfg, graph, params)
+    rng = np.random.default_rng(1)
+    for moments in (trainer.optimizer.m, trainer.optimizer.v):
+        for moment in moments.values():
+            moment[...] = rng.random(moment.shape)
     path = tmp_path / "policy.ckpt"
-    save_checkpoint(path, params, extra_tensors={"adam.m.x": np.arange(4.0)}, extra_header={"note": 1})
-    loaded, extra, header = load_checkpoint(path)
-    assert header["note"] == 1
-    assert loaded.layout == params.layout
+    trainer.save(path)
+    run = load_run_checkpoint(path)
+    assert run.params.layout == params.layout
     for k, t in params.tensors.items():
-        assert np.array_equal(loaded.tensors[k].data, t.data)
-    np.testing.assert_array_equal(extra["adam.m.x"], np.arange(4.0))
-    np.testing.assert_allclose(loaded.normalizer.mean, params.normalizer.mean)
-    assert loaded.normalizer.count == params.normalizer.count
+        assert np.array_equal(run.params.tensors[k].data, t.data)
+        assert np.array_equal(run.adam_m[k], trainer.optimizer.m[k])
+        assert np.array_equal(run.adam_v[k], trainer.optimizer.v[k])
+    np.testing.assert_allclose(run.params.normalizer.mean, params.normalizer.mean)
+    assert run.params.normalizer.count == params.normalizer.count
     # round-trip stability: identical bytes when saved again
     path2 = tmp_path / "again.ckpt"
-    save_checkpoint(path2, loaded, extra_tensors={"adam.m.x": extra["adam.m.x"]}, extra_header={"note": 1})
+    Trainer.restore(path, trainer.settings, tmp_path).save(path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"not a checkpoint")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path} is not a trainer checkpoint")):
+        load_run_checkpoint(path)
 
 
 def test_checkpoint_drops_retired_tensors(tmp_path):
     """A checkpoint from before the cluster->target gather still holds the
-    retired query/key tensors; loading drops them, so saving again (and an
-    optimizer built on the loaded tensors) no longer carries them. Likewise
-    the env-config codec drops the retired ``seed`` key of older headers."""
+    retired query/key tensors and their Adam moments; loading drops them, so
+    saving again (and an optimizer built on the loaded tensors) no longer
+    carries them. Likewise the env-config codec drops the retired ``seed``
+    key of older headers."""
     cfg, graph, params, state = make_setup(seed=21)
     doc = cfg.to_json_dict()
     assert "seed" not in doc
     assert EnvConfig.from_json_dict({**doc, "seed": 0}) == EnvConfig.from_json_dict(doc) == cfg
     old = params.copy()
     h = params.layout.hidden
-    for name in RETIRED_TENSORS:
+    for name in ("ct.Wq", "ct.Wk", "ct.bq", "ct.bk"):
         old.tensors[name] = Tensor(np.ones((h, h) if "W" in name else h), requires_grad=True)
-    save_checkpoint(tmp_path / "old.ckpt", old)
-    loaded, _, _ = load_checkpoint(tmp_path / "old.ckpt")
-    assert loaded.tensors.keys() == params.tensors.keys()
-    save_checkpoint(tmp_path / "again.ckpt", loaded)
-    save_checkpoint(tmp_path / "fresh.ckpt", params)
+    trainer_for(tmp_path, cfg, graph, old).save(tmp_path / "old.ckpt")
+    assert b'"extra.adam.v.ct.Wq"' in (tmp_path / "old.ckpt").read_bytes()
+    run = load_run_checkpoint(tmp_path / "old.ckpt")
+    assert run.params.tensors.keys() == run.adam_m.keys() == run.adam_v.keys() == params.tensors.keys()
+    Trainer.restore(tmp_path / "old.ckpt", TrainSettings(), tmp_path).save(tmp_path / "again.ckpt")
+    trainer_for(tmp_path, cfg, graph, params).save(tmp_path / "fresh.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
 
 
@@ -486,38 +495,34 @@ def test_checkpoint_rejects_tensors_its_layout_does_not_have(tmp_path, edit, err
     bad = params.copy()
     edit(bad.tensors)
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(path, bad)
+    trainer_for(tmp_path, cfg, graph, bad).save(path)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
-        load_checkpoint(path)
+        load_run_checkpoint(path)
 
 
 def test_checkpoint_rejects_other_format_version(tmp_path):
     cfg, graph, params, state = make_setup(seed=22)
     path = tmp_path / "future.ckpt"
-    save_checkpoint(path, params, extra_header={"format_version": 2})
+    trainer_for(tmp_path, cfg, graph, params).save(path)
+    rewrite_checkpoint(path, path, edit_header=lambda header: {**header, "format_version": 2})
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 2"):
-        load_checkpoint(path)
+        load_run_checkpoint(path)
 
 
-@pytest.mark.parametrize("missing", ["layout", "manifest", "normalizer", None])
+@pytest.mark.parametrize("missing", ["layout", "manifest", "normalizer", None, "trainer_state"])
 def test_checkpoint_rejects_malformed_header(tmp_path, missing):
     """A header without one of the keys the loader reads, or one that is not
     a JSON object (``None``), is refused with the path and the key."""
     cfg, graph, params, state = make_setup(seed=26)
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(path, params)
-    raw = path.read_bytes()
-    (head_len,) = struct.unpack("<Q", raw[4:12])
-    header = json.loads(raw[12:12 + head_len])
+    trainer_for(tmp_path, cfg, graph, params).save(path)
     if missing is None:
-        header, error = [header], "checkpoint header is not a JSON object"
+        edit, error = (lambda header: [header]), "checkpoint header is not a JSON object"
     else:
-        del header[missing]
-        error = f"checkpoint header lacks {missing!r}"
-    head = json.dumps(header).encode()
-    path.write_bytes(raw[:4] + struct.pack("<Q", len(head)) + head + raw[12 + head_len:])
+        edit, error = (lambda header: {k: v for k, v in header.items() if k != missing}), f"checkpoint header lacks {missing!r}"
+    rewrite_checkpoint(path, path, edit_header=edit)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
-        load_checkpoint(path)
+        load_run_checkpoint(path)
 
 
 @pytest.mark.parametrize("keep", [6, 20, -8])
@@ -525,10 +530,10 @@ def test_checkpoint_rejects_truncated_file(tmp_path, keep):
     """Cut inside the header length, inside the header or inside the tensor data."""
     cfg, graph, params, state = make_setup(seed=23)
     path = tmp_path / "cut.ckpt"
-    save_checkpoint(path, params)
+    trainer_for(tmp_path, cfg, graph, params).save(path)
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*truncated"):
-        load_checkpoint(path)
+        load_run_checkpoint(path)
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -536,17 +541,17 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     whole and no temporary file behind."""
     cfg, graph, params, state = make_setup(seed=24)
     path = tmp_path / "policy.ckpt"
-    save_checkpoint(path, params)
+    trainer = trainer_for(tmp_path, cfg, graph, params)
+    trainer.save(path)
     before = path.read_bytes()
 
     def fail(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(policy_module.os, "replace", fail)
-    changed = params.copy()
-    changed.tensors["trunk.b"] = Tensor(changed.tensors["trunk.b"].data + 1.0)
+    monkeypatch.setattr(training_module.os, "replace", fail)
+    trainer.params.tensors["trunk.b"].data += 1.0
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, changed)
+        trainer.save(path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.ckpt"]
 

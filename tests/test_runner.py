@@ -3,12 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from coopgraph.graph import from_json
-from coopgraph.policy import load_checkpoint
 from coopgraph.training import evaluate_policy, load_run_checkpoint
 from coopgraph.runner import (
     ConfigError,
@@ -85,6 +85,15 @@ def test_unknown_fields_rejected():
 def test_config_value_validation():
     with pytest.raises(ConfigError, match="train"):
         parse_run_config({"train": {"p_interference": 2.0}})
+    for run, error in [
+        ({"eval_episodes": 0}, "run: eval_episodes must be >= 1"),
+        ({"total_updates": -1}, "run: total_updates must be >= 0"),
+        ({"stop_success": 1.5}, "run: stop_success must be a success rate"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(error)):
+            parse_run_config({"run": run})
+    with pytest.raises(ConfigError, match="n_clusters must be an integer >= 1"):
+        parse_run_config({"n_clusters": "x"})
     with pytest.raises(ConfigError, match="env"):
         parse_run_config({"env": {"v_def": 0.1}})  # slower than a slowed invader
 
@@ -163,7 +172,7 @@ def test_eval_checkpoint(nano_run, tmp_path):
 def test_eval_shape_mismatch_diagnostic(nano_run):
     rc, out, _ = nano_run
     bad = dataclasses.replace(rc, task="CSI-5/1/2")
-    with pytest.raises(ValueError, match="shape-incompatible"):
+    with pytest.raises(ConfigError, match=re.escape("n_agents (checkpoint 4, config 5)")):
         cmd_eval(bad, str(out / "seed_0" / "checkpoint_last.ckpt"))
 
 
@@ -173,7 +182,7 @@ def test_eval_and_export_reject_other_physics(nano_run, tmp_path):
     rc, out, _ = nano_run
     ckpt = str(out / "seed_0" / "checkpoint_last.ckpt")
     other = dataclasses.replace(rc, env={**rc.env, "t_max": 25, "v_inv": 0.5})
-    with pytest.raises(ConfigError, match=r"v_inv \(checkpoint 0.8, config 0.5\), t_max \(checkpoint 20, config 25\)$"):
+    with pytest.raises(ConfigError, match=r"env\.v_inv \(checkpoint 0.8, config 0.5\), env\.t_max \(checkpoint 20, config 25\)$"):
         cmd_eval(other, ckpt)
     with pytest.raises(ConfigError, match="v_inv.*t_max"):
         cmd_export_topology(other, ckpt, episode_seed=5, steps=[0], out_dir=str(tmp_path))
@@ -212,12 +221,12 @@ def test_transfer_doubles_team(nano_run, tmp_path):
     assert 0.0 <= report["zero_shot_mean"] <= 1.0
     retrain_ckpt = tmp_path / "tf2" / "retrain" / "checkpoint_last.ckpt"
     assert not retrain_ckpt.with_name("checkpoint_best.ckpt").exists()
-    params, _, header = load_checkpoint(retrain_ckpt)
-    assert params.layout.fan_out == 2
+    retrained = load_run_checkpoint(retrain_ckpt)
+    header = retrained.header
+    assert retrained.params.layout.fan_out == 2
     graph = from_json(json.dumps(header["initial_topology"]))
     assert graph.n_env_agents == 8 and graph.n_agents == 4
     # the final success is the last checkpoint's greedy evaluation
-    retrained = load_run_checkpoint(retrain_ckpt)
     assert report["final_success"] == evaluate_policy(
         retrained.graph0, retrained.params, retrained.env_config, rc.seeds[0] + 100, sub.eval_episodes
     )
@@ -268,6 +277,15 @@ def test_export_topology_at_the_episode_end(nano_run, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"warning: step {t} is beyond the episode end; skipped" for t in (20, 21)
     ]
+
+
+def test_export_topology_rejects_a_negative_step(nano_run, tmp_path):
+    """Refused before the checkpoint is read or an episode replayed."""
+    rc, out, _ = nano_run
+    for ckpt in (out / "seed_0" / "checkpoint_last.ckpt", tmp_path / "missing.ckpt"):
+        with pytest.raises(ConfigError, match="steps count from 0, not -1"):
+            cmd_export_topology(rc, str(ckpt), episode_seed=5, steps=[0, -1], out_dir=str(tmp_path / "snaps"))
+    assert not (tmp_path / "snaps").exists()
 
 
 # ---------------------------------------------------------------------------

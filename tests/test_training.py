@@ -25,12 +25,9 @@ from coopgraph.policy import (
     evaluate_actions,
     init_params,
     layout_for,
-    load_checkpoint,
-    save_checkpoint,
     surgery_for_extension,
 )
 from coopgraph.training import (
-    TRAINER_HEADER_KEYS,
     RolloutBatch,
     TrainConfig,
     TrainSettings,
@@ -38,11 +35,12 @@ from coopgraph.training import (
     collect,
     compute_gae,
     evaluate_policy,
+    load_run_checkpoint,
     ppo_update,
 )
 from coopgraph.runner import frozen_topology, RunConfig, build_env_config, cmd_eval
 
-from conftest import float64_params
+from conftest import float64_params, rewrite_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +290,18 @@ def test_float64_checkpoint_loads_rounded(tmp_path):
     ``cmd_eval`` runs on it and training resumes from it."""
     trainer = nano_trainer(tmp_path, total=1)
     trainer.run()
-    params, extra, header = load_checkpoint(tmp_path / "run" / "checkpoint_last.ckpt")
     rng = np.random.default_rng(0)
-    old = float64_params(params)
+    old = float64_params(trainer.params)
     for t in old.tensors.values():
         t.data += rng.normal(scale=1e-3, size=t.shape)
-    extra = {k: np.abs(v + rng.normal(scale=1e-6, size=v.shape)) for k, v in extra.items()}
+    trainer.params = old
+    for moments in (trainer.optimizer.m, trainer.optimizer.v):
+        for name, moment in moments.items():
+            moments[name] = np.abs(moment + rng.normal(scale=1e-6, size=moment.shape))
     path = tmp_path / "float64.ckpt"
-    save_checkpoint(path, old, extra_tensors=extra, extra_header={k: header[k] for k in TRAINER_HEADER_KEYS})
+    trainer.save(path)
 
-    loaded, _, _ = load_checkpoint(path)
+    loaded = load_run_checkpoint(path).params
     for name, t in old.tensors.items():
         assert not np.array_equal(t.data.astype(np.float32).astype(np.float64), t.data), name
         assert loaded.tensors[name].data.dtype == np.float32
@@ -309,10 +309,11 @@ def test_float64_checkpoint_loads_rounded(tmp_path):
     report = cmd_eval(nano_run_config(), str(path))
     assert 0.0 <= report["success_mean"] <= 1.0
     resumed = Trainer.restore(path, trainer.settings, tmp_path / "resumed")
-    for prefix, moments in resumed._moments().items():
+    for saved, moments in ((trainer.optimizer.m, resumed.optimizer.m), (trainer.optimizer.v, resumed.optimizer.v)):
         for name, moment in moments.items():
+            assert saved[name].dtype == np.float64
             assert moment.dtype == np.float32
-            assert np.array_equal(moment, extra[prefix + name].astype(np.float32)), prefix + name
+            assert np.array_equal(moment, saved[name].astype(np.float32)), name
     resumed.settings.total_updates = 2
     assert resumed.run()["updates"] == 2
 
@@ -531,20 +532,6 @@ def test_trainer_smoke_and_metrics_schema(tmp_path):
     assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
 
 
-def resave(src, dst, drop=(), swap=None, **env_config):
-    """Write ``src`` again as ``dst`` without the ``drop`` extra tensors,
-    with the ``swap`` ones in place of its own and with ``env_config`` keys
-    added to its header."""
-    params, extra, header = load_checkpoint(src)
-    header["env_config"].update(env_config)
-    extra.update(swap or {})
-    save_checkpoint(
-        dst, params,
-        extra_tensors={k: v for k, v in extra.items() if k not in drop},
-        extra_header={k: header[k] for k in TRAINER_HEADER_KEYS},
-    )
-
-
 def test_trainer_resume_is_bit_deterministic(tmp_path):
     """Also from a checkpoint whose header still carries the retired
     ``env_config.seed``, as every checkpoint written before its removal does;
@@ -557,7 +544,7 @@ def test_trainer_resume_is_bit_deterministic(tmp_path):
     half.run()
     last = tmp_path / "half" / "checkpoint_last.ckpt"
     legacy = tmp_path / "half" / "legacy.ckpt"
-    resave(last, legacy, seed=0)
+    rewrite_checkpoint(last, legacy, edit_header=lambda h: {**h, "env_config": {**h["env_config"], "seed": 0}})
     assert cmd_eval(nano_run_config(), str(legacy)) == cmd_eval(nano_run_config(), str(last))
     for ckpt in (last, legacy):
         resumed = Trainer.restore(
@@ -575,7 +562,7 @@ def test_restore_rejects_missing_optimizer_moment(tmp_path):
     trainer = nano_trainer(tmp_path, total=1)
     trainer.run()
     cut = tmp_path / "cut.ckpt"
-    resave(tmp_path / "run" / "checkpoint_last.ckpt", cut, drop={"adam.m.ct.Wv"})
+    rewrite_checkpoint(tmp_path / "run" / "checkpoint_last.ckpt", cut, drop={"extra.adam.m.ct.Wv"})
     with pytest.raises(ValueError, match=re.escape(str(cut)) + ".*adam.m.ct.Wv"):
         Trainer.restore(cut, trainer.settings, tmp_path / "resumed")
 
@@ -586,9 +573,49 @@ def test_restore_rejects_misshaped_optimizer_moment(tmp_path):
     trainer.run()
     bad = tmp_path / "bad.ckpt"
     moment = trainer.optimizer.v["trunk.W"]
-    resave(tmp_path / "run" / "checkpoint_last.ckpt", bad, swap={"adam.v.trunk.W": moment.T})
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: optimizer moment adam.v.trunk.W has shape (16, 32)")):
+    rewrite_checkpoint(tmp_path / "run" / "checkpoint_last.ckpt", bad, swap={"extra.adam.v.trunk.W": moment.T})
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: tensor extra.adam.v.trunk.W has shape (16, 32)")):
         Trainer.restore(bad, trainer.settings, tmp_path / "resumed")
+
+
+@pytest.mark.parametrize("name", ["extra.adam.m.bogus", "extra.adam.v.head5.fc1.W", "extra.lr"])
+def test_load_rejects_a_tensor_of_no_parameter(tmp_path, name):
+    """A moment of a parameter the layout does not have, or any other
+    unknown tensor, is refused at load, naming the path and the tensor."""
+    trainer = nano_trainer(tmp_path, total=1)
+    trainer.run()
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(tmp_path / "run" / "checkpoint_last.ckpt", bad, swap={name: np.zeros(3)})
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: unexpected tensor {name} for layout")):
+        load_run_checkpoint(bad)
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: unexpected tensor {name}")):
+        Trainer.restore(bad, trainer.settings, tmp_path / "resumed")
+
+
+def test_load_rejects_a_layout_its_topology_and_env_do_not_give(tmp_path):
+    """Tensors that fit the header's layout are not enough: the layout must be
+    the one the checkpoint's own topology and env config give."""
+    trainer = nano_trainer(tmp_path, total=1)
+    trainer.run()
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(
+        tmp_path / "run" / "checkpoint_last.ckpt", bad,
+        edit_header=lambda h: {**h, "env_config": {**h["env_config"], "n_bases": 3}},
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: layout ") + ".*does not fit its topology and env config"):
+        load_run_checkpoint(bad)
+
+
+def test_restore_then_save_is_byte_identical(tmp_path):
+    """A trainer checkpoint with its moments, trainer state and normalizer
+    round-trips through restore and save to the same bytes."""
+    trainer = nano_trainer(tmp_path, total=3)
+    trainer.run()
+    last = tmp_path / "run" / "checkpoint_last.ckpt"
+    resumed = Trainer.restore(last, trainer.settings, tmp_path / "resumed")
+    assert resumed.optimizer.t == trainer.optimizer.t > 0
+    resumed.save(tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == last.read_bytes()
 
 
 def test_killed_run_resumes_from_checkpoint_last(tmp_path, monkeypatch):
