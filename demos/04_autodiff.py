@@ -20,7 +20,7 @@ q = Tensor(rng.normal(size=(3, 8)))
 k = Tensor(rng.normal(size=(6, 8)))
 v = Tensor(rng.normal(size=(6, 4)))
 mask = np.ones((3, 6)); mask[2, :] = 0  # query 2 sees no keys
-out = ad.scaled_dot_attention(q, k, v, key_mask=mask)
+out = ad.scaled_dot_attention(q, k, v, 1.0 / np.sqrt(8), key_mask=mask)
 print("attention output shape:", out.shape, "| fully-masked row is zero:", out.data[2])
 
 # --- reverse mode (linear: x @ w + b as one tape node) ----------------------

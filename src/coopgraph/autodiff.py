@@ -30,13 +30,17 @@ order is fixed, so identical inputs give bit-identical outputs.
 
 A dense layer (``linear``: one folded GEMM plus the bias) and a whole
 attention (``scaled_dot_attention``, with a hand-written backward) are one
-tape node each. Their backward repeats, step by step, the arithmetic of the
-matmul/add/softmax chain they replace, so gradients keep their bits. No op
+tape node each. ``linear``'s backward repeats, step by step, the arithmetic
+of the matmul/add chain it replaces, so its gradients keep the chain's bits.
+Attention does not repeat a chain's bits: it takes one shared query table
+against batched keys and computes the scores of every episode as one GEMM
+over the key rows, and its query and key gradients as one GEMM each. No op
 computes a gradient for a constant operand (no ``requires_grad`` and no
 parents): such a gradient could reach no parameter.
 
-The backward of a matmul, ``linear`` or attention has two independent GEMMs
-(input and weight gradient, or weight and value gradient). When the pair
+The backward of a matmul or ``linear`` has two independent GEMMs (input
+and weight gradient), an attention's two such pairs (the weights' and the
+values' gradient, then the queries' and the keys'). When a pair
 has more than ``_HANDOFF_MACS`` multiply-adds and more than one core is
 usable, one GEMM runs on a single worker thread, started on the first such
 backward, while the other runs on the calling thread; numpy releases the
@@ -339,6 +343,15 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(data, (a,), bwd, "reshape")
 
 
+def transpose(a: Tensor) -> Tensor:
+    """The transpose of a 2-d tensor."""
+
+    def bwd(g):
+        _accumulate(a, g.T)
+
+    return _make(a.data.T, (a,), bwd, "transpose")
+
+
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = tuple(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -351,24 +364,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 _accumulate(t, piece)
 
     return _make(data, tensors, bwd, "concat")
-
-
-def pick_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-episode row pick: out[b, j] = a[b, idx[b, j]] for a (B, n, h)
-    tensor and (B, k) indices; returns shape (B, k, h)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    ep = np.arange(a.data.shape[0])
-    data = a.data[ep[:, None], idx]
-
-    def bwd(g):
-        # one duplicate-free scatter per pick column, in column order: the
-        # sums np.add.at would form, added in its order, so the same bits
-        acc = np.zeros_like(a.data)
-        for j in range(idx.shape[1]):
-            acc[ep, idx[:, j]] += g[:, j]
-        _accumulate(a, acc, fresh=True)
-
-    return _make(data, (a,), bwd, "pick_rows")
 
 
 def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -513,63 +508,72 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), bwd, "log_softmax")
 
 
+def _over_keys(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over axis -2 of ``a``, one key row at a time, that
+    axis kept at length 1. numpy reduces a short strided axis slowly: on a
+    2-core Xeon, (4238, 12, 6) float32 scores took 3.2 ms for
+    ``max(axis=-2)`` and 1.6 ms for ``sum(axis=-2)``, against 0.55 ms each
+    for this fold."""
+    out = a[..., :1, :].copy()
+    for j in range(1, a.shape[-2]):
+        ufunc(out, a[..., j:j + 1, :], out=out)
+    return out
+
+
 def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray | None = None
+    q: Tensor, k: Tensor, v: Tensor, scale: float, key_mask: np.ndarray | None = None
 ) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v, with masked keys pushed to -1e9 pre-softmax.
+    """softmax(q k^T * scale) v for one (n_q, d) query table shared by every
+    episode, keys (..., n_k, d) and values (..., n_k, d_v) with the same
+    leading axes; returns (..., n_q, d_v). The scale is the caller's: a
+    folded attention keeps the scale of the width it was folded from.
 
-    ``key_mask`` is a 0/1 (or bool) array broadcastable to the score shape
-    (..., n_queries, n_keys); 1 marks a selectable key. Query rows whose keys
-    are all masked produce zero output rows.
+    ``key_mask`` is a 0/1 (or bool) array broadcastable to (..., n_q, n_k);
+    1 marks a selectable key, and a masked key's score is pushed to -1e9
+    before the softmax. Query rows whose keys are all masked produce zero
+    output rows.
 
-    One node. The backward repeats the arithmetic of the op chain this
-    stands for (matmul with the transposed keys, scale, mask add, softmax,
-    matmul, live-row mul) step by step, in the same order and layouts, so
-    every gradient has the chain's bits.
+    One node. The scores are one GEMM over every episode's key rows, kept
+    key-major, (..., n_k, n_q), so the softmax runs over axis -2; in the
+    backward the query and key gradients are one GEMM each.
     """
     qd, kd, vd = q.data, k.data, v.data
-    scale = 1.0 / math.sqrt(qd.shape[-1])
-    scores = np.matmul(qd, np.swapaxes(kd, -1, -2)) * scale
-    scaled_shape = scores.shape
+    n_q, d = qd.shape
+    k_rows = kd.reshape(-1, d)
+    scores = (k_rows @ qd.T).reshape(kd.shape[:-1] + (n_q,))
+    scores *= scale
     live = None
     if key_mask is not None:
-        m = np.asarray(key_mask, dtype=scores.dtype)
+        m = np.swapaxes(np.asarray(key_mask, dtype=scores.dtype), -1, -2)
         scores = scores + (1.0 - m) * MASK_FILL
-        live = (np.broadcast_to(m, scores.shape).max(axis=-1) > 0.0).astype(scores.dtype)[..., None]
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    weights = e / e.sum(axis=-1, keepdims=True)
-    data = np.matmul(weights, vd)
+        live = np.swapaxes(_over_keys(np.maximum, np.broadcast_to(m, scores.shape)), -1, -2)
+    e = np.exp(scores - _over_keys(np.maximum, scores))
+    weights = e / _over_keys(np.add, e)  # (..., n_k, n_q)
+    data = np.matmul(np.swapaxes(weights, -1, -2), vd)
     if live is not None:
-        data = data * live
+        data *= live
 
     def bwd(g):
         if live is not None:
             g = g * live
         gw, gv = _gemm_pair(
-            (lambda: np.matmul(g, np.swapaxes(vd, -1, -2))) if _live(q) or _live(k) else None,
-            (lambda: np.matmul(np.swapaxes(weights, -1, -2), g)) if _live(v) else None,
-            2 * g.size * weights.shape[-1],
+            (lambda: np.matmul(vd, np.swapaxes(g, -1, -2))) if _live(q) or _live(k) else None,
+            (lambda: np.matmul(weights, g)) if _live(v) else None,
+            2 * g.size * weights.shape[-2],
         )
-        if gv is not None:
-            _accumulate(v, _unbroadcast_matmul(gv, vd.shape), fresh=True)
+        _accumulate(v, gv, fresh=True)
         if gw is None:
             return
-        gw = _unbroadcast_matmul(gw, weights.shape)
-        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
-        gs = _unbroadcast(gs, scaled_shape) * scale
-        gq, gkt = _gemm_pair(
-            (lambda: np.matmul(gs, kd)) if _live(q) else None,
-            (lambda: np.matmul(np.swapaxes(qd, -1, -2), gs)) if _live(k) else None,
-            2 * gs.size * qd.shape[-1],
+        gs = weights * (gw - _over_keys(np.add, gw * weights))
+        gs *= scale
+        gs_rows = gs.reshape(-1, n_q)
+        gq, gk = _gemm_pair(
+            (lambda: gs_rows.T @ k_rows) if _live(q) else None,
+            (lambda: (gs_rows @ qd).reshape(kd.shape)) if _live(k) else None,
+            2 * gs.size * d,
         )
-        if gq is not None:
-            _accumulate(q, _unbroadcast_matmul(gq, qd.shape), fresh=True)
-        if gkt is not None:
-            # reduced in the transposed keys' shape, then handed on as the
-            # swapped view, as the transpose node of the chain did
-            kt_shape = kd.shape[:-2] + (kd.shape[-1], kd.shape[-2])
-            _accumulate(k, np.swapaxes(_unbroadcast_matmul(gkt, kt_shape), -1, -2))
+        _accumulate(q, gq, fresh=True)
+        _accumulate(k, gk, fresh=True)
 
     return _make(data, (q, k, v), bwd, "scaled_dot_attention")
 

@@ -14,6 +14,36 @@ embeddings e_h, which feed
   2. an attention decoder per node family that reconstructs the raw node
      representations, giving the auxiliary reconstruction loss.
 
+The network runs on weights folded from the parameters (``fold``), so no
+(rows, hidden) key, value or projected-target tensor is ever built. Each
+fold is exact math: a key projection only meets a parameter-only query in a
+dot product, and a value projection only feeds a linear layer. With x the
+normalized observations, T the target rows and ``proj.agent`` = (Wpa, bpa):
+
+- member attention ``ac``: its scores are x @ (Wpa Wk q^T) plus one
+  constant per query, which the softmax cancels, so it attends over x
+  itself with the query table q Wk^T Wpa^T; its output is (weights @ x) @
+  (Wpa Wv) + (bpa Wv + bv) on a cluster with members, 0 on one without;
+- merge block: likewise its query table is merge.q merge.Wk^T Wpa^T over a
+  group's rows of x, and a group's merged row stays in observation space
+  (weights @ x_group), which the member attention then reads as x;
+- cluster->target edge: pick(T) @ (Wpt Wct) + (bpt Wct + bct), picking the
+  constant target rows first;
+- trunk: the two products above meet the trunk's two row blocks, so e_h =
+  relu([member mix, live flag, pick(T)] @ M + c), one small linear; the
+  live flag carries (bpa Wv + bv) on a cluster with members;
+- decoders ``ae_a``/``ae_c``/``ae_t``: scores e_h @ (Wk Q^T), and the
+  weights sum to 1, so the output is weights @ (e_h @ (Wv Wo) + (bv Wo +
+  bo)).
+
+Every bias lands in a product above, except the attention key biases,
+which the softmax cancels: the network has none. A rollout folds once under
+``no_grad`` (the parameters are fixed while it runs) and ``act_batch``
+takes the result; ``evaluate_actions`` folds on the tape for each
+minibatch, so gradients reach the parameters. Both run the same numpy
+arithmetic, so the folded weights, and the log-probabilities, agree bit for
+bit.
+
 The node inputs of a lockstep step are built in one pass over a
 ``stack_graphs`` and a ``stack_states`` stack of its B episodes
 (``node_batch``); one episode is a stack of one. That NodeBatch is the
@@ -28,8 +58,8 @@ widened to float64 run a float64 tape. Observation statistics stay float64.
 
 After a curriculum extension, each bottom-layer node stands for a fixed
 group of agents; a small merge-attention block (added by surgery, everything
-else inherited bit-exact) compresses the group's observation embeddings
-into one row before the cluster attention.
+else inherited bit-exact) compresses the group's observations into one row
+before the cluster attention.
 """
 
 from __future__ import annotations
@@ -150,25 +180,27 @@ def _init_linear(tensors, rng, name, fan_in, fan_out, w_scale=None):
     tensors[f"{name}.b"] = _param(np.zeros(fan_out))
 
 
+# An attention has no key bias: it shifts every score of a query by the same
+# amount, which the softmax cancels. Biases are zeros and take no draws.
+
+
 def _init_attention(tensors, rng, name, h):
     for part in ("Wq", "Wk", "Wv"):
         tensors[f"{name}.{part}"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)))
-    for part in ("bq", "bk", "bv"):
+    for part in ("bq", "bv"):
         tensors[f"{name}.{part}"] = _param(np.zeros(h))
 
 
 def _init_merge(tensors, rng, h):
     tensors["merge.q"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(1, h)))
     tensors["merge.Wk"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)))
-    tensors["merge.bk"] = _param(np.zeros(h))
 
 
 def _init_decoder(tensors, rng, name, n_queries, h, d_out):
     tensors[f"{name}.Q"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(n_queries, h)))
     for part in ("Wk", "Wv"):
         tensors[f"{name}.{part}"] = _param(rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h)))
-    for part in ("bk", "bv"):
-        tensors[f"{name}.{part}"] = _param(np.zeros(h))
+    tensors[f"{name}.bv"] = _param(np.zeros(h))
     _init_linear(tensors, rng, f"{name}.out", h, d_out)
 
 
@@ -309,15 +341,80 @@ def _linear(x: Tensor, params: PolicyParams, name: str) -> Tensor:
     return ad.linear(x, params.tensors[f"{name}.W"], params.tensors[f"{name}.b"])
 
 
-def _attend(params: PolicyParams, name: str, q_in: Tensor, kv_in: Tensor, mask) -> Tensor:
+DECODERS = ("ae_a", "ae_c", "ae_t")
+
+
+@dataclass(frozen=True)
+class FoldedParams:
+    """The encoder and decoder weights of ``params`` folded into products
+    of parameters (see the module docstring), by name:
+
+    - ``ac.q`` (n_clusters, d_obs): the member attention's query table in
+      observation space; ``merge.q`` (1, d_obs) the merge block's, with an
+      extension;
+    - ``trunk.W`` (d_obs + 1 + d_raw, hidden) and ``trunk.b``: the trunk
+      over [member mix, live flag, selected target row];
+    - per decoder ``{name}.Q`` (n_queries, hidden), its query table against
+      e_h, and ``{name}.V.W`` (hidden, d_out) with ``{name}.V.b``, the
+      value projection carried through its output layer.
+    """
+
+    params: PolicyParams
+    tensors: dict[str, Tensor]
+
+
+def fold(params: PolicyParams) -> FoldedParams:
+    """The folded weights of ``params``, with ad ops: on the tape (as
+    ``evaluate_actions`` calls it) gradients flow back to the parameters;
+    under ``no_grad`` the same arithmetic gives the same bits, so a rollout
+    folds once and its log-probabilities match the tape's."""
+    lay = params.layout
     p = params.tensors
-    q = ad.linear(q_in, p[f"{name}.Wq"], p[f"{name}.bq"])
-    k = ad.linear(kv_in, p[f"{name}.Wk"], p[f"{name}.bk"])
-    v = ad.linear(kv_in, p[f"{name}.Wv"], p[f"{name}.bv"])
-    return ad.scaled_dot_attention(q, k, v, key_mask=mask)
+    h = lay.hidden
+
+    def row(vec: Tensor) -> Tensor:
+        return ad.reshape(vec, (1, vec.data.shape[-1]))
+
+    def zeros(n: int) -> Tensor:
+        return params.constant(np.zeros((n, h)))
+
+    # keys of the member attention: agents = x Wpa + bpa, keys agents Wk;
+    # q.(bpa Wk) is one constant per query, which the softmax cancels
+    wpa_t = ad.transpose(p["proj.agent.W"])
+    clusters = ad.add(p["proj.cluster.W"], p["proj.cluster.b"])
+    q = ad.linear(clusters, p["ac.Wq"], p["ac.bq"])
+    out = {"ac.q": ad.matmul(ad.matmul(q, ad.transpose(p["ac.Wk"])), wpa_t)}
+    if lay.fan_out > 1:
+        if "merge.q" not in p:
+            raise ValueError("extended inputs need a merge block; run surgery first")
+        out["merge.q"] = ad.matmul(ad.matmul(p["merge.q"], ad.transpose(p["merge.Wk"])), wpa_t)
+    # values through the trunk's two row blocks: the member values
+    # (x Wpa + bpa) Wv + bv, zero on a dead row, and the picked target's
+    # (T Wpt + bpt) Wct + bct
+    member_v = ad.matmul(p["proj.agent.W"], p["ac.Wv"])
+    member_c = ad.linear(row(p["proj.agent.b"]), p["ac.Wv"], p["ac.bv"])
+    target_v = ad.matmul(p["proj.target.W"], p["ct.Wv"])
+    target_c = ad.linear(row(p["proj.target.b"]), p["ct.Wv"], p["ct.bv"])
+    blocks = ad.concat([
+        ad.concat([member_v, zeros(lay.d_obs)], axis=-1),
+        ad.concat([member_c, zeros(1)], axis=-1),
+        ad.concat([zeros(lay.d_raw), target_v], axis=-1),
+    ], axis=0)
+    out["trunk.W"] = ad.matmul(blocks, p["trunk.W"])
+    out["trunk.b"] = ad.reshape(
+        ad.linear(ad.concat([zeros(1), target_c], axis=-1), p["trunk.W"], p["trunk.b"]), (h,)
+    )
+    for name in DECODERS:
+        # the weights sum to 1, so the output layer moves inside the weighted sum
+        out[f"{name}.Q"] = ad.matmul(p[f"{name}.Q"], ad.transpose(p[f"{name}.Wk"]))
+        out[f"{name}.V.W"] = ad.matmul(p[f"{name}.Wv"], p[f"{name}.out.W"])
+        out[f"{name}.V.b"] = ad.reshape(
+            ad.linear(row(p[f"{name}.bv"]), p[f"{name}.out.W"], p[f"{name}.out.b"]), (-1,)
+        )
+    return FoldedParams(params, out)
 
 
-def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
+def encode(batch: NodeBatch, folded: FoldedParams) -> Tensor:
     """Per-cluster embeddings e_h, shape (B, n_clusters, hidden).
 
     A non-finite intermediate raises NonFiniteError naming its op: off the
@@ -325,34 +422,24 @@ def encode(batch: NodeBatch, params: PolicyParams) -> Tensor:
     observations are normalized in float64, then cast to the parameters'
     dtype.
     """
+    params = folded.params
     lay = params.layout
-    p = params.tensors
+    f = folded.tensors
     B = batch.obs.shape[0]
+    scale = 1.0 / np.sqrt(lay.hidden)
     # mask (B, n_k, n_lower): cluster k attends over its member agents
     member_mask = batch.agent_to_cluster[:, None, :] == np.arange(lay.n_clusters)[None, :, None]
 
-    obs_n = params.normalizer.normalize(batch.obs)
-    agents = _linear(params.constant(obs_n), params, "proj.agent")  # (B, n_env, h)
+    x = params.constant(params.normalizer.normalize(batch.obs))  # (B, n_env, d_obs)
     if lay.fan_out > 1:
-        if "merge.q" not in p:
-            raise ValueError("extended inputs need a merge block; run surgery first")
-        grouped = ad.reshape(agents, (B * lay.n_lower, lay.fan_out, lay.hidden))
-        keys = ad.linear(grouped, p["merge.Wk"], p["merge.bk"])
-        merged = ad.scaled_dot_attention(p["merge.q"], keys, grouped)
-        agents = ad.reshape(merged, (B, lay.n_lower, lay.hidden))
-
-    clusters = ad.add(p["proj.cluster.W"], p["proj.cluster.b"])  # (n_k, h)
-    targets = _linear(params.constant(batch.target_reps), params, "proj.target")  # (B, n_t, h)
-
-    h_ac = _attend(params, "ac", clusters, agents, member_mask)  # (B, n_k, h)
-    # a cluster has exactly one target edge, so attention over it is
-    # one-hot: take the selected target's value row. Project all n_t rows
-    # before the gather: projecting only the selected rows would change the
-    # gradient's summation order, and so the bits of existing seeds' runs.
-    v = ad.linear(targets, p["ct.Wv"], p["ct.bv"])  # (B, n_t, h)
-    h_ct = ad.pick_rows(v, batch.cluster_to_target)  # (B, n_k, h)
-    mixed = ad.concat([h_ac, h_ct], axis=-1)
-    return ad.relu(_linear(mixed, params, "trunk"))
+        groups = ad.reshape(x, (B * lay.n_lower, lay.fan_out, lay.d_obs))
+        merged = ad.scaled_dot_attention(f["merge.q"], groups, groups, scale)
+        x = ad.reshape(merged, (B, lay.n_lower, lay.d_obs))
+    mix = ad.scaled_dot_attention(f["ac.q"], x, x, scale, key_mask=member_mask)  # (B, n_k, d_obs)
+    live = params.constant(member_mask.any(axis=-1)[..., None])
+    # a cluster has exactly one target edge: take the selected target row
+    picked = params.constant(batch.target_reps[np.arange(B)[:, None], batch.cluster_to_target])
+    return ad.relu(ad.linear(ad.concat([mix, live, picked], axis=-1), f["trunk.W"], f["trunk.b"]))
 
 
 def latent(e_h: Tensor, params: PolicyParams) -> Tensor:
@@ -413,12 +500,13 @@ def _head_chain(
 
 def act_batch(
     batch: NodeBatch,
-    params: PolicyParams,
+    folded: FoldedParams,
     rngs: list[np.random.Generator | None],
     mode: Literal["sample", "argmax"] = "sample",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick an operator action for each of a batch of independent episode
-    steps, with the head chain of ``evaluate_actions`` run off the tape.
+    steps, with the head chain of ``evaluate_actions`` run off the tape, on
+    weights folded once for the whole rollout (``fold`` under ``no_grad``).
 
     In sample mode row i draws its samples from rngs[i] (one uniform per
     head, in head order), so per-episode streams stay reproducible no
@@ -431,12 +519,15 @@ def act_batch(
     def choose(i: int, probs: np.ndarray) -> np.ndarray:
         if mode == "argmax":
             return np.argmax(probs, axis=1)
+        # the left insertion point of each row's uniform in its cumulative
+        # probabilities, compared in float64 as searchsorted compares them
+        u = np.array([rng.random() for rng in rngs])
         cums = np.cumsum(probs, axis=1)
-        size = probs.shape[1]
-        return np.array([min(int(np.searchsorted(cums[b], rngs[b].random())), size - 1) for b in range(B)])
+        return np.minimum((cums < u[:, None]).sum(axis=1), probs.shape[1] - 1)
 
+    params = folded.params
     with ad.no_grad():
-        z = latent(encode(batch, params), params)
+        z = latent(encode(batch, folded), params)
         values = value(z, params).data.copy()
         dists = _head_chain(z, batch, params, choose)
     actions = np.stack([chosen for _, _, chosen in dists], axis=1)
@@ -445,7 +536,7 @@ def act_batch(
 
 
 def reconstruct(
-    e_h: Tensor, batch: NodeBatch, params: PolicyParams
+    e_h: Tensor, batch: NodeBatch, folded: FoldedParams
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Decode e_h back toward the raw node representations.
 
@@ -454,24 +545,22 @@ def reconstruct(
     the agent-family reconstruction target is each group's mean observation,
     so the decoder keeps a fixed query table across transfers.
     """
+    params = folded.params
     lay = params.layout
+    f = folded.tensors
     B = e_h.data.shape[0]
+    scale = 1.0 / np.sqrt(lay.hidden)
 
     def decode(name: str) -> Tensor:
-        p = params.tensors
-        k = ad.linear(e_h, p[f"{name}.Wk"], p[f"{name}.bk"])
-        v_ = ad.linear(e_h, p[f"{name}.Wv"], p[f"{name}.bv"])
-        mixed = ad.scaled_dot_attention(p[f"{name}.Q"], k, v_)
-        return _linear(mixed, params, f"{name}.out")
+        values = ad.linear(e_h, f[f"{name}.V.W"], f[f"{name}.V.b"])  # (B, n_k, d_out)
+        return ad.scaled_dot_attention(f[f"{name}.Q"], e_h, values, scale)
 
     agent_target = batch.obs
     if lay.fan_out > 1:
         agent_target = batch.obs.reshape(B, lay.n_lower, lay.fan_out, lay.d_obs).mean(axis=2)
     cluster_target = np.broadcast_to(np.eye(lay.n_clusters), (B, lay.n_clusters, lay.n_clusters))
 
-    agent_hat = decode("ae_a")
-    cluster_hat = decode("ae_c")
-    target_hat = decode("ae_t")
+    agent_hat, cluster_hat, target_hat = (decode(name) for name in DECODERS)
     mse_a = ad.mean(ad.square(ad.sub(agent_hat, params.constant(agent_target))))
     mse_c = ad.mean(ad.square(ad.sub(cluster_hat, params.constant(cluster_target))))
     mse_t = ad.mean(ad.square(ad.sub(target_hat, params.constant(batch.target_reps))))
@@ -487,13 +576,15 @@ def evaluate_actions(
     """Differentiable re-evaluation of stored decisions for the PPO update.
 
     Returns log_prob (B, 4), entropy (B, 4), value (B,) and the scalar
-    reconstruction loss, all on the tape.
+    reconstruction loss, all on the tape. The weights are folded on the
+    tape, so gradients reach the parameters they were folded from.
     """
     B = batch.obs.shape[0]
-    e_h = encode(batch, params)
+    folded = fold(params)
+    e_h = encode(batch, folded)
     z = latent(e_h, params)
     v = value(z, params)
-    _, _, _, l_ae = reconstruct(e_h, batch, params)
+    _, _, _, l_ae = reconstruct(e_h, batch, folded)
     dists = _head_chain(z, batch, params, lambda i, probs: actions[:, i])
     logps = [ad.reshape(ad.take_per_row(logp_all, chosen), (B, 1)) for logp_all, _, chosen in dists]
     ents = [

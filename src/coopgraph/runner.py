@@ -107,8 +107,9 @@ def parse_overrides(pairs: list[str]) -> dict:
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate a raw config document into a RunConfig.
 
-    Raises ConfigError naming the offending field for unknown keys, bad
-    section entries, an unparsable task, or empty seeds.
+    Raises ConfigError naming the offending field for unknown keys, a
+    section that is not an object, bad or non-numeric section entries, an
+    unparsable task, or seeds that are not a nonempty list of integers.
     """
     known = {f.name for f in dataclasses.fields(RunConfig)}
     for key in doc:
@@ -123,21 +124,29 @@ def parse_run_config(doc: dict) -> RunConfig:
     for name in ("n_clusters", "eval_episodes", "init_candidates"):
         if type(getattr(rc, name)) is not int or getattr(rc, name) < 1:
             raise ConfigError(f"{name} must be an integer >= 1")
-    if not rc.seeds:
-        raise ConfigError("seeds must be a nonempty list")
+    if type(rc.seeds) is not list or not rc.seeds or any(type(s) is not int for s in rc.seeds):
+        raise ConfigError(f"seeds must be a nonempty list of integers, got {rc.seeds!r}")
     try:
         PrimitiveSet.from_name(rc.primitive_set)
     except ValueError as e:
         raise ConfigError(f"primitive_set: {e}") from None
+    for name in ("env", "train", "run"):
+        if not isinstance(getattr(rc, name), dict):
+            raise ConfigError(f"{name} must be a JSON object, got {getattr(rc, name)!r}")
     for key in rc.env:
         if key not in _ENV_OVERRIDE_FIELDS:
             raise ConfigError(f"env.{key} is not an overridable environment field")
-    for key in rc.train:
+    for key, value in rc.train.items():
         if key not in _TRAIN_FIELDS:
             raise ConfigError(f"train.{key} is not a training hyperparameter")
-    for key in rc.run:
+        if type(value) not in (int, float):
+            raise ConfigError(f"train.{key} must be a number, got {value!r}")
+    for key, value in rc.run.items():
         if key not in _RUN_FIELDS:
             raise ConfigError(f"run.{key} is not a run setting")
+        # every run setting is a number; stop_success may also be null
+        if type(value) not in (int, float) and not (key == "stop_success" and value is None):
+            raise ConfigError(f"run.{key} must be a number, got {value!r}")
     try:
         TrainConfig(**rc.train)
     except (TypeError, ValueError) as e:

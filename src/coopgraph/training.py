@@ -53,6 +53,7 @@ from .policy import (
     PolicyParams,
     act_batch,
     evaluate_actions,
+    fold,
     init_params,
     layout_for,
     node_batch,
@@ -163,10 +164,16 @@ def policy_operator(
     result does not depend on which episodes run beside it. The record maps
     each ``RolloutBatch`` column the policy fills to the step's rows; an
     interfered row holds the fake action and zero log probabilities.
+
+    The parameters are fixed for the whole rollout, so their folded weights
+    are computed once, here.
     """
+    with ad.no_grad():
+        folded = fold(params)
+
     def operate(alive, graphs, states, stack):
         batch = node_batch(stack_graphs([graphs[e] for e in alive]), stack, env_config)
-        actions, log_probs, values = act_batch(batch, params, [rngs[e] for e in alive], mode=mode)
+        actions, log_probs, values = act_batch(batch, folded, [rngs[e] for e in alive], mode=mode)
         interfered = np.zeros(len(alive), dtype=bool)
         for row, e in enumerate(alive):
             # drawn even at p=0, so every mode consumes the same stream
@@ -374,11 +381,14 @@ HEADER_KEYS = (
 )
 # the manifest names of Adam's first and second moment of a parameter
 MOMENT_PREFIXES = ("extra.adam.m.", "extra.adam.v.")
-# the cluster->target query/key projections, retired when that edge became a
-# gather; checkpoints written before still hold them and their moments, and
+# retired parameters: the cluster->target query/key projections, retired when
+# that edge became a gather, and the attention key biases, which the softmax
+# cancels; checkpoints written before still hold them and their moments, and
 # loading drops them
 RETIRED_TENSORS = frozenset(
-    prefix + name for prefix in ("", *MOMENT_PREFIXES) for name in ("ct.Wq", "ct.Wk", "ct.bq", "ct.bk")
+    prefix + name
+    for prefix in ("", *MOMENT_PREFIXES)
+    for name in ("ct.Wq", "ct.Wk", "ct.bq", "ct.bk", "ac.bk", "merge.bk", "ae_a.bk", "ae_c.bk", "ae_t.bk")
 )
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from coopgraph.env import EnvConfig, PrimitiveSet, reset
 from coopgraph.graph import build_targets, random_topology, select_initial_topology, topology_entropy
-from coopgraph.policy import NodeBatch, act_batch, init_params, layout_for
+from coopgraph.policy import NodeBatch, act_batch, fold, init_params, layout_for
 from coopgraph.runner import (
     cmd_eval,
     cmd_oracle,
@@ -71,7 +71,7 @@ def test_criterion_02_masking_soundness():
             cluster_to_target=np.repeat(nb1.cluster_to_target, B, axis=0),
         )
         rngs = [np.random.default_rng(1000 * combo + b) for b in range(B)]
-        actions, _, _ = act_batch(nb, params, rngs)
+        actions, _, _ = act_batch(nb, fold(params), rngs)
         assert np.isin(actions[:, 0], graph.agent_to_cluster).all(), "op1 picked an empty cluster"
         assert np.isin(actions[:, 2], graph.cluster_to_target).all(), "op3 picked an unconnected target"
         total += B

@@ -1,7 +1,6 @@
 """Autodiff engine: forward semantics, the finite-difference oracle, the fused
-ops against the op chains they replaced, Adam."""
+linear against the op chain it replaced, Adam."""
 
-import math
 import multiprocessing
 import os
 
@@ -35,7 +34,7 @@ def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(1)
     v_row = rng.normal(size=(1, 5))
     out = ad.scaled_dot_attention(
-        Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(1, 4))), Tensor(v_row)
+        Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(1, 4))), Tensor(v_row), 0.5
     )
     for i in range(3):
         np.testing.assert_allclose(out.data[i], v_row[0], atol=1e-15)
@@ -45,7 +44,7 @@ def test_attention_rows_are_convex_combinations():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(6, 3))
     out = ad.scaled_dot_attention(
-        Tensor(rng.normal(size=(4, 8))), Tensor(rng.normal(size=(6, 8))), Tensor(v)
+        Tensor(rng.normal(size=(4, 8))), Tensor(rng.normal(size=(6, 8))), Tensor(v), 0.5
     ).data
     assert (out >= v.min(axis=0) - 1e-12).all()
     assert (out <= v.max(axis=0) + 1e-12).all()
@@ -58,6 +57,7 @@ def test_attention_fully_masked_rows_are_zero():
         Tensor(rng.normal(size=(2, 4))),
         Tensor(rng.normal(size=(3, 4))),
         Tensor(rng.normal(size=(3, 4))),
+        0.5,
         key_mask=mask,
     )
     assert np.abs(out.data[1]).max() == 0.0
@@ -70,7 +70,7 @@ def test_determinism_bit_identical():
     b = rng.normal(size=(6, 6))
 
     def run():
-        t = ad.scaled_dot_attention(Tensor(a), Tensor(b), Tensor(b))
+        t = ad.scaled_dot_attention(Tensor(a), Tensor(b), Tensor(b), 0.5)
         return ad.mean(ad.exp(ad.matmul(t, Tensor(a)))).data.copy()
 
     assert np.array_equal(run(), run())
@@ -125,33 +125,15 @@ def test_backward_keeps_only_leaf_gradients():
     x = Tensor(rng.normal(size=(3, 4, 8)), requires_grad=True)
     w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
     b = Tensor(np.zeros(8), requires_grad=True)
-    q = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+    q = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
     h = ad.linear(x, w, b)
-    picked = ad.pick_rows(h, np.array([[0, 2, 2], [1, 1, 3], [3, 0, 0]]))
-    mixed = ad.concat([ad.scaled_dot_attention(q, h, h), picked], axis=1)
-    loss = ad.mean(ad.square(ad.relu(ad.reshape(mixed, (15, 8)))))
+    mixed = ad.concat([ad.scaled_dot_attention(ad.transpose(q), h, h, 0.5), h], axis=1)
+    loss = ad.mean(ad.square(ad.relu(ad.reshape(mixed, (18, 8)))))
     interior = [t for t in _tape(loss) if t._parents]
     assert len(interior) == 9
     ad.backward(loss)
     assert all(t.grad is None for t in interior)
     assert all(t.grad is not None for t in (x, w, b, q))
-
-
-def test_pick_rows_backward_adds_as_add_at_does():
-    """The per-column scatter sums repeated picks in np.add.at's order: the
-    same bits, with addends of very different magnitudes."""
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        B, n, k, h = (int(v) for v in rng.integers(1, 7, size=4))
-        a = Tensor(rng.normal(size=(B, n, h)), requires_grad=True)
-        idx = rng.integers(0, n, size=(B, k))
-        g = rng.normal(size=(B, k, h)) * 10.0 ** rng.integers(-8, 9, size=(B, k, 1))
-        out = ad.pick_rows(a, idx)
-        assert np.array_equal(out.data, a.data[np.arange(B)[:, None], idx])
-        ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
-        flat = np.zeros((B * n, h))
-        np.add.at(flat, (np.arange(B)[:, None] * n + idx).reshape(-1), g.reshape(-1, h))
-        assert a.grad.tobytes() == flat.reshape(B, n, h).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +166,6 @@ def op_cases(rng):
 
     n, m, k = rng.integers(2, 8, size=3)
     batch = int(rng.integers(2, 5))
-    # n + 1 picks per episode from n rows: every episode picks a row twice
-    idx_pick = rng.integers(0, n, size=(batch, n + 1))
     idx_cols = rng.integers(0, m, size=n)
     mask = (rng.random((n, k)) < 0.7).astype(float)
     mask[:, 0] = 1.0  # keep every query row alive
@@ -223,10 +203,7 @@ def op_cases(rng):
             lambda t: ad.sum_(ad.square(ad.concat([t[0], t[1]], axis=-1))),
             [arr(n, m), arr(n, k)],
         ),
-        "pick_rows": (
-            lambda t: ad.sum_(ad.square(ad.pick_rows(t[0], idx_pick))),
-            [arr(batch, n, m)],
-        ),
+        "transpose": (lambda t: ad.sum_(ad.mul(ad.transpose(t[0]), t[1])), [arr(n, m), arr(m, n)]),
         "take_per_row": (
             lambda t: ad.sum_(ad.square(ad.take_per_row(t[0], idx_cols))),
             [arr(n, m)],
@@ -249,29 +226,31 @@ def op_cases(rng):
             [arr(n, m), arr(n, m)],
         ),
         "attention": (
-            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2]))),
+            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2], 0.7))),
             [arr(n, m), arr(k, m), arr(k, m)],
         ),
         "attention_masked": (
-            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2], key_mask=mask))),
+            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2], 0.7, key_mask=mask))),
             [arr(n, m), arr(k, m), arr(k, m)],
         ),
-        # a decoder: one (n, h) query table against every batch row's keys
-        "attention_broadcast_query": (
-            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2]))),
-            [arr(n, m), arr(batch, k, m), arr(batch, k, m)],
+        # a decoder: one (n, h) query table against every batch row's keys,
+        # values of another width
+        "attention_batched_keys": (
+            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2], 0.7))),
+            [arr(n, m), arr(batch, k, m), arr(batch, k, n)],
         ),
-        # the cluster attention: a per-row member mask, one row fully masked
-        "attention_broadcast_query_masked": (
-            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[2], key_mask=batch_mask))),
-            [arr(n, m), arr(batch, k, m), arr(batch, k, m)],
-        ),
-        # the merge block: a (1, h) query, keys projected from the values
-        "attention_merge": (
+        # the member attention: a per-row member mask, one row fully masked,
+        # keys that are the values
+        "attention_batched_keys_masked": (
             lambda t: ad.sum_(ad.square(
-                ad.scaled_dot_attention(t[0], ad.linear(t[1], t[2], t[3]), t[1])
+                ad.scaled_dot_attention(t[0], t[1], t[1], 0.7, key_mask=batch_mask)
             )),
-            [arr(1, m), arr(batch, k, m), arr(m, m), arr(m)],
+            [arr(n, m), arr(batch, k, m)],
+        ),
+        # the merge block: a (1, d) query over each group's rows
+        "attention_merge": (
+            lambda t: ad.sum_(ad.square(ad.scaled_dot_attention(t[0], t[1], t[1], 0.7))),
+            [arr(1, m), arr(batch, k, m)],
         ),
     }
     return cases
@@ -294,13 +273,12 @@ def test_gradient_oracle_all_ops():
 
 
 # ---------------------------------------------------------------------------
-# fused ops against the op chains they replaced
+# the fused linear against the op chain it replaced
 # ---------------------------------------------------------------------------
 
 
 def reference_transpose_last(a):
-    """The transpose op of the attention chain: swap the last two axes and
-    hand the gradient back as the swapped view."""
+    """Swap the last two axes and hand the gradient back as the swapped view."""
 
     def bwd(g):
         ad._accumulate(a, np.swapaxes(g, -1, -2))
@@ -312,34 +290,19 @@ def reference_linear(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
-def reference_attention(q, k, v, key_mask=None):
-    """The op chain scaled_dot_attention was before it became one node."""
-    d_k = q.data.shape[-1]
-    scores = ad.mul(ad.matmul(q, reference_transpose_last(k)), Tensor(1.0 / math.sqrt(d_k)))
-    if key_mask is not None:
-        m = np.asarray(key_mask, dtype=np.float64)
-        scores = ad.add(scores, Tensor((1.0 - m) * ad.MASK_FILL))
-    weights = ad.softmax(scores, axis=-1)
-    out = ad.matmul(weights, v)
-    if key_mask is not None:
-        live = (np.broadcast_to(m, scores.data.shape).max(axis=-1) > 0.0).astype(np.float64)
-        out = ad.mul(out, Tensor(live[..., None]))
-    return out
-
-
 def _bits(a):
     return None if a is None else (a.shape, np.ascontiguousarray(a).tobytes())
 
 
-def _run_both(build, arrays, constant, seed):
-    """Forward bytes and every operand's gradient bytes of build(ops, tensors)
-    under the fused ops and under the reference chain. The loss reads the
-    output through a transpose, so the op's backward gets a non-contiguous
-    gradient, as a key projection does."""
+def _run_both(arrays, constant, seed):
+    """Forward bytes and every operand's gradient bytes of a linear under
+    the fused op and under the reference chain. The loss reads the output
+    through a transpose, so the op's backward gets a non-contiguous
+    gradient."""
     results = []
-    for ops in ((ad.linear, ad.scaled_dot_attention), (reference_linear, reference_attention)):
+    for linear in (ad.linear, reference_linear):
         tensors = [Tensor(a.copy(), requires_grad=i not in constant) for i, a in enumerate(arrays)]
-        out = build(ops, tensors)
+        out = linear(*tensors)
         weight = np.random.default_rng(seed).normal(size=np.swapaxes(out.data, -1, -2).shape)
         ad.backward(ad.sum_(ad.mul(reference_transpose_last(out), Tensor(weight))))
         results.append((_bits(out.data), [_bits(t.grad) for t in tensors]))
@@ -347,53 +310,30 @@ def _run_both(build, arrays, constant, seed):
 
 
 def _fused_cases(rng, rows):
-    """(name, build, arrays, constant operand indices) at batch ``rows``."""
-    h, n_q, n_k = 64, 6, 12
-    mask = (rng.random((rows, n_q, n_k)) < 0.6).astype(float)
-    mask[:, :, 0] = 1.0
-    mask[0, 1] = 0.0  # a query row with every key masked
+    """(name, arrays, constant operand indices) of a linear at batch ``rows``."""
+    h, n_k = 64, 12
 
     def arr(*shape):
         return rng.normal(size=shape)
 
-    def attend(ops, t, key_mask=None):
-        linear, attention = ops
-        return attention(linear(t[0], t[1], t[2]), linear(t[3], t[4], t[5]),
-                         linear(t[3], t[6], t[7]), key_mask=key_mask)
-
-    attend_args = [arr(n_q, h), arr(h, h), arr(h), arr(rows, n_k, h), arr(h, h), arr(h), arr(h, h), arr(h)]
     return [
-        ("linear3d", lambda ops, t: ops[0](t[0], t[1], t[2]), [arr(rows, n_k, h), arr(h, h), arr(h)], ()),
-        ("linear2d", lambda ops, t: ops[0](t[0], t[1], t[2]), [arr(rows * n_k, h), arr(h, h), arr(h)], ()),
-        ("linear_constant_input", lambda ops, t: ops[0](t[0], t[1], t[2]),
-         [arr(rows, n_k, h), arr(h, h), arr(h)], (0,)),
-        # the cluster attention: queries, keys and values all projected
-        ("attention_masked", lambda ops, t: attend(ops, t, mask), attend_args, ()),
-        ("attention", attend, attend_args, ()),
-        # a decoder: one query table broadcast over the batch
-        ("attention_query_table", lambda ops, t: ops[1](t[0], ops[0](t[1], t[2], t[3]), t[4]),
-         [arr(n_q, h), arr(rows, n_k, h), arr(h, h), arr(h), arr(rows, n_k, h)], ()),
-        ("attention_constant_values", lambda ops, t: ops[1](t[0], ops[0](t[1], t[2], t[3]), t[4]),
-         [arr(n_q, h), arr(rows, n_k, h), arr(h, h), arr(h), arr(rows, n_k, h)], (4,)),
-        # the merge block: keys projected from the values
-        ("attention_merge", lambda ops, t: ops[1](t[0], ops[0](t[1], t[2], t[3]), t[1]),
-         [arr(1, h), arr(rows, n_k, h), arr(h, h), arr(h)], ()),
+        ("linear3d", [arr(rows, n_k, h), arr(h, h), arr(h)], ()),
+        ("linear2d", [arr(rows * n_k, h), arr(h, h), arr(h)], ()),
+        ("linear_constant_input", [arr(rows, n_k, h), arr(h, h), arr(h)], (0,)),
     ]
 
 
 @pytest.mark.parametrize("rows", [2, 256])
 def test_fused_ops_match_reference_chain_bit_for_bit(rows):
-    """The fused linear and attention give the chain's forward and gradients
-    bit for bit, below and above the backward's handoff gate; a constant
-    operand gets no gradient."""
-    # GEMM pairs of a linear and of a (6 x 12)-score attention backward:
-    # all below the gate at 2 rows, all above at 256
-    linear_pair, attention_pair = 2 * rows * 12 * 64 * 64, 2 * rows * 6 * 12 * 64
-    above = rows == 256
-    assert (linear_pair > ad._HANDOFF_MACS) == above and (attention_pair > ad._HANDOFF_MACS) == above
+    """The fused linear gives the chain's forward and gradients bit for bit,
+    below and above the backward's handoff gate; a constant operand gets no
+    gradient. (Attention keeps no chain's bits: the policy's folded network
+    is checked against the unfolded one in ``test_policy``.)"""
+    # the GEMM pair of a linear backward: below the gate at 2 rows, above at 256
+    assert (2 * rows * 12 * 64 * 64 > ad._HANDOFF_MACS) == (rows == 256)
     rng = np.random.default_rng(rows)
-    for i, (name, build, arrays, constant) in enumerate(_fused_cases(rng, rows)):
-        fused, reference = _run_both(build, arrays, constant, seed=i)
+    for i, (name, arrays, constant) in enumerate(_fused_cases(rng, rows)):
+        fused, reference = _run_both(arrays, constant, seed=i)
         assert fused[0] == reference[0], f"{name}: forward"
         for j, (got, want) in enumerate(zip(fused[1], reference[1])):
             assert got == want, f"{name}: gradient of operand {j}"

@@ -34,6 +34,9 @@ def test_config_error_exit_code(capsys):
     assert main(["oracle", "--task", "CSI-nope"]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["train", "--set", "seeds=[]"]) == 2
+    assert main(["train", "--set", "seeds=3"]) == 2
+    assert main(["train", "--set", "env=5"]) == 2
+    assert main(["train", "--set", "run.total_updates=x"]) == 2
     assert main(["oracle", "--set", "coop_actions=false", "--task", "CSI-4/1/2"]) == 2
 
 

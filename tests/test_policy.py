@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -24,6 +25,7 @@ from coopgraph.policy import (
     act_batch,
     encode,
     evaluate_actions,
+    fold,
     init_params,
     latent,
     layout_for,
@@ -36,6 +38,7 @@ from coopgraph.policy import (
 from coopgraph.training import TrainConfig, Trainer, TrainSettings, load_run_checkpoint
 
 from conftest import float64_params, numeric_gradient, relative_error, rewrite_checkpoint
+from test_autodiff import reference_transpose_last
 
 
 def make_setup(seed=0, n_agents=6, n_clusters=3, m=2, n_bases=2, hidden=16, fan_out=1):
@@ -55,7 +58,7 @@ def test_paper_scale_dimensions():
     assert params.tensors["trunk.W"].shape == (128, 64)
     assert params.tensors["latent.W"].shape == (14 * 64, 64)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    e_h = encode(batch, params)
+    e_h = encode(batch, fold(params))
     assert e_h.shape == (1, 14, 64)
     assert latent(e_h, params).shape == (1, 64)
     # target layer: 6 primitives + 9 intercepts + 4 defends = 19
@@ -73,7 +76,7 @@ def test_identical_agent_rows_give_identical_cluster_mixes():
         agent_to_cluster=np.array([0, 0, 1, 1, 2, 2], dtype=np.int64),
         cluster_to_target=np.zeros(3, dtype=np.int64),
     )
-    e_h = encode(node_batch(stack_graphs([graph]), stack_states([state]), cfg), params).data[0]
+    e_h = encode(node_batch(stack_graphs([graph]), stack_states([state]), cfg), fold(params)).data[0]
     for k in range(1, 3):
         np.testing.assert_allclose(e_h[k], e_h[0], atol=1e-12)
 
@@ -83,7 +86,7 @@ def test_zero_params_give_zero_embeddings_and_value():
     for t in params.tensors.values():
         t.data[:] = 0.0
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    e_h = encode(batch, params)
+    e_h = encode(batch, fold(params))
     assert np.abs(e_h.data).max() == 0.0
     z = latent(e_h, params)
     assert float(value(z, params).data[0]) == 0.0
@@ -117,7 +120,7 @@ def _attention_ac_rows(batch, params):
             t.data[:h, :h] = np.eye(h)
         if name == "trunk.b":
             t.data[:] = 0.0
-    return encode(batch, p2).data[0]
+    return encode(batch, fold(p2)).data[0]
 
 
 def test_encode_reads_only_selected_target_rows():
@@ -133,12 +136,12 @@ def test_encode_reads_only_selected_target_rows():
         for c2t in ([4, 4, 1], [0, 2, 2])
     ]
     batch = node_batch(stack_graphs(steps), stack_states([state, state]), cfg)
-    base = encode(batch, params).data
+    base = encode(batch, fold(params)).data
 
     def perturbed(b, t):
         reps = batch.target_reps.copy()
         reps[b, t] += 3.0
-        return encode(NodeBatch(batch.obs, reps, batch.agent_to_cluster, batch.cluster_to_target), params).data
+        return encode(NodeBatch(batch.obs, reps, batch.agent_to_cluster, batch.cluster_to_target), fold(params)).data
 
     # target 3 is selected in neither step; target 4 only in step 0
     assert np.array_equal(perturbed(0, 3), base)
@@ -152,18 +155,24 @@ def test_encode_reads_only_selected_target_rows():
 
 
 # sha256 of init_params' tensors (sorted names and little-endian float64
-# bytes). Each equals the digest of the float64 tensors of before the switch
-# to float32 parameters, rounded to float32: the draws are unchanged, and
-# dropping the retired cluster->target query/key parameters left every other
-# tensor of a seed unchanged
+# bytes). The draws are those of the float64 parameters, rounded to float32.
+# Re-recorded when the attention key biases were retired: they were zeros
+# and took no draws, so every other tensor of a seed kept its bits; so did
+# dropping the retired cluster->target query/key parameters before
 INIT_DIGESTS = [
     (PolicyLayout(6, 1, 14, 3, 9, 9, 16), 1,
-     "0167c8f98dab6cbe0560d4809a3ad6e05519058348bca3cfa1a03e77fbc3d716"),
+     "d4cb410c1886c47465ba22c0ab9f4c0962b4bc0feb4892f4d5bbe9e6722c2bea"),
     (PolicyLayout(6, 2, 14, 3, 9, 9, 16), 41,
-     "264c2c3350aaf8f39085c112776418b826eb0ad175656b6f49975244ccbec72f"),
+     "5c5d10eecf5ca7cd34d7f6ce8f163213d743cd19d54aa671b39ae8d6dbffff87"),
     (PolicyLayout(12, 1, 20, 6, 11, 11, 64), 3,
-     "c514589518dfbbad759e7cfba3b6520afd3babcc6b7669bd57d65fecc21e5125"),
+     "1e976eb6fe325f759d9faf59ea74d95ff81f8e911e6dd0a9790aa8552260bdcd"),
 ]
+# parameters of earlier versions that checkpoints may still hold: the
+# cluster->target query/key projections and the attention key biases
+RETIRED = {
+    "ct.Wq": "hh", "ct.Wk": "hh", "ct.bq": "h", "ct.bk": "h",
+    "ac.bk": "h", "ae_a.bk": "h", "ae_c.bk": "h", "ae_t.bk": "h", "merge.bk": "h",
+}
 
 
 @pytest.mark.parametrize(
@@ -172,7 +181,7 @@ INIT_DIGESTS = [
 )
 def test_init_params_digest(layout, seed, digest):
     params = init_params(layout, np.random.default_rng(seed))
-    assert not {"ct.Wq", "ct.Wk", "ct.bq", "ct.bk"} & params.tensors.keys()
+    assert not RETIRED.keys() & params.tensors.keys()
     assert {"ct.Wv", "ct.bv"} <= params.tensors.keys()
     h = hashlib.sha256()
     for name in sorted(params.tensors):
@@ -192,7 +201,7 @@ def test_act_masking_forces_single_choice():
     batch = node_batch(stack_graphs([g]), stack_states([state]), cfg)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        actions, _, _ = act_batch(batch, params, [rng])
+        actions, _, _ = act_batch(batch, fold(params), [rng])
         assert actions[0, 0] == 2
         assert actions[0, 2] == 4
 
@@ -200,8 +209,8 @@ def test_act_masking_forces_single_choice():
 def test_act_argmax_deterministic():
     cfg, graph, params, state = make_setup(seed=7)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    a1, lp1, v1 = act_batch(batch, params, [None], mode="argmax")
-    a2, lp2, v2 = act_batch(batch, params, [None], mode="argmax")
+    a1, lp1, v1 = act_batch(batch, fold(params), [None], mode="argmax")
+    a2, lp2, v2 = act_batch(batch, fold(params), [None], mode="argmax")
     np.testing.assert_array_equal(a1, a2)
     np.testing.assert_array_equal(lp1, lp2)
     np.testing.assert_array_equal(v1, v2)
@@ -227,7 +236,7 @@ def test_mask_soundness_sampled():
         cfg, graph, params, state = make_setup(seed=20 + trial)
         batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
         for _ in range(200):
-            actions, _, _ = act_batch(batch, params, [rng])
+            actions, _, _ = act_batch(batch, fold(params), [rng])
             assert (graph.agent_to_cluster == actions[0, 0]).any()
             assert (graph.cluster_to_target == actions[0, 2]).any()
 
@@ -251,7 +260,7 @@ def test_act_and_evaluate_logprobs_agree():
         batch = node_batch(stack_graphs(graphs), stack_states(states), cfg)
         for mode in ("sample", "argmax"):
             rngs = [np.random.default_rng(e) for e in range(len(graphs))]
-            actions, log_probs, values = act_batch(batch, params, rngs, mode=mode)
+            actions, log_probs, values = act_batch(batch, fold(params), rngs, mode=mode)
             out = evaluate_actions(batch, actions, params)
             np.testing.assert_array_equal(out["log_prob"].data, log_probs)
             np.testing.assert_array_equal(out["value"].data, values)
@@ -283,11 +292,11 @@ def test_value_permutation_invariance():
         cluster_to_target=graph.cluster_to_target,
     )
     batch2 = node_batch(stack_graphs([g2]), stack_states([state]), cfg)
-    e1 = encode(batch, params).data
-    e2 = encode(batch2, params).data
+    e1 = encode(batch, fold(params)).data
+    e2 = encode(batch2, fold(params)).data
     np.testing.assert_allclose(e2, e1, atol=1e-10)
-    z1 = latent(encode(batch, params), params)
-    z2 = latent(encode(batch2, params), params)
+    z1 = latent(encode(batch, fold(params)), params)
+    z2 = latent(encode(batch2, fold(params)), params)
     assert float(value(z1, params).data[0]) == pytest.approx(float(value(z2, params).data[0]), abs=1e-10)
 
 
@@ -298,8 +307,8 @@ def test_reconstruct_zero_decoder_closed_form():
         if name.startswith("ae_"):
             t.data[:] = 0.0
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    e_h = encode(batch, params)
-    _, _, _, l_ae = reconstruct(e_h, batch, params)
+    e_h = encode(batch, fold(params))
+    _, _, _, l_ae = reconstruct(e_h, batch, fold(params))
     expected = (
         np.mean(batch.obs**2)
         + np.mean(np.eye(graph.n_clusters) ** 2)
@@ -319,8 +328,165 @@ def test_value_finite_on_random_inputs():
             agent_to_cluster=batch.agent_to_cluster,
             cluster_to_target=batch.cluster_to_target,
         )
-        v = value(latent(encode(b, params), params), params)
+        v = value(latent(encode(b, fold(params)), params), params)
         assert np.isfinite(v.data).all()
+
+
+# ---------------------------------------------------------------------------
+# the folded network against the unfolded one
+# ---------------------------------------------------------------------------
+
+
+def reference_attention(q, k, v, key_mask=None):
+    """Attention as an op chain, scaled by the query width: the network
+    computed this before its projections were folded."""
+    scores = ad.mul(ad.matmul(q, reference_transpose_last(k)), Tensor(1.0 / math.sqrt(q.data.shape[-1])))
+    if key_mask is not None:
+        m = np.asarray(key_mask, dtype=np.float64)
+        scores = ad.add(scores, Tensor((1.0 - m) * ad.MASK_FILL))
+    out = ad.matmul(ad.softmax(scores, axis=-1), v)
+    if key_mask is not None:
+        live = (np.broadcast_to(m, scores.data.shape).max(axis=-1) > 0.0).astype(np.float64)
+        out = ad.mul(out, Tensor(live[..., None]))
+    return out
+
+
+def reference_encode(batch, params, key_bias):
+    """``encode`` before the fold: agent, cluster and target rows projected
+    to the hidden width, keys and values projected from them (with the key
+    biases ``key_bias``), and each cluster's target picked from the
+    projected rows by a one-hot product."""
+    lay, p = params.layout, params.tensors
+    B = batch.obs.shape[0]
+    member_mask = batch.agent_to_cluster[:, None, :] == np.arange(lay.n_clusters)[None, :, None]
+    agents = ad.linear(params.constant(params.normalizer.normalize(batch.obs)), p["proj.agent.W"], p["proj.agent.b"])
+    if lay.fan_out > 1:
+        grouped = ad.reshape(agents, (B * lay.n_lower, lay.fan_out, lay.hidden))
+        keys = ad.linear(grouped, p["merge.Wk"], key_bias["merge.bk"])
+        agents = ad.reshape(reference_attention(p["merge.q"], keys, grouped), (B, lay.n_lower, lay.hidden))
+    clusters = ad.add(p["proj.cluster.W"], p["proj.cluster.b"])
+    h_ac = reference_attention(
+        ad.linear(clusters, p["ac.Wq"], p["ac.bq"]),
+        ad.linear(agents, p["ac.Wk"], key_bias["ac.bk"]),
+        ad.linear(agents, p["ac.Wv"], p["ac.bv"]),
+        key_mask=member_mask,
+    )
+    targets = ad.linear(params.constant(batch.target_reps), p["proj.target.W"], p["proj.target.b"])
+    target_values = ad.linear(targets, p["ct.Wv"], p["ct.bv"])
+    one_hot = params.constant(batch.cluster_to_target[..., None] == np.arange(lay.n_targets))
+    h_ct = ad.matmul(one_hot, target_values)
+    return ad.relu(ad.linear(ad.concat([h_ac, h_ct], axis=-1), p["trunk.W"], p["trunk.b"]))
+
+
+def reference_reconstruct(e_h, batch, params, key_bias):
+    """``reconstruct`` before the fold: keys and values projected from e_h,
+    the output layer after the attention."""
+    lay, p = params.layout, params.tensors
+    B = e_h.data.shape[0]
+
+    def decode(name):
+        keys = ad.linear(e_h, p[f"{name}.Wk"], key_bias[f"{name}.bk"])
+        values = ad.linear(e_h, p[f"{name}.Wv"], p[f"{name}.bv"])
+        return ad.linear(reference_attention(p[f"{name}.Q"], keys, values), p[f"{name}.out.W"], p[f"{name}.out.b"])
+
+    agent_target = batch.obs
+    if lay.fan_out > 1:
+        agent_target = batch.obs.reshape(B, lay.n_lower, lay.fan_out, lay.d_obs).mean(axis=2)
+    cluster_target = np.broadcast_to(np.eye(lay.n_clusters), (B, lay.n_clusters, lay.n_clusters))
+    hats = [decode(name) for name in ("ae_a", "ae_c", "ae_t")]
+    mses = [
+        ad.mean(ad.square(ad.sub(hat, params.constant(target))))
+        for hat, target in zip(hats, (agent_target, cluster_target, batch.target_reps))
+    ]
+    return (*hats, ad.mul(ad.add(ad.add(mses[0], mses[1]), mses[2]), params.constant(1.0 / 3.0)))
+
+
+@pytest.mark.parametrize("fan_out", [1, 2])
+def test_folded_network_matches_unfolded_reference(fan_out):
+    """On float64 parameters, ``encode`` and ``reconstruct`` on folded
+    weights give the unfolded network's outputs and every parameter
+    gradient to 1e-10 relative, whatever the retired key biases are: over a
+    batch with an empty cluster and clusters that pick the same target."""
+    cfg, graph, params, state = make_setup(seed=50, fan_out=fan_out)
+    rng = np.random.default_rng(51)
+    params = float64_params(params)
+    for t in params.tensors.values():
+        t.data += rng.uniform(-0.05, 0.05, size=t.shape)  # biases off zero
+    params.normalizer.update(rng.normal(size=(40, params.layout.d_obs)))
+    lay = params.layout
+    key_bias = {
+        name: Tensor(rng.normal(size=lay.hidden), requires_grad=True)
+        for name in ("ac.bk", "merge.bk", "ae_a.bk", "ae_c.bk", "ae_t.bk")
+    }
+    B = 4
+    batch = NodeBatch(
+        obs=rng.normal(size=(B, lay.n_lower * lay.fan_out, lay.d_obs)),
+        target_reps=rng.normal(size=(B, lay.n_targets, lay.d_raw)),
+        agent_to_cluster=rng.integers(0, lay.n_clusters, size=(B, lay.n_lower)),
+        cluster_to_target=rng.integers(0, lay.n_targets, size=(B, lay.n_clusters)),
+    )
+    batch.agent_to_cluster[0] = 0  # clusters 1 and 2 empty
+    batch.cluster_to_target[1] = 4  # every cluster on one target
+    weights = [rng.normal(size=shape) for shape in (
+        (B, lay.n_clusters, lay.hidden), (B, lay.n_lower, lay.d_obs),
+        (B, lay.n_clusters, lay.n_clusters), (B, lay.n_targets, lay.d_raw),
+    )]
+
+    def run(encoder, decoder):
+        for t in params.tensors.values():
+            t.grad = None
+        e_h = encoder(batch)
+        *hats, l_ae = decoder(e_h, batch)
+        loss = l_ae
+        for out, w in zip([e_h, *hats], weights):
+            loss = ad.add(loss, ad.sum_(ad.mul(out, Tensor(w))))
+        ad.backward(loss)
+        return [e_h.data, *(hat.data for hat in hats), l_ae.data], {k: t.grad for k, t in params.tensors.items()}
+
+    folded_out, folded_grads = run(
+        lambda b: encode(b, fold(params)), lambda e_h, b: reconstruct(e_h, b, fold(params))
+    )
+    ref_out, ref_grads = run(
+        lambda b: reference_encode(b, params, key_bias),
+        lambda e_h, b: reference_reconstruct(e_h, b, params, key_bias),
+    )
+    for got, want in zip(folded_out, ref_out):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    checked = 0
+    for name, want in ref_grads.items():
+        got = folded_grads[name]
+        if want is None:
+            assert got is None, name
+            continue
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+        checked += 1
+    assert checked == len([n for n in params.tensors if not n.startswith(("latent", "value", "head"))])
+
+
+@pytest.mark.parametrize("fan_out", [1, 2])
+def test_forward_builds_no_hidden_width_rows_but_e_h(monkeypatch, fan_out):
+    """On the PPO tape, the only per-row tensors of the hidden width are
+    e_h and its pre-activation (B, n_clusters, hidden): no key, value,
+    agent-projection or target-projection rows. And every parameter gets a
+    gradient from the loss."""
+    cfg, graph, params, state = make_setup(seed=52, fan_out=fan_out)
+    lay = params.layout
+    B = 3
+    batch = node_batch(stack_graphs([graph] * B), stack_states([state] * B), cfg)
+    actions = np.stack([batch.agent_to_cluster[:, 0], np.zeros(B, int), batch.cluster_to_target[:, 0], np.zeros(B, int)], axis=1)
+    shapes = []
+    make = ad._make
+
+    def recording_make(data, *rest):
+        shapes.append(data.shape)
+        return make(data, *rest)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    out = evaluate_actions(batch, actions, params)
+    wide = {shape for shape in shapes if len(shape) >= 3 and shape[-1] == lay.hidden}
+    assert wide == {(B, lay.n_clusters, lay.hidden)}
+    ad.backward(ad.add(ad.add(ad.sum_(out["log_prob"]), ad.sum_(out["value"])), out["l_ae"]))
+    assert [name for name, t in params.tensors.items() if t.grad is None or not t.grad.any()] == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +514,25 @@ def test_surgery_identity_at_fan_out_one():
     the same layout and tensors and no merge block, so the embeddings stay."""
     cfg, graph, params, state = make_setup(seed=16)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
-    before = encode(batch, params).data
+    before = encode(batch, fold(params)).data
     same = surgery_for_extension(params, 1, np.random.default_rng(4))
     assert same.layout == params.layout
     assert same.tensors.keys() == params.tensors.keys()
     for name, t in params.tensors.items():
         assert same.tensors[name] is not t and np.array_equal(same.tensors[name].data, t.data), name
-    np.testing.assert_array_equal(encode(batch, same).data, before)
+    np.testing.assert_array_equal(encode(batch, fold(same)).data, before)
 
 
 def test_extended_forward_needs_merge_block():
     cfg, graph, params, state = make_setup(seed=17, fan_out=2)
     batch = node_batch(stack_graphs([graph]), stack_states([state]), cfg)
     assert "merge.q" in params.tensors  # init_params added it for an extended layout
-    e_h = encode(batch, params)
+    e_h = encode(batch, fold(params))
     assert e_h.shape == (1, 3, 16)
     stripped = params.copy()
-    del stripped.tensors["merge.q"], stripped.tensors["merge.Wk"], stripped.tensors["merge.bk"]
+    del stripped.tensors["merge.q"], stripped.tensors["merge.Wk"]
     with pytest.raises(ValueError, match="merge"):
-        encode(batch, stripped)
+        encode(batch, fold(stripped))
 
 
 def test_noncontiguous_extension_groups_are_gathered():
@@ -386,8 +552,8 @@ def test_noncontiguous_extension_groups_are_gathered():
     np.testing.assert_array_equal(rows[1], obs[0])
     # encode consumes the gathered layout without error and differs from the
     # contiguous grouping (different group compositions)
-    e1 = encode(node_batch(stack_graphs([graph]), stack_states([state]), cfg), params).data
-    e2 = encode(node_batch(stack_graphs([scrambled]), stack_states([state]), cfg), params).data
+    e1 = encode(node_batch(stack_graphs([graph]), stack_states([state]), cfg), fold(params)).data
+    e2 = encode(node_batch(stack_graphs([scrambled]), stack_states([state]), cfg), fold(params)).data
     assert not np.allclose(e1, e2)
 
 
@@ -398,8 +564,8 @@ def test_extended_reconstruction_targets_group_means():
     for name, t in params.tensors.items():
         if name.startswith("ae_"):
             t.data[:] = 0.0
-    e_h = encode(batch, params)
-    agent_hat, _, _, l_ae = reconstruct(e_h, batch, params)
+    e_h = encode(batch, fold(params))
+    agent_hat, _, _, l_ae = reconstruct(e_h, batch, fold(params))
     assert agent_hat.shape == (1, 6, obs_dim(cfg))
     group_means = batch.obs.reshape(1, 6, 2, -1).mean(axis=2)
     expected = (
@@ -452,26 +618,32 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
 
 
 def test_checkpoint_drops_retired_tensors(tmp_path):
-    """A checkpoint from before the cluster->target gather still holds the
-    retired query/key tensors and their Adam moments; loading drops them, so
-    saving again (and an optimizer built on the loaded tensors) no longer
-    carries them. Likewise the env-config codec drops the retired ``seed``
-    key of older headers."""
-    cfg, graph, params, state = make_setup(seed=21)
-    doc = cfg.to_json_dict()
-    assert "seed" not in doc
-    assert EnvConfig.from_json_dict({**doc, "seed": 0}) == EnvConfig.from_json_dict(doc) == cfg
-    old = params.copy()
-    h = params.layout.hidden
-    for name in ("ct.Wq", "ct.Wk", "ct.bq", "ct.bk"):
-        old.tensors[name] = Tensor(np.ones((h, h) if "W" in name else h), requires_grad=True)
-    trainer_for(tmp_path, cfg, graph, old).save(tmp_path / "old.ckpt")
-    assert b'"extra.adam.v.ct.Wq"' in (tmp_path / "old.ckpt").read_bytes()
-    run = load_run_checkpoint(tmp_path / "old.ckpt")
-    assert run.params.tensors.keys() == run.adam_m.keys() == run.adam_v.keys() == params.tensors.keys()
-    Trainer.restore(tmp_path / "old.ckpt", TrainSettings(), tmp_path).save(tmp_path / "again.ckpt")
-    trainer_for(tmp_path, cfg, graph, params).save(tmp_path / "fresh.ckpt")
-    assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+    """A checkpoint from before the cluster->target gather, or from before
+    the key biases were retired, still holds those tensors and their Adam
+    moments; loading drops them, so saving again (and an optimizer built on
+    the loaded tensors) no longer carries them, unextended or extended.
+    Likewise the env-config codec drops the retired ``seed`` key of older
+    headers."""
+    for fan_out in (1, 2):
+        cfg, graph, params, state = make_setup(seed=21, fan_out=fan_out)
+        doc = cfg.to_json_dict()
+        assert "seed" not in doc
+        assert EnvConfig.from_json_dict({**doc, "seed": 0}) == EnvConfig.from_json_dict(doc) == cfg
+        old = params.copy()
+        h = params.layout.hidden
+        retired = [name for name in RETIRED if fan_out > 1 or not name.startswith("merge.")]
+        for name in retired:
+            old.tensors[name] = Tensor(np.ones((h,) * len(RETIRED[name])), requires_grad=True)
+        out = tmp_path / f"fan{fan_out}"
+        trainer_for(out, cfg, graph, old).save(out / "old.ckpt")
+        saved = (out / "old.ckpt").read_bytes()
+        for name in retired:
+            assert f'"extra.adam.v.{name}"'.encode() in saved, name
+        run = load_run_checkpoint(out / "old.ckpt")
+        assert run.params.tensors.keys() == run.adam_m.keys() == run.adam_v.keys() == params.tensors.keys()
+        Trainer.restore(out / "old.ckpt", TrainSettings(), out).save(out / "again.ckpt")
+        trainer_for(out, cfg, graph, params).save(out / "fresh.ckpt")
+        assert (out / "again.ckpt").read_bytes() == (out / "fresh.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -697,11 +869,11 @@ def test_layer_gradcheck_encode_path():
         for n, a in zip(names, arrays):
             params.tensors[n].data = a
         with ad.no_grad():
-            v = value(latent(encode(batch, params), params), params)
+            v = value(latent(encode(batch, fold(params)), params), params)
         return float(v.data[0])
 
     arrays = [params.tensors[n].data.copy() for n in names]
-    ad.backward(value(latent(encode(batch, params), params), params))
+    ad.backward(value(latent(encode(batch, fold(params)), params), params))
     numeric = numeric_gradient(f, [a.copy() for a in arrays], h=1e-6)
     for n, num in zip(names, numeric):
         ana = params.tensors[n].grad

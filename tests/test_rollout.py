@@ -12,9 +12,10 @@ from coopgraph.training import TrainConfig, collect, evaluate_policy
 from test_training import desk_nano
 
 COLLECT_FIELDS = ("obs", "actions", "log_probs", "values", "rewards", "interfered")
-# re-recorded when the parameters became float32: log_probs and values are
-# float32 columns now; the greedy trajectory kept its bytes
-COLLECT_SHA256 = "cf42887159752fbb042a188ae53fd84b24b05b0cd6fa155bb6183111016099c8"
+# re-recorded when the parameters became float32 (log_probs and values are
+# float32 columns) and when the network began to run on folded weights
+# (their low bits moved); the greedy trajectory kept its bytes both times
+COLLECT_SHA256 = "fd26ad59d67bd60da609886b0020f228fa5229cc3e940184e49a899fce91c106"
 EVAL_TRAJECTORY_SHA256 = "216c2317e219dce2582fa39df3d6e817def51e0b6a0f44872e91db7342fe9f9f"
 
 

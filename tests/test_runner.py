@@ -98,6 +98,28 @@ def test_config_value_validation():
         parse_run_config({"env": {"v_def": 0.1}})  # slower than a slowed invader
 
 
+@pytest.mark.parametrize(
+    "doc,error",
+    [
+        ({"seeds": 3}, "seeds must be a nonempty list of integers, got 3"),
+        ({"seeds": [0, "1"]}, "seeds must be a nonempty list of integers"),
+        ({"env": 5}, "env must be a JSON object, got 5"),
+        ({"train": [1]}, "train must be a JSON object"),
+        ({"run": "x"}, "run must be a JSON object"),
+        ({"run": {"total_updates": "x"}}, "run.total_updates must be a number, got 'x'"),
+        ({"run": {"stop_success": True}}, "run.stop_success must be a number"),
+        ({"train": {"lr": "fast"}}, "train.lr must be a number"),
+    ],
+    ids=["seeds_int", "seeds_str_item", "env_int", "train_list", "run_str", "run_field_str",
+         "run_field_bool", "train_field_str"],
+)
+def test_config_type_validation(doc, error):
+    """A value of the wrong JSON type is a ConfigError naming its field, not
+    an exception from deeper in the program."""
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        parse_run_config(doc)
+
+
 def test_overrides_parse_dotted_and_json():
     doc = parse_overrides(["env.t_max=99", "train.lr=0.001", "coop_actions=false", "task=CSI-4/1/2"])
     assert doc == {
