@@ -272,6 +272,25 @@ def test_gradient_oracle_all_ops():
     assert worst < 1e-3
 
 
+def test_attention_gives_constant_keys_and_values_no_gradient():
+    """Attention as ``encode`` runs it: one query table against batched keys
+    that are also the values, both constant, with a member mask and one dead
+    query row. The constant gets no gradient (none could reach a parameter),
+    and the query table's gradient still matches the oracle."""
+    rng = np.random.default_rng(3)
+    n_q, n_k, d, batch = 4, 5, 6, 3
+    x = Tensor(rng.normal(size=(batch, n_k, d)))
+    mask = (rng.random((batch, n_q, n_k)) < 0.7).astype(float)
+    mask[..., 0] = 1.0
+    mask[0, 0] = 0.0
+
+    def build(t):
+        return ad.sum_(ad.square(ad.scaled_dot_attention(t[0], x, x, 0.7, key_mask=mask)))
+
+    assert gradcheck(build, [rng.normal(size=(n_q, d))]) < 1e-3
+    assert x.grad is None
+
+
 # ---------------------------------------------------------------------------
 # the fused linear against the op chain it replaced
 # ---------------------------------------------------------------------------
