@@ -26,7 +26,8 @@ backward, not one scan per op.
 
 The engine is deliberately small: only the ops the policy network and the
 PPO learner need, batched over a leading axis where it matters. Reduction
-order is fixed, so identical inputs give bit-identical outputs.
+order is fixed, so identical inputs give bit-identical outputs. The
+backward runs on the calling thread; BLAS is its only parallelism.
 
 A dense layer (``linear``: one folded GEMM plus the bias) and a whole
 attention (``scaled_dot_attention``, with a hand-written backward) are one
@@ -37,57 +38,19 @@ against batched keys and computes the scores of every episode as one GEMM
 over the key rows, and its query and key gradients as one GEMM each. No op
 computes a gradient for a constant operand (no ``requires_grad`` and no
 parents): such a gradient could reach no parameter.
-
-The backward of a matmul or ``linear`` has two independent GEMMs (input
-and weight gradient), an attention's two such pairs (the weights' and the
-values' gradient, then the queries' and the keys'). When a pair
-has more than ``_HANDOFF_MACS`` multiply-adds and more than one core is
-usable, one GEMM runs on a single worker thread, started on the first such
-backward, while the other runs on the calling thread; numpy releases the
-interpreter lock inside BLAS. Each GEMM is computed by the same BLAS call
-either way, and every accumulation into ``.grad`` stays on the calling
-thread in the same order, so the thread changes no bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 _GRAD_ENABLED = True
 
 MASK_FILL = -1e9
-
-# Gate of the backward's two-GEMM handoff, in multiply-adds of the pair. One
-# handoff costs about 60 us. On a 2-core Xeon with one BLAS thread, the
-# (rows, 64) x (64, 64) pair of a linear backward took, handed off against
-# serial: 125 vs 102 us at 1.6 M MACs, 114 vs 155 us at 2.1 M, 218 vs 310 us
-# at 4.2 M and 1.6 vs 3.0 ms at 34 M.
-_HANDOFF_MACS = 2_000_000
-_worker: ThreadPoolExecutor | None = None
-
-
-def _forget_worker() -> None:
-    # a forked child has no copy of the worker thread; it starts its own
-    global _worker
-    _worker = None
-
-
-if hasattr(os, "register_at_fork"):  # no fork, no hook on Windows
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):  # Linux: the cores this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class NonFiniteError(FloatingPointError):
@@ -162,12 +125,9 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
     ``fresh`` promises g is a newly allocated array no other node aliases,
     letting the first accumulation adopt it without a copy; shared arrays
-    are copied lazily on the first in-place addition. A None g (a gradient
-    nobody needed) adds nothing. A gradient takes the dtype of the node it
-    reaches.
+    are copied lazily on the first in-place addition. A gradient takes the
+    dtype of the node it reaches.
     """
-    if g is None:
-        return
     if not isinstance(g, np.ndarray) or g.dtype != t.data.dtype:
         g = np.asarray(g, dtype=t.data.dtype)
         fresh = True
@@ -199,32 +159,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def _gemm_pair(first, second, macs: int):
-    """(first(), second()) for two independent GEMM thunks; None stands for
-    a gradient nobody needs and gives None.
-
-    A pair of more than ``_HANDOFF_MACS`` multiply-adds, with more than one
-    core usable, runs ``first`` on the backward worker while ``second``
-    runs on this thread.
-    """
-    global _worker
-    if first is None or second is None:
-        return (first() if first else None), (second() if second else None)
-    if macs <= _HANDOFF_MACS or _usable_cores() < 2:
-        return first(), second()
-    if _worker is None:
-        # imported here, so importing the engine stays as fast as before
-        from concurrent.futures import ThreadPoolExecutor
-
-        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="autodiff-backward")
-    pending = _worker.submit(first)
-    try:
-        other = second()
-    finally:
-        done = pending.result()
-    return done, other
 
 
 # ---------------------------------------------------------------------------
@@ -412,27 +346,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             g2 = g.reshape(B * n, bd.shape[1])
-            ga, gb = _gemm_pair(
-                (lambda: (g2 @ bd.T).reshape(ad.shape)) if _live(a) else None,
-                (lambda: ad.reshape(B * n, k).T @ g2) if _live(b) else None,
-                2 * g2.size * k,
-            )
-            _accumulate(a, ga, fresh=True)
-            _accumulate(b, gb, fresh=True)
+            if _live(a):
+                _accumulate(a, (g2 @ bd.T).reshape(ad.shape), fresh=True)
+            if _live(b):
+                _accumulate(b, ad.reshape(B * n, k).T @ g2, fresh=True)
 
         return _make(data, (a, b), bwd, "matmul")
 
     data = np.matmul(ad, bd)
 
     def bwd(g):
-        ga, gb = _gemm_pair(
-            (lambda: np.matmul(g, np.swapaxes(bd, -1, -2))) if _live(a) else None,
-            (lambda: np.matmul(np.swapaxes(ad, -1, -2), g)) if _live(b) else None,
-            2 * g.size * ad.shape[-1],
-        )
-        if ga is not None:
+        if _live(a):
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
             _accumulate(a, _unbroadcast_matmul(ga, ad.shape), fresh=True)
-        if gb is not None:
+        if _live(b):
+            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
             _accumulate(b, _unbroadcast_matmul(gb, bd.shape), fresh=True)
 
     return _make(data, (a, b), bwd, "matmul")
@@ -454,13 +382,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(rows.shape[0], wd.shape[1])
-        gx, gw = _gemm_pair(
-            (lambda: (g2 @ wd.T).reshape(xd.shape)) if _live(x) else None,
-            (lambda: rows.T @ g2) if _live(w) else None,
-            2 * g2.size * wd.shape[0],
-        )
-        _accumulate(x, gx, fresh=True)
-        _accumulate(w, gw, fresh=True)
+        if _live(x):
+            _accumulate(x, (g2 @ wd.T).reshape(xd.shape), fresh=True)
+        if _live(w):
+            _accumulate(w, rows.T @ g2, fresh=True)
         if _live(b):
             _accumulate(b, _unbroadcast(g2, b.data.shape), fresh=True)
 
@@ -544,24 +469,18 @@ def scaled_dot_attention(
     def bwd(g):
         if live is not None:
             g = g * live
-        gw, gv = _gemm_pair(
-            (lambda: np.matmul(vd, np.swapaxes(g, -1, -2))) if _live(q) or _live(k) else None,
-            (lambda: np.matmul(weights, g)) if _live(v) else None,
-            2 * g.size * weights.shape[-2],
-        )
-        _accumulate(v, gv, fresh=True)
-        if gw is None:
+        if _live(v):
+            _accumulate(v, np.matmul(weights, g), fresh=True)
+        if not (_live(q) or _live(k)):
             return
+        gw = np.matmul(vd, np.swapaxes(g, -1, -2))
         gs = weights * (gw - (gw * weights).sum(axis=-2, keepdims=True))
         gs *= scale
         gs_rows = gs.reshape(-1, n_q)
-        gq, gk = _gemm_pair(
-            (lambda: gs_rows.T @ k_rows) if _live(q) else None,
-            (lambda: (gs_rows @ qd).reshape(kd.shape)) if _live(k) else None,
-            2 * gs.size * d,
-        )
-        _accumulate(q, gq, fresh=True)
-        _accumulate(k, gk, fresh=True)
+        if _live(q):
+            _accumulate(q, gs_rows.T @ k_rows, fresh=True)
+        if _live(k):
+            _accumulate(k, (gs_rows @ qd).reshape(kd.shape), fresh=True)
 
     return _make(data, (q, k, v), bwd, "scaled_dot_attention")
 

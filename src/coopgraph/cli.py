@@ -80,6 +80,19 @@ def _run_config(args) -> "RunConfig":
     return load_run_config(args.config, args.overrides, **direct)
 
 
+def _steps(text: str) -> list[int]:
+    """The step indices of a comma list; an entry that is no integer is a
+    config error naming it."""
+    steps = []
+    for entry in (s.strip() for s in text.split(",")):
+        if entry:
+            try:
+                steps.append(int(entry))
+            except ValueError:
+                raise ConfigError(f"--steps entry {entry!r} is not an integer") from None
+    return steps
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -103,8 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_oracle(rc)
             print(json.dumps(report, indent=2))
         elif args.command == "export-topology":
-            steps = [int(s) for s in args.steps.split(",") if s.strip()]
-            written = cmd_export_topology(rc, args.checkpoint, args.episode_seed, steps, args.out)
+            written = cmd_export_topology(rc, args.checkpoint, args.episode_seed, _steps(args.steps), args.out)
             for path in written:
                 print(path)
     except (ConfigError, TaskNameError) as e:

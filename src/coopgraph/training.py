@@ -81,6 +81,9 @@ class TrainConfig:
     n_minibatches: int = 4
 
     def __post_init__(self):
+        for name in ("ppo_epochs", "batch_episodes", "n_minibatches"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0.0 <= self.p_interference <= 1.0:
             raise ValueError("p_interference must be a probability")
         for name in ("lr", "ppo_epochs", "clip_eps", "gamma", "gae_lambda",
@@ -496,6 +499,9 @@ class TrainSettings:
     stop_success: float | None = None
 
     def __post_init__(self):
+        for name in ("total_updates", "eval_every", "eval_episodes", "checkpoint_every"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # eval_every and checkpoint_every at 0 turn those off
         for name in ("total_updates", "eval_every", "checkpoint_every"):
             if getattr(self, name) < 0:

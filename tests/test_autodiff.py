@@ -1,8 +1,9 @@
 """Autodiff engine: forward semantics, the finite-difference oracle, the fused
 linear against the op chain it replaced, Adam."""
 
-import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -345,11 +346,9 @@ def _fused_cases(rng, rows):
 @pytest.mark.parametrize("rows", [2, 256])
 def test_fused_ops_match_reference_chain_bit_for_bit(rows):
     """The fused linear gives the chain's forward and gradients bit for bit,
-    below and above the backward's handoff gate; a constant operand gets no
-    gradient. (Attention keeps no chain's bits: the policy's folded network
-    is checked against the unfolded one in ``test_policy``.)"""
-    # the GEMM pair of a linear backward: below the gate at 2 rows, above at 256
-    assert (2 * rows * 12 * 64 * 64 > ad._HANDOFF_MACS) == (rows == 256)
+    on a small and a large batch; a constant operand gets no gradient.
+    (Attention keeps no chain's bits: the policy's folded network is checked
+    against the unfolded one in ``test_policy``.)"""
     rng = np.random.default_rng(rows)
     for i, (name, arrays, constant) in enumerate(_fused_cases(rng, rows)):
         fused, reference = _run_both(arrays, constant, seed=i)
@@ -359,29 +358,31 @@ def test_fused_ops_match_reference_chain_bit_for_bit(rows):
             assert (got is None) == (j in constant), f"{name}: operand {j}"
 
 
-def _large_linear_backward():
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(1024, 64)), requires_grad=True)
-    w = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
-    ad.backward(ad.sum_(ad.linear(x, w, Tensor(np.zeros(64)))))
-    assert x.grad is not None and w.grad is not None
+LARGE_LINEAR_BACKWARD = """
+import threading
+import numpy as np
+from coopgraph import autodiff as ad
+rng = np.random.default_rng(0)
+x = ad.Tensor(rng.normal(size=(1024, 64)), requires_grad=True)
+w = ad.Tensor(rng.normal(size=(64, 64)), requires_grad=True)
+loss = ad.sum_(ad.linear(x, w, ad.Tensor(np.zeros(64))))
+before = threading.active_count()
+ad.backward(loss)
+assert x.grad is not None and w.grad is not None
+print(before, threading.active_count())
+"""
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or ad._usable_cores() < 2,
-                    reason="needs fork and two usable cores")
-def test_forked_child_starts_its_own_backward_worker():
-    """A child forked after the backward worker started does not wait on the
-    parent's worker thread, which it has no copy of."""
-    assert 2 * 1024 * 64 * 64 > ad._HANDOFF_MACS
-    _large_linear_backward()
-    child = multiprocessing.get_context("fork").Process(target=_large_linear_backward)
-    child.start()
-    child.join(timeout=30)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join()
-    assert not hung and child.exitcode == 0
+def test_large_backward_starts_no_thread():
+    """The backward runs on the calling thread: a 1024 x 64 linear's backward
+    leaves the process's thread count as it found it. Run in a fresh
+    interpreter, so no earlier test's backward has started anything."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run([sys.executable, "-c", LARGE_LINEAR_BACKWARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert before == after
 
 
 # ---------------------------------------------------------------------------

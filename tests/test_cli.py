@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coopgraph import training
 from coopgraph.cli import main
 
@@ -38,6 +40,28 @@ def test_config_error_exit_code(capsys):
     assert main(["train", "--set", "env=5"]) == 2
     assert main(["train", "--set", "run.total_updates=x"]) == 2
     assert main(["oracle", "--set", "coop_actions=false", "--task", "CSI-4/1/2"]) == 2
+
+
+@pytest.mark.parametrize("override,error", [
+    ("train.batch_episodes=2.5", "train: batch_episodes must be an integer, got 2.5"),
+    ("run.total_updates=1.5", "run: total_updates must be an integer, got 1.5"),
+], ids=["batch_episodes", "total_updates"])
+def test_non_integer_count_is_config_error(tmp_path, capsys, override, error):
+    """A count setting that is not an integer is refused before the run
+    directory is written."""
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out)] + NANO_ARGS + ["--set", override]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_topology_names_a_non_integer_step(tmp_path, capsys):
+    dest = tmp_path / "snaps"
+    code = main(["export-topology", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                 "--steps", "0,x", "--out", str(dest)] + NANO_ARGS)
+    assert code == 2
+    assert "--steps entry 'x' is not an integer" in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_runtime_error_exit_code(capsys, tmp_path):

@@ -6,7 +6,9 @@ alone; ``ALLOWED_UNREFERENCED`` names the one exception. src/ uses no numpy
 name that the declared floor, numpy 1.24, lacks, and only
 ``training.rollout`` calls ``env.step`` and ``env.reset``, so there is one
 episode loop. No src class spells out again the fields of another src
-class it does not inherit from, so a record schema is declared once."""
+class it does not inherit from, so a record schema is declared once.
+src/ imports no thread or process module and registers no fork hook, so
+the engine runs on one thread and BLAS is its only parallelism."""
 
 import ast
 import re
@@ -100,6 +102,34 @@ def numpy2_only_names(path: Path) -> list[str]:
         else:
             continue
         found += [f"numpy.{name} (line {node.lineno})" for name in dotted if name in NUMPY2_ONLY]
+    return found
+
+
+CONCURRENCY_MODULES = ("threading", "concurrent.futures", "multiprocessing")
+
+
+def concurrency_uses(path: Path) -> list[str]:
+    """Imports of a ``CONCURRENCY_MODULES`` module or of anything in it, and
+    calls of ``register_at_fork``, each with its line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "register_at_fork":
+                found.append(f"register_at_fork call (line {node.lineno})")
+            continue
+        else:
+            continue
+        found += [
+            f"{module} import (line {node.lineno})" for module in CONCURRENCY_MODULES
+            if any(name == module or name.startswith(module + ".") for name in dotted)
+        ]
     return found
 
 
@@ -273,6 +303,22 @@ def test_episode_loop_calls_detected(tmp_path):
     assert episode_loop_calls(module) == [("a", "step", 5), ("b", "reset", 9), ("b", "step", 10), ("<module>", "reset", 15)]
 
 
+def test_concurrency_uses_detected(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import os, threading\nfrom concurrent import futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\nimport multiprocessing.pool as mp\n"
+        "import concurrent\nimport threadpoolctl\nfrom os import register_at_fork\n"
+        "def f():\n    os.register_at_fork(after_in_child=f)\n    register_at_fork(before=f)\n"
+        "    return os.fork\n"
+    )
+    assert concurrency_uses(module) == [
+        "threading import (line 1)", "concurrent.futures import (line 2)",
+        "concurrent.futures import (line 3)", "multiprocessing import (line 4)",
+        "register_at_fork call (line 9)", "register_at_fork call (line 10)",
+    ]
+
+
 def test_respelled_classes_detected(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -347,6 +393,15 @@ def test_src_keeps_to_the_declared_numpy_floor():
         str(path.relative_to(ROOT)): names
         for path in sorted((ROOT / "src").rglob("*.py"))
         if (names := numpy2_only_names(path))
+    }
+    assert found == {}
+
+
+def test_src_starts_no_thread_or_process():
+    found = {
+        str(path.relative_to(ROOT)): uses
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (uses := concurrency_uses(path))
     }
     assert found == {}
 

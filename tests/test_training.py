@@ -202,7 +202,7 @@ def test_ppo_update_reports_components():
 # reassociates their products (the folded network's exact-math agreement
 # with the unfolded one is test_policy's reference test)
 PPO_GRADIENT_GOLDENS = [
-    # the desk task at full width: GEMM pairs above the backward's handoff gate
+    # the desk task at full width (hidden 64)
     ("CSI-12/2/3", 1, 64, "0789659b5b87dd586a2dd087017a1ef3777bcd6898cd81b5a2ac8ca3c95d175c"),
     # an extended policy: the merge block's attention
     ("CSI-4/1/2", 2, 16, "875d1b13478ad3972bb1b2953705626f4ef5e09e0aec4791f10139dbd1bd9364"),
@@ -267,8 +267,7 @@ def test_tape_keeps_the_parameters_dtype(monkeypatch, wide):
         return out
 
     def recording_accumulate(t, g, fresh=False):
-        if g is not None:
-            arriving.add((t.data.dtype, g.dtype))
+        arriving.add((t.data.dtype, g.dtype))
         accumulate(t, g, fresh)
 
     monkeypatch.setattr(ad, "_make", recording_make)
