@@ -7,8 +7,8 @@ node's dtype, so a float32 tape stays in float32 GEMMs end to end and a
 float64 tape in float64 ones. Ops record their inputs on an implicit tape
 (the parent links of each output tensor); ``backward(loss)`` walks the
 graph in reverse topological order and accumulates gradients into
-``.grad``. Shapes follow numpy broadcasting; gradients of broadcast
-operands are summed back to the operand shape.
+``.grad``. Shapes follow numpy broadcasting; ``_unbroadcast`` alone sums
+every broadcast operand's gradient back to the operand's shape.
 
 Only leaf gradients survive ``backward``: an interior node's ``.grad`` is
 dropped as soon as its own backward has used it, so a spent gradient is
@@ -25,14 +25,14 @@ and its output shape. So a taped forward pays one scalar check per
 backward, not one scan per op.
 
 The engine is deliberately small: only the ops the policy network and the
-PPO learner need, batched over a leading axis where it matters. Reduction
-order is fixed, so identical inputs give bit-identical outputs. The
-backward runs on the calling thread; BLAS is its only parallelism.
+PPO learner need. Reduction order is fixed, so identical inputs give
+bit-identical outputs. The backward runs on the calling thread; BLAS is
+its only parallelism.
 
 A dense layer (``linear``: one folded GEMM plus the bias) and a whole
 attention (``scaled_dot_attention``, with a hand-written backward) are one
-tape node each. ``linear``'s backward repeats, step by step, the arithmetic
-of the matmul/add chain it replaces, so its gradients keep the chain's bits.
+tape node each. ``linear`` keeps the bits of the matmul/add chain over its
+folded rows, forward and backward.
 Attention does not repeat a chain's bits: it takes one shared query table
 against batched keys and computes the scores of every episode as one GEMM
 over the key rows, and its query and key gradients as one GEMM each. No op
@@ -209,7 +209,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        _accumulate(a, g * (a.data > 0.0), fresh=True)
+        _accumulate(a, g * (a.data > 0.0).astype(g.dtype), fresh=True)
 
     return _make(data, (a,), bwd, "relu")
 
@@ -236,11 +236,11 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     data = np.maximum(a.data, b.data)
 
     def bwd(g):
-        pick_a = a.data >= b.data
+        pick_a = (a.data >= b.data).astype(g.dtype)
         if _live(a):
             _accumulate(a, _unbroadcast(g * pick_a, a.data.shape), fresh=True)
         if _live(b):
-            _accumulate(b, _unbroadcast(g * ~pick_a, b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(g * (1.0 - pick_a), b.data.shape), fresh=True)
 
     return _make(data, (a, b), bwd, "maximum")
 
@@ -249,11 +249,11 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     data = np.minimum(a.data, b.data)
 
     def bwd(g):
-        pick_a = a.data <= b.data
+        pick_a = (a.data <= b.data).astype(g.dtype)
         if _live(a):
             _accumulate(a, _unbroadcast(g * pick_a, a.data.shape), fresh=True)
         if _live(b):
-            _accumulate(b, _unbroadcast(g * ~pick_a, b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(g * (1.0 - pick_a), b.data.shape), fresh=True)
 
     return _make(data, (a, b), bwd, "minimum")
 
@@ -262,7 +262,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
 
     def bwd(g):
-        _accumulate(a, g * ((a.data >= lo) & (a.data <= hi)), fresh=True)
+        _accumulate(a, g * ((a.data >= lo) & (a.data <= hi)).astype(g.dtype), fresh=True)
 
     return _make(data, (a,), bwd, "clip")
 
@@ -333,35 +333,19 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul with fast paths for weight-shared batches
+# matmul and the dense layer
 # ---------------------------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.ndim == 3 and bd.ndim == 2:
-        # fold the batch into one GEMM: (B, n, k) @ (k, m)
-        B, n, k = ad.shape
-        data = (ad.reshape(B * n, k) @ bd).reshape(B, n, bd.shape[1])
-
-        def bwd(g):
-            g2 = g.reshape(B * n, bd.shape[1])
-            if _live(a):
-                _accumulate(a, (g2 @ bd.T).reshape(ad.shape), fresh=True)
-            if _live(b):
-                _accumulate(b, ad.reshape(B * n, k).T @ g2, fresh=True)
-
-        return _make(data, (a, b), bwd, "matmul")
-
     data = np.matmul(ad, bd)
 
     def bwd(g):
         if _live(a):
-            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-            _accumulate(a, _unbroadcast_matmul(ga, ad.shape), fresh=True)
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape), fresh=True)
         if _live(b):
-            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-            _accumulate(b, _unbroadcast_matmul(gb, bd.shape), fresh=True)
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape), fresh=True)
 
     return _make(data, (a, b), bwd, "matmul")
 
@@ -370,9 +354,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a (..., k) input, a (k, m) weight and an (m,) bias, as
     one node.
 
-    The leading axes of x fold into one GEMM, and the bias gradient is the
-    gemv ``add``'s reduction makes of the folded incoming gradient, so the
-    result keeps the bits of ``add(matmul(x, w), b)``.
+    The leading axes of x fold into rows for one GEMM, and the bias
+    gradient is ``_unbroadcast``'s gemv of the folded gradient, so the
+    result keeps the bits of the matmul/add chain over the folded rows.
     """
     xd, wd = x.data, w.data
     rows = xd.reshape(-1, xd.shape[-1])
@@ -390,18 +374,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(g2, b.data.shape), fresh=True)
 
     return _make(data, (x, w, b), bwd, "linear")
-
-
-def _unbroadcast_matmul(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i in range(len(shape) - 2) if shape[i] == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +539,13 @@ class Adam:
     """Adam with bias correction over a named parameter dict; the moments
     are kept in each parameter's dtype."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -590,16 +556,16 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * p.grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * p.grad * p.grad
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 

@@ -107,6 +107,29 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
+# a declared field type (an annotation string) -> the value types it
+# takes, and their name in a message
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "dict": ((dict,), "a JSON object"),
+}
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError naming the first field of a dataclass whose value is
+    not of its declared type: an int field takes no bool or float, a float
+    field an int or a float but no bool. Other types are not checked."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in _FIELD_TYPES:
+            types, name = _FIELD_TYPES[f.type]
+            if type(value) not in types:
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
+
+
 def parse_task_name(name: str) -> tuple[int, int, int]:
     """Parse ``CSI-<N>/<k>/<m>`` into (n_agents, k_threshold, m_invaders)."""
     m = re.fullmatch(r"CSI-([^/]*)/([^/]*)/([^/]*)", name)
@@ -148,6 +171,7 @@ class EnvConfig:
     primitive_set: PrimitiveSet = PrimitiveSet.SIX
 
     def __post_init__(self):
+        check_field_types(self)
         if self.slow_count == 0:
             object.__setattr__(self, "slow_count", max(1, math.ceil(self.k_threshold / 2)))
         if not (self.k_threshold >= self.slow_count >= 1):

@@ -41,8 +41,10 @@ which the softmax cancels: the network has none. A rollout folds once under
 ``no_grad`` (the parameters are fixed while it runs) and ``act_batch``
 takes the result; ``evaluate_actions`` folds on the tape for each
 minibatch, so gradients reach the parameters. Both run the same numpy
-arithmetic, so the folded weights, and the log-probabilities, agree bit for
-bit.
+arithmetic, so the folded weights agree bit for bit, and so do the
+log-probabilities and values of rows evaluated together. Across row counts
+they can differ in the last float32 bit, as GEMM rounding depends on the
+row count, so ``collect``'s and a minibatch's need not agree exactly.
 
 The node inputs of a lockstep step are built in one pass over a
 ``stack_graphs`` and a ``stack_states`` stack of its B episodes

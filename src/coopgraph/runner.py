@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .commands import DEFEND, INTERCEPT
-from .env import EnvConfig, PrimitiveSet, TaskNameError, parse_task_name, row_norms
+from .env import EnvConfig, PrimitiveSet, TaskNameError, check_field_types, parse_task_name, row_norms
 from .graph import (
     CooperationGraph,
     OperatorAction,
@@ -41,11 +41,11 @@ from .policy import (
     surgery_for_extension,
 )
 from .training import (
-    EPISODE_SEED_STRIDE,
     RunCheckpoint,
     TrainConfig,
     TrainSettings,
     Trainer,
+    episode_rngs,
     evaluate_policy,
     load_run_checkpoint,
     policy_operator,
@@ -107,9 +107,10 @@ def parse_overrides(pairs: list[str]) -> dict:
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate a raw config document into a RunConfig.
 
-    Raises ConfigError naming the offending field for unknown keys, a
-    section that is not an object, bad or non-numeric section entries, an
-    unparsable task, or seeds that are not a nonempty list of integers.
+    Raises ConfigError naming the offending field for unknown keys, a value
+    of the wrong type (a field, a section or a section entry), a bad
+    section entry, an unparsable task, or seeds that are not a nonempty
+    list of integers.
     """
     known = {f.name for f in dataclasses.fields(RunConfig)}
     for key in doc:
@@ -117,22 +118,23 @@ def parse_run_config(doc: dict) -> RunConfig:
             raise ConfigError(f"unknown config field {key!r}")
     rc = RunConfig(**{k: v for k, v in doc.items() if k in known})
 
-    try:
-        parse_task_name(rc.task)
-    except TaskNameError as e:
-        raise ConfigError(f"task: {e}") from None
     for name in ("n_clusters", "eval_episodes", "init_candidates"):
         if type(getattr(rc, name)) is not int or getattr(rc, name) < 1:
             raise ConfigError(f"{name} must be an integer >= 1")
     if type(rc.seeds) is not list or not rc.seeds or any(type(s) is not int for s in rc.seeds):
         raise ConfigError(f"seeds must be a nonempty list of integers, got {rc.seeds!r}")
     try:
+        check_field_types(rc)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    try:
+        parse_task_name(rc.task)
+    except TaskNameError as e:
+        raise ConfigError(f"task: {e}") from None
+    try:
         PrimitiveSet.from_name(rc.primitive_set)
     except ValueError as e:
         raise ConfigError(f"primitive_set: {e}") from None
-    for name in ("env", "train", "run"):
-        if not isinstance(getattr(rc, name), dict):
-            raise ConfigError(f"{name} must be a JSON object, got {getattr(rc, name)!r}")
     for key in rc.env:
         if key not in _ENV_OVERRIDE_FIELDS:
             raise ConfigError(f"env.{key} is not an overridable environment field")
@@ -587,7 +589,7 @@ def cmd_oracle(rc: RunConfig) -> dict:
         for e in alive:
             graphs[e], _ = apply_operator_action(graphs[e], scripted_operator_action(graphs[e], states[e], env_config))
 
-    rngs = [np.random.default_rng(rc.seeds[0] * EPISODE_SEED_STRIDE + e) for e in range(rc.eval_episodes)]
+    rngs = episode_rngs(rc.seeds[0], rc.eval_episodes)
     # only the terminal step pays
     wins = sum(o.reward > 0 for *_, outcomes, _ in rollout(graph0, env_config, rngs, operate) for o in outcomes)
     return {"success": wins / rc.eval_episodes, "episodes": rc.eval_episodes}
@@ -629,7 +631,7 @@ def cmd_export_topology(
     write(0, run.graph0)
     if not wanted:  # the frozen topology needs no replay
         return written
-    rngs = [np.random.default_rng(episode_seed * EPISODE_SEED_STRIDE)]
+    rngs = episode_rngs(episode_seed, 1)
     operate = policy_operator(run.params, run.env_config, rngs, "argmax", 0.0)
     for _, graphs, states, outcomes, _ in rollout(run.graph0, run.env_config, rngs, operate):
         # the graph that acted in this step is the one the next step starts from

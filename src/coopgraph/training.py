@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .env import EnvConfig, reset, stack_states, step, trajectory_record
+from .env import EnvConfig, check_field_types, reset, stack_states, step, trajectory_record
 from .graph import (
     CooperationGraph,
     OperatorAction,
@@ -63,6 +63,13 @@ EPISODE_SEED_STRIDE = 10**6
 PPO_REPORT_KEYS = ("L_policy", "L_value", "L_ae", "entropy")
 
 
+def episode_rngs(seed: int, episodes: int, first: int = 0) -> list[np.random.Generator]:
+    """One generator per episode: episode e's is seeded with
+    seed * 10^6 + first + e, so an episode's stream does not depend on how
+    many episodes run beside it or how they interleave."""
+    return [np.random.default_rng(seed * EPISODE_SEED_STRIDE + first + e) for e in range(episodes)]
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """PPO hyperparameters; the stated defaults are the experiment settings."""
@@ -81,9 +88,7 @@ class TrainConfig:
     n_minibatches: int = 4
 
     def __post_init__(self):
-        for name in ("ppo_epochs", "batch_episodes", "n_minibatches"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self)
         if not 0.0 <= self.p_interference <= 1.0:
             raise ValueError("p_interference must be a probability")
         for name in ("lr", "ppo_epochs", "clip_eps", "gamma", "gae_lambda",
@@ -202,14 +207,11 @@ def collect(
     """Roll out one batch of full episodes with the current policy snapshot.
 
     Runs the lockstep engine with the policy operator in sample mode with
-    interference. Episode e uses its own generator seeded with
-    master_seed * 10^6 + episode_offset + e, so batches are reproducible no
+    interference. Episode e uses ``episode_rngs(master_seed,
+    batch_episodes, episode_offset)[e]``, so batches are reproducible no
     matter how the episodes are interleaved.
     """
-    rngs = [
-        np.random.default_rng(master_seed * EPISODE_SEED_STRIDE + episode_offset + e)
-        for e in range(config.batch_episodes)
-    ]
+    rngs = episode_rngs(master_seed, config.batch_episodes, episode_offset)
     operate = policy_operator(params, env_config, rngs, "sample", config.p_interference)
     ids, records, rewards, dones = [], [], [], []
     for alive, _, _, outcomes, record in rollout(graph0, env_config, rngs, operate):
@@ -350,11 +352,10 @@ def evaluate_policy(
 
     Runs the lockstep engine with the policy operator in argmax mode with no
     interference and the frozen normalizer, dropping its step records.
-    Episode e uses the generator seeded with
-    seed * 10^6 + e. With a path, writes the per-step trajectory rows as
-    JSONL in episode order.
+    Episode e uses ``episode_rngs(seed, episodes)[e]``. With a path, writes
+    the per-step trajectory rows as JSONL in episode order.
     """
-    rngs = [np.random.default_rng(seed * EPISODE_SEED_STRIDE + e) for e in range(episodes)]
+    rngs = episode_rngs(seed, episodes)
     operate = policy_operator(params, env_config, rngs, "argmax", 0.0)
     trajectories = [[] for _ in range(episodes)]
     wins = 0
@@ -499,9 +500,7 @@ class TrainSettings:
     stop_success: float | None = None
 
     def __post_init__(self):
-        for name in ("total_updates", "eval_every", "eval_episodes", "checkpoint_every"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self)
         # eval_every and checkpoint_every at 0 turn those off
         for name in ("total_updates", "eval_every", "checkpoint_every"):
             if getattr(self, name) < 0:

@@ -307,7 +307,10 @@ def reference_transpose_last(a):
 
 
 def reference_linear(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
+    """The chain a linear replaces: its input's leading axes folded into
+    rows, one 2-d matmul, the bias added, the rows unfolded."""
+    rows = ad.reshape(x, (-1, x.shape[-1]))
+    return ad.reshape(ad.add(ad.matmul(rows, w), b), x.shape[:-1] + w.shape[1:])
 
 
 def _bits(a):

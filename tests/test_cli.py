@@ -39,13 +39,15 @@ def test_config_error_exit_code(capsys):
     assert main(["train", "--set", "seeds=3"]) == 2
     assert main(["train", "--set", "env=5"]) == 2
     assert main(["train", "--set", "run.total_updates=x"]) == 2
+    assert main(["train", "--set", "env.n_bases=2.5"]) == 2
     assert main(["oracle", "--set", "coop_actions=false", "--task", "CSI-4/1/2"]) == 2
 
 
 @pytest.mark.parametrize("override,error", [
     ("train.batch_episodes=2.5", "train: batch_episodes must be an integer, got 2.5"),
     ("run.total_updates=1.5", "run: total_updates must be an integer, got 1.5"),
-], ids=["batch_episodes", "total_updates"])
+    ("env.n_bases=2.5", "env: n_bases must be an integer, got 2.5"),
+], ids=["batch_episodes", "total_updates", "n_bases"])
 def test_non_integer_count_is_config_error(tmp_path, capsys, override, error):
     """A count setting that is not an integer is refused before the run
     directory is written."""

@@ -109,9 +109,21 @@ def test_config_value_validation():
         ({"run": {"total_updates": "x"}}, "run.total_updates must be a number, got 'x'"),
         ({"run": {"stop_success": True}}, "run.stop_success must be a number"),
         ({"train": {"lr": "fast"}}, "train.lr must be a number"),
+        ({"env": {"t_max": 20.5}}, "env: t_max must be an integer, got 20.5"),
+        ({"env": {"n_bases": True}}, "env: n_bases must be an integer, got True"),
+        ({"env": {"slow_count": 1.5}}, "env: slow_count must be an integer, got 1.5"),
+        ({"env": {"n_bases": 2.5}}, "env: n_bases must be an integer, got 2.5"),
+        ({"env": {"v_def": "fast"}}, "env: v_def must be a number, got 'fast'"),
+        ({"env": {"world_extent": None}}, "env: world_extent must be a number, got None"),
+        ({"coop_actions": 5}, "coop_actions must be true or false, got 5"),
+        ({"out_dir": 5}, "out_dir must be a string, got 5"),
+        ({"task": 5}, "task must be a string, got 5"),
+        ({"primitive_set": 5}, "primitive_set must be a string, got 5"),
     ],
     ids=["seeds_int", "seeds_str_item", "env_int", "train_list", "run_str", "run_field_str",
-         "run_field_bool", "train_field_str"],
+         "run_field_bool", "train_field_str", "env_int_field_float", "env_int_field_bool",
+         "env_slow_count_float", "env_n_bases_float", "env_float_field_str", "env_float_field_null",
+         "coop_actions_int", "out_dir_int", "task_int", "primitive_set_int"],
 )
 def test_config_type_validation(doc, error):
     """A value of the wrong JSON type is a ConfigError naming its field, not
