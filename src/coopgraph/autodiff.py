@@ -10,6 +10,10 @@ graph in reverse topological order and accumulates gradients into
 ``.grad``. Shapes follow numpy broadcasting; ``_unbroadcast`` alone sums
 every broadcast operand's gradient back to the operand's shape.
 
+No gradient is written in place; a node may hold the array another node
+received. Accumulating into ``.grad`` and clipping its norm each bind a
+new array, so no op has to know who else holds the one it hands on.
+
 Only leaf gradients survive ``backward``: an interior node's ``.grad`` is
 dropped as soon as its own backward has used it, so a spent gradient is
 freed while the rest of the pass runs. A caller that keeps no reference
@@ -73,7 +77,7 @@ def no_grad():
 class Tensor:
     """A float32 or float64 ndarray plus the tape links needed for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -82,7 +86,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._grad_owned = False
         self._op: str | None = None  # the op that put this tensor on the tape
 
     @property
@@ -120,25 +123,11 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add g into t.grad.
-
-    ``fresh`` promises g is a newly allocated array no other node aliases,
-    letting the first accumulation adopt it without a copy; shared arrays
-    are copied lazily on the first in-place addition. A gradient takes the
-    dtype of the node it reaches.
-    """
-    if not isinstance(g, np.ndarray) or g.dtype != t.data.dtype:
-        g = np.asarray(g, dtype=t.data.dtype)
-        fresh = True
-    if t.grad is None:
-        t.grad = g
-        t._grad_owned = fresh
-    elif t._grad_owned:
-        t.grad += g
-    else:
-        t.grad = t.grad + g
-        t._grad_owned = True
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t.grad, in t's dtype. No gradient is written in place, so t
+    may hold the very array another node received."""
+    g = np.asarray(g, dtype=t.data.dtype)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -171,11 +160,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if _live(a):
-            ga = _unbroadcast(g, a.data.shape)
-            _accumulate(a, ga, fresh=ga is not g)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if _live(b):
-            gb = _unbroadcast(g, b.data.shape)
-            _accumulate(b, gb, fresh=gb is not g)
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), bwd, "add")
 
@@ -185,10 +172,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if _live(a):
-            ga = _unbroadcast(g, a.data.shape)
-            _accumulate(a, ga, fresh=ga is not g)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if _live(b):
-            _accumulate(b, _unbroadcast(-g, b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(data, (a, b), bwd, "sub")
 
@@ -198,9 +184,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if _live(a):
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if _live(b):
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), bwd, "mul")
 
@@ -209,7 +195,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        _accumulate(a, g * (a.data > 0.0).astype(g.dtype), fresh=True)
+        _accumulate(a, g * (a.data > 0.0).astype(g.dtype))
 
     return _make(data, (a,), bwd, "relu")
 
@@ -218,7 +204,7 @@ def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
     def bwd(g):
-        _accumulate(a, g * data, fresh=True)
+        _accumulate(a, g * data)
 
     return _make(data, (a,), bwd, "exp")
 
@@ -227,7 +213,7 @@ def square(a: Tensor) -> Tensor:
     data = a.data * a.data
 
     def bwd(g):
-        _accumulate(a, g * 2.0 * a.data, fresh=True)
+        _accumulate(a, g * 2.0 * a.data)
 
     return _make(data, (a,), bwd, "square")
 
@@ -238,9 +224,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         pick_a = (a.data >= b.data).astype(g.dtype)
         if _live(a):
-            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape), fresh=True)
+            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
         if _live(b):
-            _accumulate(b, _unbroadcast(g * (1.0 - pick_a), b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(g * (1.0 - pick_a), b.data.shape))
 
     return _make(data, (a, b), bwd, "maximum")
 
@@ -251,9 +237,9 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         pick_a = (a.data <= b.data).astype(g.dtype)
         if _live(a):
-            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape), fresh=True)
+            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
         if _live(b):
-            _accumulate(b, _unbroadcast(g * (1.0 - pick_a), b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(g * (1.0 - pick_a), b.data.shape))
 
     return _make(data, (a, b), bwd, "minimum")
 
@@ -262,7 +248,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
 
     def bwd(g):
-        _accumulate(a, g * ((a.data >= lo) & (a.data <= hi)).astype(g.dtype), fresh=True)
+        _accumulate(a, g * ((a.data >= lo) & (a.data <= hi)).astype(g.dtype))
 
     return _make(data, (a,), bwd, "clip")
 
@@ -309,7 +295,7 @@ def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
     def bwd(g):
         acc = np.zeros_like(a.data)
         acc[rows, idx] = g
-        _accumulate(a, acc, fresh=True)
+        _accumulate(a, acc)
 
     return _make(data, (a,), bwd, "take_per_row")
 
@@ -318,18 +304,22 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy(), fresh=True)
-            return
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(gg, a.data.shape).copy(), fresh=True)
+        if not (axis is None or keepdims):
+            g = np.expand_dims(g, axis)
+        # The copy keeps the bits (without it the PPO gradient goldens move):
+        # a stride-0 gradient that reaches a GEMM (the value head's, through
+        # reshape into linear's backward) sends np.matmul off BLAS, which
+        # sums in another order. For a (4238, 64) float32 x, x.T @
+        # broadcast_to(1, (4238, 1)) differed from the contiguous product in
+        # 63 of 64 entries, by up to 4.9e-4.
+        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), bwd, "sum")
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(np.asarray(1.0 / count, dtype=a.data.dtype)))
+def mean(a: Tensor) -> Tensor:
+    """The mean of every element."""
+    return mul(sum_(a), Tensor(np.asarray(1.0 / a.data.size, dtype=a.data.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +333,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if _live(a):
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape), fresh=True)
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
         if _live(b):
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape), fresh=True)
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
     return _make(data, (a, b), bwd, "matmul")
 
@@ -367,11 +357,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         g2 = g.reshape(rows.shape[0], wd.shape[1])
         if _live(x):
-            _accumulate(x, (g2 @ wd.T).reshape(xd.shape), fresh=True)
+            _accumulate(x, (g2 @ wd.T).reshape(xd.shape))
         if _live(w):
-            _accumulate(w, rows.T @ g2, fresh=True)
+            _accumulate(w, rows.T @ g2)
         if _live(b):
-            _accumulate(b, _unbroadcast(g2, b.data.shape), fresh=True)
+            _accumulate(b, _unbroadcast(g2, b.data.shape))
 
     return _make(data, (x, w, b), bwd, "linear")
 
@@ -388,7 +378,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (g - dot), fresh=True)
+        _accumulate(a, data * (g - dot))
 
     return _make(data, (a,), bwd, "softmax")
 
@@ -400,7 +390,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         soft = np.exp(data)
-        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), fresh=True)
+        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
 
     return _make(data, (a,), bwd, "log_softmax")
 
@@ -442,7 +432,7 @@ def scaled_dot_attention(
         if live is not None:
             g = g * live
         if _live(v):
-            _accumulate(v, np.matmul(weights, g), fresh=True)
+            _accumulate(v, np.matmul(weights, g))
         if not (_live(q) or _live(k)):
             return
         gw = np.matmul(vd, np.swapaxes(g, -1, -2))
@@ -450,9 +440,9 @@ def scaled_dot_attention(
         gs *= scale
         gs_rows = gs.reshape(-1, n_q)
         if _live(q):
-            _accumulate(q, gs_rows.T @ k_rows, fresh=True)
+            _accumulate(q, gs_rows.T @ k_rows)
         if _live(k):
-            _accumulate(k, (gs_rows @ qd).reshape(kd.shape), fresh=True)
+            _accumulate(k, (gs_rows @ qd).reshape(kd.shape))
 
     return _make(data, (q, k, v), bwd, "scaled_dot_attention")
 
@@ -527,11 +517,7 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     if total > max_norm and total > 0.0:
         scale = max_norm / total
         for p in params.values():
-            if p._grad_owned:
-                p.grad *= scale
-            else:
-                p.grad = p.grad * scale
-                p._grad_owned = True
+            p.grad = p.grad * scale
     return total
 
 

@@ -112,6 +112,7 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 _FIELD_TYPES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
     "bool": ((bool,), "true or false"),
     "str": ((str,), "a string"),
     "dict": ((dict,), "a JSON object"),
@@ -121,7 +122,8 @@ _FIELD_TYPES = {
 def check_field_types(config) -> None:
     """Raise ValueError naming the first field of a dataclass whose value is
     not of its declared type: an int field takes no bool or float, a float
-    field an int or a float but no bool. Other types are not checked."""
+    field an int or a float but no bool, and a ``float | None`` field also
+    null. Other types are not checked."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type in _FIELD_TYPES:
@@ -237,7 +239,7 @@ class StepOutcome:
 
 
 def reset(config: EnvConfig, rng: np.random.Generator) -> EnvState:
-    """Spawn a fresh episode; deterministic given the generator state.
+    """Spawn a new episode; deterministic given the generator state.
 
     Bases sit on the ground face with pairwise separation of at least a
     quarter of the arena, defenders spawn in a box around the base centroid,

@@ -118,15 +118,15 @@ def parse_run_config(doc: dict) -> RunConfig:
             raise ConfigError(f"unknown config field {key!r}")
     rc = RunConfig(**{k: v for k, v in doc.items() if k in known})
 
-    for name in ("n_clusters", "eval_episodes", "init_candidates"):
-        if type(getattr(rc, name)) is not int or getattr(rc, name) < 1:
-            raise ConfigError(f"{name} must be an integer >= 1")
-    if type(rc.seeds) is not list or not rc.seeds or any(type(s) is not int for s in rc.seeds):
-        raise ConfigError(f"seeds must be a nonempty list of integers, got {rc.seeds!r}")
     try:
         check_field_types(rc)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    for name in ("n_clusters", "eval_episodes", "init_candidates"):
+        if getattr(rc, name) < 1:
+            raise ConfigError(f"{name} must be an integer >= 1")
+    if type(rc.seeds) is not list or not rc.seeds or any(type(s) is not int for s in rc.seeds):
+        raise ConfigError(f"seeds must be a nonempty list of integers, got {rc.seeds!r}")
     try:
         parse_task_name(rc.task)
     except TaskNameError as e:
@@ -138,17 +138,12 @@ def parse_run_config(doc: dict) -> RunConfig:
     for key in rc.env:
         if key not in _ENV_OVERRIDE_FIELDS:
             raise ConfigError(f"env.{key} is not an overridable environment field")
-    for key, value in rc.train.items():
+    for key in rc.train:
         if key not in _TRAIN_FIELDS:
             raise ConfigError(f"train.{key} is not a training hyperparameter")
-        if type(value) not in (int, float):
-            raise ConfigError(f"train.{key} must be a number, got {value!r}")
-    for key, value in rc.run.items():
+    for key in rc.run:
         if key not in _RUN_FIELDS:
             raise ConfigError(f"run.{key} is not a run setting")
-        # every run setting is a number; stop_success may also be null
-        if type(value) not in (int, float) and not (key == "stop_success" and value is None):
-            raise ConfigError(f"run.{key} must be a number, got {value!r}")
     try:
         TrainConfig(**rc.train)
     except (TypeError, ValueError) as e:
@@ -320,7 +315,7 @@ def _load_fitting(
         if to_json_dict(run.graph0) != to_json_dict(graph0):
             differ.append("the initial topology")
     if differ:
-        hint = "; use another out_dir to start afresh" if train_config is not None else ""
+        hint = "; use another out_dir to start over" if train_config is not None else ""
         raise ConfigError(f"{checkpoint} was trained under another config: {', '.join(differ)}{hint}")
     return run
 

@@ -535,7 +535,7 @@ class Trainer:
     the exact metric stream of an uninterrupted one. Restoring into the
     run's own directory cuts ``metrics.jsonl`` and ``eval.jsonl`` back to
     the checkpoint's update, so the resumed logs match an uninterrupted
-    run's byte for byte. ``checkpoint_last.ckpt`` is refreshed at every eval
+    run's byte for byte. ``checkpoint_last.ckpt`` is rewritten at every eval
     and periodic checkpoint and when the run ends, so a killed run resumes
     from its last eval or checkpoint; a run that reached ``stop_success``
     stays stopped when resumed.

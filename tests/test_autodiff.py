@@ -137,6 +137,24 @@ def test_backward_keeps_only_leaf_gradients():
     assert all(t.grad is not None for t in (x, w, b, q))
 
 
+@pytest.mark.parametrize("shared_first", [True, False], ids=["shared_first", "second_first"])
+def test_gradient_handed_to_two_leaves_stays_exact(shared_first):
+    """``add`` hands its gradient unchanged to both operands, so both leaves
+    may hold one array. A second contribution to one leaf, and clipping,
+    leave the other leaf's gradient exact, in either order of the loss."""
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    w, v = np.array([0.5, -2.0]), np.array([10.0, 100.0])
+    shared = ad.sum_(ad.mul(ad.add(a, b), Tensor(w)))
+    second = ad.sum_(ad.mul(b, Tensor(v)))
+    ad.backward(ad.add(shared, second) if shared_first else ad.add(second, shared))
+    assert np.array_equal(a.grad, w)
+    assert np.array_equal(b.grad, w + v)
+    held = a.grad
+    ad.clip_grad_norm({"a": a, "b": b}, max_norm=1e-3)
+    assert np.array_equal(held, w) and not np.array_equal(a.grad, w)
+
+
 # ---------------------------------------------------------------------------
 # gradient oracle
 # ---------------------------------------------------------------------------

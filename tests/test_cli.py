@@ -112,7 +112,7 @@ def test_ablate_validates_every_setting_before_training(tmp_path, capsys):
     first setting trains, so nothing is written."""
     for sweep, values, error in [
         ("clusters", "3,0", "clusters setting '0': n_clusters must be an integer >= 1"),
-        ("clusters", "3,x", "clusters setting 'x': n_clusters must be an integer >= 1"),
+        ("clusters", "3,x", "clusters setting 'x': n_clusters must be an integer, got 'x'"),
         ("primitives", "six,bogus", "primitives setting 'bogus': primitive_set:"),
     ]:
         out = tmp_path / sweep / values

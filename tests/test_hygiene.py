@@ -8,7 +8,9 @@ name that the declared floor, numpy 1.24, lacks, and only
 episode loop. No src class spells out again the fields of another src
 class it does not inherit from, so a record schema is declared once.
 src/ imports no thread or process module and registers no fork hook, so
-the engine runs on one thread and BLAS is its only parallelism."""
+the engine runs on one thread and BLAS is its only parallelism. No src
+statement writes into a ``.grad`` array in place, so a gradient array one
+node hands on is never changed under another node that holds it."""
 
 import ast
 import re
@@ -130,6 +132,32 @@ def concurrency_uses(path: Path) -> list[str]:
             f"{module} import (line {node.lineno})" for module in CONCURRENCY_MODULES
             if any(name == module or name.startswith(module + ".") for name in dotted)
         ]
+    return found
+
+
+def _is_grad(node: ast.expr) -> bool:
+    """Whether an expression is a ``.grad`` attribute or an item of one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "grad"
+
+
+def grad_writes(path: Path) -> list[str]:
+    """Statements that write into a ``.grad`` array in place, each with its
+    line: an augmented assignment to it or to an item of it, an assignment
+    to an item of it, or a call that passes it as ``out=``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign):
+            targets, kind = [node.target], "augmented assignment"
+        elif isinstance(node, ast.Assign):
+            targets, kind = [t for t in node.targets if isinstance(t, ast.Subscript)], "item assignment"
+        elif isinstance(node, ast.Call):
+            targets, kind = [kw.value for kw in node.keywords if kw.arg == "out"], "out= argument"
+        else:
+            continue
+        found += [f"{kind} (line {node.lineno})" for t in targets if _is_grad(t)]
     return found
 
 
@@ -319,6 +347,21 @@ def test_concurrency_uses_detected(tmp_path):
     ]
 
 
+def test_grad_writes_detected(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import numpy as np\n"
+        "def f(p, g, acc):\n    p.grad += g\n    p.grad[0] = 1.0\n    p.grad[0][1] *= 2.0\n"
+        "    np.multiply(p.grad, 2.0, out=p.grad)\n"
+        "    p.grad = p.grad + g\n    acc += p.grad\n    acc[0] = p.grad[0]\n"
+        "    np.add(p.grad, g, out=acc)\n    p.data -= g\n"
+    )
+    assert grad_writes(module) == [
+        "augmented assignment (line 3)", "item assignment (line 4)",
+        "augmented assignment (line 5)", "out= argument (line 6)",
+    ]
+
+
 def test_respelled_classes_detected(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -393,6 +436,15 @@ def test_src_keeps_to_the_declared_numpy_floor():
         str(path.relative_to(ROOT)): names
         for path in sorted((ROOT / "src").rglob("*.py"))
         if (names := numpy2_only_names(path))
+    }
+    assert found == {}
+
+
+def test_src_writes_no_gradient_in_place():
+    found = {
+        str(path.relative_to(ROOT)): writes
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (writes := grad_writes(path))
     }
     assert found == {}
 

@@ -92,7 +92,10 @@ def test_config_value_validation():
     ]:
         with pytest.raises(ConfigError, match=re.escape(error)):
             parse_run_config({"run": run})
+    assert parse_run_config({"run": {"stop_success": None}}).run == {"stop_success": None}
     with pytest.raises(ConfigError, match="n_clusters must be an integer >= 1"):
+        parse_run_config({"n_clusters": 0})
+    with pytest.raises(ConfigError, match="n_clusters must be an integer, got 'x'"):
         parse_run_config({"n_clusters": "x"})
     with pytest.raises(ConfigError, match="env"):
         parse_run_config({"env": {"v_def": 0.1}})  # slower than a slowed invader
@@ -106,9 +109,9 @@ def test_config_value_validation():
         ({"env": 5}, "env must be a JSON object, got 5"),
         ({"train": [1]}, "train must be a JSON object"),
         ({"run": "x"}, "run must be a JSON object"),
-        ({"run": {"total_updates": "x"}}, "run.total_updates must be a number, got 'x'"),
-        ({"run": {"stop_success": True}}, "run.stop_success must be a number"),
-        ({"train": {"lr": "fast"}}, "train.lr must be a number"),
+        ({"run": {"total_updates": "x"}}, "run: total_updates must be an integer, got 'x'"),
+        ({"run": {"stop_success": True}}, "run: stop_success must be a number or null, got True"),
+        ({"train": {"lr": "fast"}}, "train: lr must be a number, got 'fast'"),
         ({"env": {"t_max": 20.5}}, "env: t_max must be an integer, got 20.5"),
         ({"env": {"n_bases": True}}, "env: n_bases must be an integer, got True"),
         ({"env": {"slow_count": 1.5}}, "env: slow_count must be an integer, got 1.5"),

@@ -266,9 +266,9 @@ def test_tape_keeps_the_parameters_dtype(monkeypatch, wide):
         made.add(out.data.dtype)
         return out
 
-    def recording_accumulate(t, g, fresh=False):
+    def recording_accumulate(t, g):
         arriving.add((t.data.dtype, g.dtype))
-        accumulate(t, g, fresh)
+        accumulate(t, g)
 
     monkeypatch.setattr(ad, "_make", recording_make)
     monkeypatch.setattr(ad, "_accumulate", recording_accumulate)
