@@ -218,30 +218,26 @@ def square(a: Tensor) -> Tensor:
     return _make(data, (a,), bwd, "square")
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    data = np.maximum(a.data, b.data)
+def _select(a: Tensor, b: Tensor, data: np.ndarray, pick_a, op: str) -> Tensor:
+    """``data`` holds ``a`` where the comparison ``pick_a(a.data, b.data)``
+    holds and ``b`` elsewhere; the gradient goes to the side it picked."""
 
     def bwd(g):
-        pick_a = (a.data >= b.data).astype(g.dtype)
+        pick = pick_a(a.data, b.data).astype(g.dtype)
         if _live(a):
-            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
+            _accumulate(a, _unbroadcast(g * pick, a.data.shape))
         if _live(b):
-            _accumulate(b, _unbroadcast(g * (1.0 - pick_a), b.data.shape))
+            _accumulate(b, _unbroadcast(g * (1.0 - pick), b.data.shape))
 
-    return _make(data, (a, b), bwd, "maximum")
+    return _make(data, (a, b), bwd, op)
+
+
+def maximum(a: Tensor, b: Tensor) -> Tensor:
+    return _select(a, b, np.maximum(a.data, b.data), np.greater_equal, "maximum")
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
-    data = np.minimum(a.data, b.data)
-
-    def bwd(g):
-        pick_a = (a.data <= b.data).astype(g.dtype)
-        if _live(a):
-            _accumulate(a, _unbroadcast(g * pick_a, a.data.shape))
-        if _live(b):
-            _accumulate(b, _unbroadcast(g * (1.0 - pick_a), b.data.shape))
-
-    return _make(data, (a, b), bwd, "minimum")
+    return _select(a, b, np.minimum(a.data, b.data), np.less_equal, "minimum")
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:

@@ -197,11 +197,8 @@ class EnvConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnvConfig":
-        """Inverse of ``to_json_dict``; drops the retired ``seed`` key that
-        older checkpoints carry."""
-        kwargs = {k: v for k, v in doc.items() if k != "seed"}
-        kwargs["primitive_set"] = PrimitiveSet(kwargs["primitive_set"])
-        return cls(**kwargs)
+        """Inverse of ``to_json_dict``."""
+        return cls(**{**doc, "primitive_set": PrimitiveSet(doc["primitive_set"])})
 
 
 @dataclass

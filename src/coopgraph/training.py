@@ -385,27 +385,19 @@ HEADER_KEYS = (
 )
 # the manifest names of Adam's first and second moment of a parameter
 MOMENT_PREFIXES = ("extra.adam.m.", "extra.adam.v.")
-# retired parameters: the cluster->target query/key projections, retired when
-# that edge became a gather, and the attention key biases, which the softmax
-# cancels; checkpoints written before still hold them and their moments, and
-# loading drops them
-RETIRED_TENSORS = frozenset(
-    prefix + name
-    for prefix in ("", *MOMENT_PREFIXES)
-    for name in ("ct.Wq", "ct.Wk", "ct.bq", "ct.bk", "ac.bk", "merge.bk", "ae_a.bk", "ae_c.bk", "ae_t.bk")
-)
 
 
 @dataclass(frozen=True)
 class RunCheckpoint:
     """A trainer checkpoint read back; ``adam_m`` and ``adam_v`` are Adam's
-    moments by parameter name, in the parameters' dtype."""
+    moments by parameter name, in the parameters' dtype; ``trainer_state``
+    holds the master seed, counters, shuffle-rng state and Adam step."""
 
     params: PolicyParams
     graph0: CooperationGraph
     env_config: EnvConfig
     train_config: TrainConfig
-    header: dict
+    trainer_state: dict
     adam_m: dict[str, np.ndarray]
     adam_v: dict[str, np.ndarray]
 
@@ -417,10 +409,10 @@ def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
     header that is not a JSON object or lacks one of ``HEADER_KEYS``. Then
     one schema check: every tensor of ``init_params`` for the header's layout
     is there with its two Adam moments, all of its shape, and nothing else
-    is (the retired tensors of older checkpoints are dropped); and the
-    layout is the one its topology and env config give. Tensors come back
-    in ``PARAM_DTYPE``: bit-exact from a float32 run, rounded from a float64
-    one.
+    is; the env and train configs decode to their dataclasses, with no key
+    either lacks; and the layout is the one its topology and env config
+    give. Every refusal is a ``ValueError`` naming the path. Tensors are
+    stored as float64 and come back rounded to ``PARAM_DTYPE``.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -450,7 +442,6 @@ def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
     found = {
         e["name"]: np.frombuffer(blob, dtype="<f8", count=n, offset=e["offset"]).reshape(e["shape"])
         for e, n in zip(header["manifest"], counts)
-        if e["name"] not in RETIRED_TENSORS
     }
 
     layout = PolicyLayout(**header["layout"])
@@ -468,7 +459,11 @@ def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
         if found[name].shape != shape:
             raise ValueError(f"{path}: tensor {name} has shape {found[name].shape}, its layout needs {shape}")
     graph0 = from_json_dict(header["initial_topology"])
-    env_config = EnvConfig.from_json_dict(header["env_config"])
+    try:
+        env_config = EnvConfig.from_json_dict(header["env_config"])
+        train_config = TrainConfig(**header["train_config"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
     fitting = layout_for(graph0, env_config, hidden=layout.hidden)
     if layout != fitting:
         raise ValueError(
@@ -481,7 +476,7 @@ def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
     }
     m, v = ({name: found[prefix + name].astype(PARAM_DTYPE) for name in tensors} for prefix in MOMENT_PREFIXES)
     params = PolicyParams(layout, tensors, ObsNormalizer.from_state(header["normalizer"]))
-    return RunCheckpoint(params, graph0, env_config, TrainConfig(**header["train_config"]), header, m, v)
+    return RunCheckpoint(params, graph0, env_config, train_config, header["trainer_state"], m, v)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +614,7 @@ class Trainer:
         out_dir: str | Path,
     ) -> "Trainer":
         run = load_run_checkpoint(checkpoint)
-        state = run.header["trainer_state"]
+        state = run.trainer_state
         trainer = cls(
             run.graph0, run.params, run.env_config, run.train_config,
             settings, master_seed=state["master_seed"], out_dir=out_dir,

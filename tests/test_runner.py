@@ -259,10 +259,8 @@ def test_transfer_doubles_team(nano_run, tmp_path):
     retrain_ckpt = tmp_path / "tf2" / "retrain" / "checkpoint_last.ckpt"
     assert not retrain_ckpt.with_name("checkpoint_best.ckpt").exists()
     retrained = load_run_checkpoint(retrain_ckpt)
-    header = retrained.header
     assert retrained.params.layout.fan_out == 2
-    graph = from_json(json.dumps(header["initial_topology"]))
-    assert graph.n_env_agents == 8 and graph.n_agents == 4
+    assert retrained.graph0.n_env_agents == 8 and retrained.graph0.n_agents == 4
     # the final success is the last checkpoint's greedy evaluation
     assert report["final_success"] == evaluate_policy(
         retrained.graph0, retrained.params, retrained.env_config, rc.seeds[0] + 100, sub.eval_episodes
@@ -270,7 +268,7 @@ def test_transfer_doubles_team(nano_run, tmp_path):
     # the transfer directory describes the retrain: target task and physics
     resolved = json.loads((tmp_path / "tf2" / "resolved_config.json").read_text())
     assert resolved["run_config"]["task"] == "CSI-8/2/2"
-    assert resolved["resolved"]["env"] == header["env_config"]
+    assert resolved["resolved"]["env"] == retrained.env_config.to_json_dict()
     assert json.loads((tmp_path / "tf2" / "manifest.json").read_text())["task"] == "CSI-8/2/2"
 
 

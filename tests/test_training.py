@@ -538,28 +538,20 @@ def test_trainer_smoke_and_metrics_schema(tmp_path):
 
 
 def test_trainer_resume_is_bit_deterministic(tmp_path):
-    """Also from a checkpoint whose header still carries the retired
-    ``env_config.seed``, as every checkpoint written before its removal does;
-    ``cmd_eval`` reads that one too."""
     full = nano_trainer(tmp_path, total=4, name="full")
     full.run()
     full_lines = (tmp_path / "full" / "metrics.jsonl").read_text().splitlines()
 
     half = nano_trainer(tmp_path, total=2, name="half")
     half.run()
-    last = tmp_path / "half" / "checkpoint_last.ckpt"
-    legacy = tmp_path / "half" / "legacy.ckpt"
-    rewrite_checkpoint(last, legacy, edit_header=lambda h: {**h, "env_config": {**h["env_config"], "seed": 0}})
-    assert cmd_eval(nano_run_config(), str(legacy)) == cmd_eval(nano_run_config(), str(last))
-    for ckpt in (last, legacy):
-        resumed = Trainer.restore(
-            ckpt,
-            TrainSettings(total_updates=4, eval_every=2, eval_episodes=2, checkpoint_every=10),
-            tmp_path / f"resumed_{ckpt.stem}",
-        )
-        resumed.run()
-        resumed_lines = (tmp_path / f"resumed_{ckpt.stem}" / "metrics.jsonl").read_text().splitlines()
-        assert full_lines[2:] == resumed_lines, ckpt.name
+    resumed = Trainer.restore(
+        tmp_path / "half" / "checkpoint_last.ckpt",
+        TrainSettings(total_updates=4, eval_every=2, eval_episodes=2, checkpoint_every=10),
+        tmp_path / "resumed",
+    )
+    resumed.run()
+    resumed_lines = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
+    assert full_lines[2:] == resumed_lines
 
 
 def test_restore_rejects_missing_optimizer_moment(tmp_path):
@@ -583,10 +575,14 @@ def test_restore_rejects_misshaped_optimizer_moment(tmp_path):
         Trainer.restore(bad, trainer.settings, tmp_path / "resumed")
 
 
-@pytest.mark.parametrize("name", ["extra.adam.m.bogus", "extra.adam.v.head5.fc1.W", "extra.lr"])
+@pytest.mark.parametrize(
+    "name", ["extra.adam.m.bogus", "extra.adam.v.head5.fc1.W", "extra.lr", "ac.bk", "extra.adam.m.ct.Wq"]
+)
 def test_load_rejects_a_tensor_of_no_parameter(tmp_path, name):
     """A moment of a parameter the layout does not have, or any other
-    unknown tensor, is refused at load, naming the path and the tensor."""
+    unknown tensor, is refused at load, naming the path and the tensor; so
+    is a retired parameter (an attention key bias, the cluster->target
+    query) or its moment."""
     trainer = nano_trainer(tmp_path, total=1)
     trainer.run()
     bad = tmp_path / "bad.ckpt"
@@ -608,6 +604,20 @@ def test_load_rejects_a_layout_its_topology_and_env_do_not_give(tmp_path):
         edit_header=lambda h: {**h, "env_config": {**h["env_config"], "n_bases": 3}},
     )
     with pytest.raises(ValueError, match=re.escape(f"{bad}: layout ") + ".*does not fit its topology and env config"):
+        load_run_checkpoint(bad)
+
+
+def test_load_rejects_an_env_config_key_it_does_not_have(tmp_path):
+    """The retired ``env_config.seed`` is refused like any unknown key, as a
+    ValueError naming the path and the key."""
+    trainer = nano_trainer(tmp_path, total=1)
+    trainer.run()
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(
+        tmp_path / "run" / "checkpoint_last.ckpt", bad,
+        edit_header=lambda h: {**h, "env_config": {**h["env_config"], "seed": 0}},
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: ") + ".*'seed'"):
         load_run_checkpoint(bad)
 
 
