@@ -19,14 +19,15 @@ reconstruction loss, over minibatches of shuffled timesteps.
 ``Trainer.save`` writes the trainer checkpoint (policy, frozen topology,
 configs, trainer state, Adam's moments) that eval, transfer, topology export
 and resumed training start from; ``load_run_checkpoint`` is its one reader.
-This module is the only one that knows the checkpoint's layout.
+The checkpoint is an npz archive: a JSON header entry, then the tensors,
+each in its own dtype. This module is the only one that knows its layout.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .autodiff import Adam, Tensor
 from .env import EnvConfig, check_field_types, reset, stack_states, step, trajectory_record
 from .graph import (
     CooperationGraph,
+    GraphInvariantError,
     OperatorAction,
     apply_operator_action,
     from_json_dict,
@@ -49,7 +51,6 @@ from .policy import (
     PARAM_DTYPE,
     NodeBatch,
     ObsNormalizer,
-    PolicyLayout,
     PolicyParams,
     act_batch,
     evaluate_actions,
@@ -376,14 +377,14 @@ def evaluate_policy(
 # the trainer checkpoint
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"CGCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # the header keys, in the order they are written
 HEADER_KEYS = (
-    "format_version", "layout", "normalizer", "manifest",
-    "initial_topology", "env_config", "train_config", "trainer_state",
+    "format_version", "hidden", "normalizer", "initial_topology", "env_config", "train_config", "trainer_state",
 )
-# the manifest names of Adam's first and second moment of a parameter
+# the trainer_state keys, in the order they are written; Trainer.restore reads each
+TRAINER_STATE_KEYS = ("master_seed", "update", "episodes", "best_success", "rng_update", "adam_t")
+# the archive names of Adam's first and second moment of a parameter
 MOMENT_PREFIXES = ("extra.adam.m.", "extra.adam.v.")
 
 
@@ -391,7 +392,8 @@ MOMENT_PREFIXES = ("extra.adam.m.", "extra.adam.v.")
 class RunCheckpoint:
     """A trainer checkpoint read back; ``adam_m`` and ``adam_v`` are Adam's
     moments by parameter name, in the parameters' dtype; ``trainer_state``
-    holds the master seed, counters, shuffle-rng state and Adam step."""
+    holds the ``TRAINER_STATE_KEYS``: the master seed, counters, shuffle-rng
+    state and Adam step."""
 
     params: PolicyParams
     graph0: CooperationGraph
@@ -405,47 +407,56 @@ class RunCheckpoint:
 def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
     """The one reader of the checkpoints ``Trainer.save`` writes.
 
-    Rejects a foreign file, another format version, a truncated file and a
-    header that is not a JSON object or lacks one of ``HEADER_KEYS``. Then
-    one schema check: every tensor of ``init_params`` for the header's layout
+    Rejects a file that is no npz archive with a ``header`` entry, and a
+    cut or damaged one: every entry's CRC-32 is checked before any entry
+    is parsed. Then the header:
+    it must be a JSON object of this format version, holding every
+    ``HEADER_KEYS`` key and every ``TRAINER_STATE_KEYS`` key in its trainer
+    state, whose topology, env and train configs and normalizer decode,
+    with no config key their types lack. The layout is not stored: it is
+    the one the topology and env config give at the header's ``hidden``.
+    Then one schema check: every tensor of ``init_params`` for that layout
     is there with its two Adam moments, all of its shape, and nothing else
-    is; the env and train configs decode to their dataclasses, with no key
-    either lacks; and the layout is the one its topology and env config
-    give. Every refusal is a ``ValueError`` naming the path. Tensors are
-    stored as float64 and come back rounded to ``PARAM_DTYPE``.
+    is. Every refusal is a ``ValueError`` naming the path. Tensors come back
+    rounded to ``PARAM_DTYPE``.
     """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a trainer checkpoint")
-        length = f.read(8)
-        if len(length) < 8:
-            raise ValueError(f"{path}: header truncated (no header length)")
-        (head_len,) = struct.unpack("<Q", length)
-        head_bytes = f.read(head_len)
-        if len(head_bytes) < head_len:
-            raise ValueError(f"{path}: header truncated ({len(head_bytes)} of {head_len} bytes)")
-        header = json.loads(head_bytes.decode("utf-8"))
-        blob = f.read()
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: checkpoint header is not a JSON object")
-    version = header.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint format version {version!r}, expected {CHECKPOINT_VERSION}")
-    for key in HEADER_KEYS:
-        if key not in header:
-            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
-    counts = [int(np.prod(entry["shape"])) for entry in header["manifest"]]
-    needed = max((e["offset"] + 8 * n for e, n in zip(header["manifest"], counts)), default=0)
-    if len(blob) < needed:
-        raise ValueError(f"{path}: tensor data truncated ({len(blob)} of {needed} bytes)")
-    found = {
-        e["name"]: np.frombuffer(blob, dtype="<f8", count=n, offset=e["offset"]).reshape(e["shape"])
-        for e, n in zip(header["manifest"], counts)
-    }
+        try:
+            archive = np.load(f)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            if "header" not in archive.files:
+                raise ValueError("no header entry")
+            # before any parsing: a damaged npy header can raise a bare
+            # tokenize.TokenError
+            damaged = archive.zip.testzip()
+            if damaged is not None:
+                raise ValueError(f"entry {damaged} is damaged")
+            found = {name: archive[name] for name in archive.files}
+        # besides BadZipFile, zipfile raises RuntimeError (NotImplementedError
+        # among them) for a flag or method it does not support and OSError
+        # for an offset before the file's start
+        except (EOFError, OSError, RuntimeError, ValueError, zipfile.BadZipFile) as e:
+            raise ValueError(f"{path} is not a trainer checkpoint ({e})") from None
+    try:
+        header = json.loads(str(found.pop("header")))
+        if not isinstance(header, dict):
+            raise ValueError("checkpoint header is not a JSON object")
+        version = header["format_version"]
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint format version {version!r}, expected {CHECKPOINT_VERSION}")
+        trainer_state = {key: header["trainer_state"][key] for key in TRAINER_STATE_KEYS}
+        graph0 = from_json_dict(header["initial_topology"])
+        env_config = EnvConfig.from_json_dict(header["env_config"])
+        train_config = TrainConfig(**header["train_config"])
+        normalizer = ObsNormalizer.from_state(header["normalizer"])
+        layout = layout_for(graph0, env_config, hidden=header["hidden"])
+        schema = init_params(layout, np.random.default_rng(0)).tensors
+    except KeyError as e:
+        raise ValueError(f"{path}: checkpoint header lacks {e}") from None
+    except (GraphInvariantError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
-    layout = PolicyLayout(**header["layout"])
-    schema = init_params(layout, np.random.default_rng(0)).tensors
     # parameters first, so a missing parameter is named before its moments
     expected = {
         prefix + name: schema[name].shape for prefix in ("", *MOMENT_PREFIXES) for name in sorted(schema)
@@ -458,25 +469,14 @@ def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
             raise ValueError(f"{path}: tensor {name} is missing")
         if found[name].shape != shape:
             raise ValueError(f"{path}: tensor {name} has shape {found[name].shape}, its layout needs {shape}")
-    graph0 = from_json_dict(header["initial_topology"])
-    try:
-        env_config = EnvConfig.from_json_dict(header["env_config"])
-        train_config = TrainConfig(**header["train_config"])
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: {e}") from None
-    fitting = layout_for(graph0, env_config, hidden=layout.hidden)
-    if layout != fitting:
-        raise ValueError(
-            f"{path}: layout {layout} does not fit its topology and env config, which give {fitting}"
-        )
 
-    # in manifest order: clip_grad_norm sums the gradient norms in this order
+    # in archive order: clip_grad_norm sums the gradient norms in this order
     tensors = {
         name: Tensor(arr.astype(PARAM_DTYPE), requires_grad=True) for name, arr in found.items() if name in schema
     }
     m, v = ({name: found[prefix + name].astype(PARAM_DTYPE) for name in tensors} for prefix in MOMENT_PREFIXES)
-    params = PolicyParams(layout, tensors, ObsNormalizer.from_state(header["normalizer"]))
-    return RunCheckpoint(params, graph0, env_config, train_config, header["trainer_state"], m, v)
+    params = PolicyParams(layout, tensors, normalizer)
+    return RunCheckpoint(params, graph0, env_config, train_config, trainer_state, m, v)
 
 
 # ---------------------------------------------------------------------------
@@ -563,43 +563,29 @@ class Trainer:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the trainer checkpoint: magic, header length, JSON header,
-        then the little-endian float64 blob in manifest order (the
-        parameters by name, then Adam's first and second moments by name).
+        """Write the trainer checkpoint: an npz archive of the JSON header,
+        then the parameters by name, then Adam's first and second moments
+        by name, each in its own dtype.
 
-        Float32 tensors are widened to float64, which is exact. Written
-        beside the target and renamed over it, so a reader never sees a
-        partial file.
+        Written beside the target and renamed over it, so a reader never
+        sees a partial file.
         """
         names = sorted(self.params.tensors)
-        entries = [(name, self.params.tensors[name].data) for name in names]
+        entries = {name: self.params.tensors[name].data for name in names}
         for prefix, moments in zip(MOMENT_PREFIXES, (self.optimizer.m, self.optimizer.v)):
-            entries += [(prefix + name, moments[name]) for name in names]
-        manifest, offset = [], 0
-        for name, arr in entries:
-            manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            offset += 8 * arr.size
-        trainer_state = {
-            "master_seed": self.master_seed,
-            "update": self.update,
-            "episodes": self.episodes,
-            "best_success": self.best_success,
-            "rng_update": self.rng_update.bit_generator.state,
-            "adam_t": self.optimizer.t,
-        }
+            entries.update((prefix + name, moments[name]) for name in names)
+        trainer_state = dict(zip(TRAINER_STATE_KEYS, (
+            self.master_seed, self.update, self.episodes, self.best_success,
+            self.rng_update.bit_generator.state, self.optimizer.t,
+        ), strict=True))
         header = dict(zip(HEADER_KEYS, (
-            CHECKPOINT_VERSION, asdict(self.params.layout), self.params.normalizer.state_dict(), manifest,
+            CHECKPOINT_VERSION, self.params.layout.hidden, self.params.normalizer.state_dict(),
             to_json_dict(self.graph0), self.env_config.to_json_dict(), asdict(self.train_config), trainer_state,
         ), strict=True))
-        head_bytes = json.dumps(header).encode("utf-8")
         tmp = Path(f"{path}.tmp")
         try:
             with open(tmp, "wb") as f:
-                f.write(CHECKPOINT_MAGIC)
-                f.write(struct.pack("<Q", len(head_bytes)))
-                f.write(head_bytes)
-                for _, arr in entries:
-                    f.write(np.ascontiguousarray(arr, dtype="<f8"))
+                np.savez(f, header=np.array(json.dumps(header)), **entries)
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,29 +72,17 @@ def float64_params(params: PolicyParams) -> PolicyParams:
 
 
 def rewrite_checkpoint(src, dst, edit_header=None, drop=(), swap=None) -> None:
-    """Write the checkpoint ``src`` again as ``dst``, byte by byte and apart
-    from the writer under test: without the ``drop`` tensors, with the
-    ``swap`` ones (by manifest name) in place of its own or added at the
-    end, and with the header ``edit_header`` returns for the old one."""
-    raw = Path(src).read_bytes()
-    (head_len,) = struct.unpack("<Q", raw[4:12])
-    header = json.loads(raw[12:12 + head_len])
-    blob = raw[12 + head_len:]
-    tensors = {
-        e["name"]: np.frombuffer(blob, dtype="<f8", count=int(np.prod(e["shape"])), offset=e["offset"]).reshape(e["shape"])
-        for e in header["manifest"] if e["name"] not in drop
-    }
-    tensors.update(swap or {})
-    manifest, data, offset = [], [], 0
-    for name, arr in tensors.items():
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        data.append(np.asarray(arr, dtype="<f8").tobytes())
-        offset += len(data[-1])
-    header["manifest"] = manifest
+    """Write the checkpoint ``src`` again as ``dst``, apart from the writer
+    under test: without the ``drop`` entries, with the ``swap`` ones (by
+    archive name) in place of its own or added at the end, and with the
+    header ``edit_header`` returns for the old one."""
+    with np.load(src) as archive:
+        entries = {name: archive[name] for name in archive.files if name not in drop}
+    entries.update(swap or {})
     if edit_header is not None:
-        header = edit_header(header)
-    head = json.dumps(header).encode()
-    Path(dst).write_bytes(raw[:4] + struct.pack("<Q", len(head)) + head + b"".join(data))
+        entries["header"] = np.array(json.dumps(edit_header(json.loads(str(entries["header"])))))
+    with open(dst, "wb") as f:
+        np.savez(f, **entries)
 
 
 @pytest.fixture

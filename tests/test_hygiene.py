@@ -10,7 +10,10 @@ class it does not inherit from, so a record schema is declared once.
 src/ imports no thread or process module and registers no fork hook, so
 the engine runs on one thread and BLAS is its only parallelism. No src
 statement writes into a ``.grad`` array in place, so a gradient array one
-node hands on is never changed under another node that holds it."""
+node hands on is never changed under another node that holds it. src/
+imports no pickle module and passes no ``allow_pickle`` to a ``load``, so
+``np.load`` keeps its default and a checkpoint can hold no pickled
+object."""
 
 import ast
 import re
@@ -158,6 +161,30 @@ def grad_writes(path: Path) -> list[str]:
         else:
             continue
         found += [f"{kind} (line {node.lineno})" for t in targets if _is_grad(t)]
+    return found
+
+
+def pickle_uses(path: Path) -> list[str]:
+    """Imports of ``pickle`` or of anything in it, and ``load`` calls (as
+    ``np.load`` or a bare ``load``) that pass ``allow_pickle``, each with
+    its line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            dotted = [node.module]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "load" and any(kw.arg == "allow_pickle" for kw in node.keywords):
+                found.append(f"load with allow_pickle (line {node.lineno})")
+            continue
+        else:
+            continue
+        if any(name == "pickle" or name.startswith("pickle.") for name in dotted):
+            found.append(f"pickle import (line {node.lineno})")
     return found
 
 
@@ -362,6 +389,20 @@ def test_grad_writes_detected(tmp_path):
     ]
 
 
+def test_pickle_uses_detected(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import json, pickle\nimport numpy as np\nfrom pickle import loads\n"
+        "import pickletools\nfrom numpy import load\n"
+        "def f(p, f):\n    a = np.load(p, allow_pickle=True)\n    b = load(p, allow_pickle=False)\n"
+        "    np.save(p, a, allow_pickle=False)\n    return a, b, np.load(p), json.load(f), loads, pickletools\n"
+    )
+    assert pickle_uses(module) == [
+        "pickle import (line 1)", "pickle import (line 3)",
+        "load with allow_pickle (line 7)", "load with allow_pickle (line 8)",
+    ]
+
+
 def test_respelled_classes_detected(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -454,6 +495,15 @@ def test_src_starts_no_thread_or_process():
         str(path.relative_to(ROOT)): uses
         for path in sorted((ROOT / "src").rglob("*.py"))
         if (uses := concurrency_uses(path))
+    }
+    assert found == {}
+
+
+def test_src_loads_no_pickle():
+    found = {
+        str(path.relative_to(ROOT)): uses
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (uses := pickle_uses(path))
     }
     assert found == {}
 

@@ -615,10 +615,40 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
-    path = tmp_path / "bogus.ckpt"
-    path.write_bytes(b"not a checkpoint")
-    with pytest.raises(ValueError, match=re.escape(f"{path} is not a trainer checkpoint")):
-        load_run_checkpoint(path)
+    """A file that is empty or no npz archive, a plain ``.npy`` array, an
+    archive with no header entry and one with a bit flipped inside a
+    tensor, an entry's npy header, the central directory or the end record
+    are each refused, naming the path."""
+    cfg, graph, params, state = make_setup(seed=27)
+    good = tmp_path / "good.ckpt"
+    trainer_for(tmp_path, cfg, graph, params).save(good)
+
+    def flipped(needle, offset, bit):
+        raw = bytearray(good.read_bytes())
+        at = raw.find(needle)
+        assert at >= 0
+        raw[at + offset] ^= bit
+        return bytes(raw)
+
+    writers = {
+        "bogus.ckpt": lambda path: path.write_bytes(b"not a checkpoint"),
+        "empty.ckpt": lambda path: path.write_bytes(b""),
+        # the top exponent bit of trunk.W's first float32
+        "flipped.ckpt": lambda path: path.write_bytes(flipped(params.tensors["trunk.W"].data.tobytes(), 3, 0x40)),
+        # the header entry's npy header starts with "z" for "{"
+        "mangled.ckpt": lambda path: path.write_bytes(flipped(b"{'descr'", 0, 0x01)),
+        # the first central directory record names an unsupported method
+        "method.ckpt": lambda path: path.write_bytes(flipped(b"PK\x01\x02", 10, 0x01)),
+        # the end record puts the central directory before the file's start
+        "offset.ckpt": lambda path: path.write_bytes(flipped(b"PK\x05\x06", 16, 0x01)),
+        "array.npy": lambda path: np.save(path, np.zeros(3)),
+        "headerless.ckpt": lambda path: rewrite_checkpoint(good, path, drop={"header"}),
+    }
+    for name, write in writers.items():
+        path = tmp_path / name
+        write(path)
+        with pytest.raises(ValueError, match=re.escape(f"{path} is not a trainer checkpoint")):
+            load_run_checkpoint(path)
 
 
 @pytest.mark.parametrize(
@@ -651,35 +681,62 @@ def test_checkpoint_rejects_other_format_version(tmp_path):
     cfg, graph, params, state = make_setup(seed=22)
     path = tmp_path / "future.ckpt"
     trainer_for(tmp_path, cfg, graph, params).save(path)
-    rewrite_checkpoint(path, path, edit_header=lambda header: {**header, "format_version": 2})
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 2"):
+    rewrite_checkpoint(path, path, edit_header=lambda header: {**header, "format_version": 3})
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 3"):
         load_run_checkpoint(path)
 
 
-@pytest.mark.parametrize("missing", ["layout", "manifest", "normalizer", None, "trainer_state"])
-def test_checkpoint_rejects_malformed_header(tmp_path, missing):
-    """A header without one of the keys the loader reads, or one that is not
-    a JSON object (``None``), is refused with the path and the key."""
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "rewrite,error",
+    [
+        (dict(edit_header=lambda h: _without(h, "hidden")), "checkpoint header lacks 'hidden'"),
+        (dict(edit_header=lambda h: _without(h, "normalizer")), "checkpoint header lacks 'normalizer'"),
+        (dict(edit_header=lambda h: [h]), "checkpoint header is not a JSON object"),
+        (dict(edit_header=lambda h: _without(h, "trainer_state")), "checkpoint header lacks 'trainer_state'"),
+        (
+            dict(edit_header=lambda h: {**h, "trainer_state": _without(h["trainer_state"], "adam_t")}),
+            "checkpoint header lacks 'adam_t'",
+        ),
+        (
+            dict(edit_header=lambda h: {**h, "env_config": _without(h["env_config"], "primitive_set")}),
+            "checkpoint header lacks 'primitive_set'",
+        ),
+        (
+            dict(edit_header=lambda h: {**h, "initial_topology": {
+                **h["initial_topology"], "agent_to_cluster": [99] * len(h["initial_topology"]["agent_to_cluster"]),
+            }}),
+            "agent mapped to out-of-range cluster",
+        ),
+        (dict(swap={"header": np.array("{not json")}), "Expecting property name"),
+    ],
+    ids=["hidden", "normalizer", "None", "trainer_state", "adam_t", "primitive_set", "topology", "json"],
+)
+def test_checkpoint_rejects_malformed_header(tmp_path, rewrite, error):
+    """A header that is no JSON object (``None``) or no JSON at all, that
+    lacks a key the loader reads, here or in its trainer state or env
+    config, or whose topology breaks a graph invariant is refused with the
+    path and the cause."""
     cfg, graph, params, state = make_setup(seed=26)
     path = tmp_path / "bad.ckpt"
     trainer_for(tmp_path, cfg, graph, params).save(path)
-    if missing is None:
-        edit, error = (lambda header: [header]), "checkpoint header is not a JSON object"
-    else:
-        edit, error = (lambda header: {k: v for k, v in header.items() if k != missing}), f"checkpoint header lacks {missing!r}"
-    rewrite_checkpoint(path, path, edit_header=edit)
+    rewrite_checkpoint(path, path, **rewrite)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
         load_run_checkpoint(path)
 
 
 @pytest.mark.parametrize("keep", [6, 20, -8])
 def test_checkpoint_rejects_truncated_file(tmp_path, keep):
-    """Cut inside the header length, inside the header or inside the tensor data."""
+    """Cut twice inside the first entry's local header and once inside the
+    archive's end record."""
     cfg, graph, params, state = make_setup(seed=23)
     path = tmp_path / "cut.ckpt"
     trainer_for(tmp_path, cfg, graph, params).save(path)
     path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*truncated"):
+    with pytest.raises(ValueError, match=re.escape(f"{path} is not a trainer checkpoint")):
         load_run_checkpoint(path)
 
 

@@ -593,20 +593,6 @@ def test_load_rejects_a_tensor_of_no_parameter(tmp_path, name):
         Trainer.restore(bad, trainer.settings, tmp_path / "resumed")
 
 
-def test_load_rejects_a_layout_its_topology_and_env_do_not_give(tmp_path):
-    """Tensors that fit the header's layout are not enough: the layout must be
-    the one the checkpoint's own topology and env config give."""
-    trainer = nano_trainer(tmp_path, total=1)
-    trainer.run()
-    bad = tmp_path / "bad.ckpt"
-    rewrite_checkpoint(
-        tmp_path / "run" / "checkpoint_last.ckpt", bad,
-        edit_header=lambda h: {**h, "env_config": {**h["env_config"], "n_bases": 3}},
-    )
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: layout ") + ".*does not fit its topology and env config"):
-        load_run_checkpoint(bad)
-
-
 def test_load_rejects_an_env_config_key_it_does_not_have(tmp_path):
     """The retired ``env_config.seed`` is refused like any unknown key, as a
     ValueError naming the path and the key."""
