@@ -54,7 +54,8 @@ print("\noccupied sources -- clusters:", np.unique(graph2.agent_to_cluster),
       " targets:", np.unique(graph2.cluster_to_target))
 
 # random interference used during training to harden the operators
-graph3, fake = interfere(graph2, rng)
+fake = interfere(graph2, rng)
+graph3, _ = apply_operator_action(graph2, fake)
 print("interference applied fake action", fake.as_tuple())
 
 # curriculum extension: each agent node becomes a group of 3 new agents

@@ -13,7 +13,12 @@ an invader back, m invaders.
 base-destruction check are each one array pass over all m invaders, with
 the same bits as updating the invaders one at a time: each per-invader
 norm is a ``row_norms`` row. The move-direction tables are built once and
-read-only.
+read-only. Per config, ``step`` builds its ``v_def``-scaled move table and
+its three-level invader speed table at its first call, not at import. It
+skips work a step does not need: the slow/turn-back update when no active
+invader has ``slow_count`` trackers, the guard against a zero norm when
+every invader is off its base, the retreat update while every invader is
+active, and the copy of ``base_alive`` when no base falls.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -189,6 +195,14 @@ class EnvConfig:
     def move_dirs(self) -> np.ndarray:
         return move_directions(self.primitive_set)
 
+    @cached_property
+    def _step_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``step``'s read-only tables, built on first use: the agent move
+        per action id (``v_def`` times its direction) and the invader speed
+        per level (free, slowed, turned back)."""
+        speeds = np.array([self.v_inv, self.v_inv * self.slow_fraction, self.v_inv])
+        return _frozen(self.v_def * self.move_dirs), _frozen(speeds)
+
     def to_json_dict(self) -> dict:
         """Every field as plain JSON, the primitive set by its name."""
         doc = asdict(self)
@@ -295,19 +309,21 @@ def step(state: EnvState, actions: np.ndarray, config: EnvConfig) -> tuple[EnvSt
     The invader update and the destruction check are each one array pass
     over all m invaders, bit-equal to updating the invaders one at a time:
     every per-invader norm is a ``row_norms`` row, and each move adds the
-    same product to the same position.
+    same product to the same position. The shortcuts (no slowed invader, no
+    invader on its base, no neutralized invader, no base lost) give the
+    same bits as the full update.
     """
     actions = np.asarray(actions)
     if actions.shape != (config.n_agents,):
         raise ValueError(f"need one action per agent, got shape {actions.shape}")
-    dirs = config.move_dirs
+    agent_moves, speeds = config._step_tables
     ids = actions.tolist()
-    if min(ids) < 0 or max(ids) >= len(dirs):
+    if min(ids) < 0 or max(ids) >= len(agent_moves):
         raise ValueError(f"action id out of range for {config.primitive_set}")
     ext = config.world_extent
 
     # ndarray.clip is np.clip without its per-call dispatch
-    agent_pos = (state.agent_pos + config.v_def * dirs.take(actions, axis=0)).clip(0.0, ext)
+    agent_pos = (state.agent_pos + agent_moves.take(actions, axis=0)).clip(0.0, ext)
 
     pos = state.invader_pos
     was_active = state.invader_active
@@ -322,28 +338,38 @@ def step(state: EnvState, actions: np.ndarray, config: EnvConfig) -> tuple[EnvSt
     to_base = goal - pos
     norm = row_norms(to_base)
     far = norm > 1e-12
-    unit = to_base / np.where(far, norm, 1.0)[:, None]
-    unit[~far] = _UP
-    level = (trackers >= config.slow_count).astype(np.intp) + (trackers >= config.k_threshold)
-    turned = level == 2
-    invader_active = was_active & ~turned
-    invader_heading = np.where(turned[:, None], -unit, state.invader_heading)
-    speed = np.array([config.v_inv, config.v_inv * config.slow_fraction, config.v_inv])[level]
-    moves = speed[:, None] * np.where(invader_active[:, None], unit, invader_heading)
+    if far.all():
+        unit = to_base / norm[:, None]
+    else:
+        unit = to_base / np.where(far, norm, 1.0)[:, None]
+        unit[~far] = _UP
+    all_active = np.count_nonzero(was_active) == len(was_active)
+    if trackers.max() < config.slow_count:
+        invader_active = was_active
+        invader_heading = state.invader_heading
+        moves = config.v_inv * (unit if all_active else np.where(was_active[:, None], unit, invader_heading))
+    else:
+        level = (trackers >= config.slow_count).astype(np.intp) + (trackers >= config.k_threshold)
+        turned = level == 2
+        invader_active = was_active & ~turned
+        invader_heading = np.where(turned[:, None], -unit, state.invader_heading)
+        moves = speeds[level][:, None] * np.where(invader_active[:, None], unit, invader_heading)
     # a neutralized invader retreats at full speed until it is an arena
     # extent away from the base centroid
-    moving = was_active
-    if np.count_nonzero(was_active) < len(was_active):
+    if all_active:
+        invader_pos = (pos + moves).clip(0.0, ext)
+    else:
         moving = was_active | (row_norms(pos - state.base_centroid) < ext)
-    invader_pos = np.where(moving[:, None], pos + moves, pos).clip(0.0, ext)
+        invader_pos = np.where(moving[:, None], pos + moves, pos).clip(0.0, ext)
 
     # checked against the bases alive before the check: an invader whose base
     # an earlier one just destroyed only clears the same flag again
     hit = invader_active & state.base_alive[state.invader_target]
     hit &= row_norms(invader_pos - goal) <= config.r_destroy
     destroyed = np.count_nonzero(hit) > 0
-    base_alive = state.base_alive.copy()
+    base_alive = state.base_alive
     if destroyed:
+        base_alive = base_alive.copy()
         base_alive[state.invader_target[hit]] = False
 
     new_state = EnvState(

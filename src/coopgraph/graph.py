@@ -7,15 +7,17 @@ every agent's primitive action: primitive targets broadcast their action id
 to all member agents, cooperative targets run a command controller per
 member (one array pass over every cooperative member, see ``commands``).
 
-A lockstep rollout stacks the graphs of its B alive episodes into one graph
+A lockstep rollout carries the graphs of its B alive episodes as one graph
 whose edge maps carry a leading episode axis (``stack_graphs``).
-``resolve_agent_actions`` takes such a stack in one array pass; a caller
-with one episode stacks it alone.
+``resolve_agent_actions`` and ``apply_operator_actions`` take such a stack
+in one array pass, and ``CooperationGraph.rows`` picks episodes out of it.
 
 Four operator choices form one joint action: (src_cluster, dst_cluster)
 moves one agent between clusters and (src_target, dst_target) moves one
 cluster between targets. Invalid pairs (empty source, or source == dest)
-are silent no-ops. After a curriculum extension, the bottom layer entries
+are silent no-ops. ``apply_operator_action`` applies one action to one
+graph, ``apply_operator_actions`` one action per episode to a stack, by the
+same rules. After a curriculum extension, the bottom layer entries
 stand for fixed groups of environment agents instead of single agents; the
 group binding itself is never rewired.
 """
@@ -152,13 +154,22 @@ class CooperationGraph:
     def n_env_agents(self) -> int:
         return self.n_agents if self.extension is None else self.extension.size
 
+    def rows(self, index) -> "CooperationGraph":
+        """The episodes of a stack that ``index`` picks: one int gives that
+        episode's graph, on row views of the edge maps; a boolean mask gives
+        a smaller stack."""
+        return CooperationGraph(
+            self.n_clusters, self.targets, self.agent_to_cluster[index], self.cluster_to_target[index], self.extension,
+        )
+
 
 def stack_graphs(graphs: Sequence[CooperationGraph]) -> CooperationGraph:
     """B graphs as one graph whose edge maps carry a leading episode axis.
 
     The graphs must share the target layer and the extension, as every graph
-    rewired from one start topology does. ``policy.node_batch`` and
-    ``resolve_agent_actions`` read such a stack as B episodes at once.
+    rewired from one start topology does. ``policy.node_batch``,
+    ``resolve_agent_actions`` and ``apply_operator_actions`` read such a
+    stack as B episodes at once.
     """
     return replace(
         graphs[0],
@@ -229,6 +240,39 @@ def apply_operator_action(
     if not (moved_agent or moved_cluster):
         return graph, (False, False)
     return replace(graph, agent_to_cluster=a2c, cluster_to_target=c2t), (moved_agent, moved_cluster)
+
+
+def apply_operator_actions(graph: CooperationGraph, actions) -> CooperationGraph:
+    """``apply_operator_action`` for every episode of a ``stack_graphs``
+    stack in one array pass: row b of the (B, 4) ``actions`` rewires
+    episode b by the same rules. Returns the rewired stack; the stack passed
+    in is not written.
+
+    One graph takes ``apply_operator_action``, which is faster for B = 1.
+    """
+    actions = np.asarray(actions, dtype=np.int64)
+    if actions.min(initial=0) < 0 or (actions[:, :2] >= graph.n_clusters).any() or (
+        actions[:, 2:] >= graph.n_targets
+    ).any():
+        raise ValueError("operator index out of range")
+    return replace(
+        graph,
+        agent_to_cluster=_move_first(graph.agent_to_cluster, actions[:, 0], actions[:, 1]),
+        cluster_to_target=_move_first(graph.cluster_to_target, actions[:, 2], actions[:, 3]),
+    )
+
+
+def _move_first(edges: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """A copy of the (B, n) edge map in which row b's lowest entry equal to
+    src[b] becomes dst[b]. A row with no such entry keeps every entry
+    (argmax then points at an entry that is not src[b]), and src == dst
+    writes the value back."""
+    rows = np.arange(len(edges))
+    first = (edges == src[:, None]).argmax(axis=1)
+    out = edges.copy()
+    old = out[rows, first]
+    out[rows, first] = np.where(old == src, dst, old)
+    return out
 
 
 def resolve_agent_actions(
@@ -316,22 +360,20 @@ def select_initial_topology(
     return best
 
 
-def interfere(
-    graph: CooperationGraph, rng: np.random.Generator
-) -> tuple[CooperationGraph, OperatorAction]:
-    """Apply a uniformly random (unmasked) fake operator action.
+def interfere(graph: CooperationGraph, rng: np.random.Generator) -> OperatorAction:
+    """Draw a uniformly random (unmasked) fake operator action for a graph
+    or a stack: four indices, in quadruple order.
 
-    The caller decides when to trigger this; each trigger replaces the
-    operators' learned action for that step.
+    The caller decides when to trigger this and applies the action like any
+    other; each trigger replaces the operators' learned action for that
+    step.
     """
-    fake = OperatorAction(
+    return OperatorAction(
         src_cluster=int(rng.integers(0, graph.n_clusters)),
         dst_cluster=int(rng.integers(0, graph.n_clusters)),
         src_target=int(rng.integers(0, graph.n_targets)),
         dst_target=int(rng.integers(0, graph.n_targets)),
     )
-    new_graph, _ = apply_operator_action(graph, fake)
-    return new_graph, fake
 
 
 def extend(graph: CooperationGraph, fan_out: int) -> CooperationGraph:

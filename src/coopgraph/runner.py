@@ -26,7 +26,7 @@ from .graph import (
     CooperationGraph,
     OperatorAction,
     TargetNode,
-    apply_operator_action,
+    apply_operator_actions,
     build_targets,
     extend,
     select_initial_topology,
@@ -450,39 +450,38 @@ def scripted_operator_action(
 
     Emits at most one corrective move per edge layer per step, which is all
     the operator action space allows. Used as the environment solvability
-    oracle and as an untrained baseline.
+    oracle and as an untrained baseline. Per target it reads three counts
+    computed once per call: its clusters, its agents and the size of its
+    lowest cluster, the one op3/op4 would move off it.
     """
     intercept_tid = graph.targets.command_ids(INTERCEPT)
     defend_tid = graph.targets.command_ids(DEFEND)
-    active = [j for j in range(env_config.m_invaders) if state.invader_active[j]]
+    active = state.invader_active.nonzero()[0].tolist()
     if not active or not intercept_tid:
         return OperatorAction(0, 0, 0, 0)
 
-    c2t = graph.cluster_to_target
-    counts = np.bincount(graph.agent_to_cluster, minlength=graph.n_clusters)
+    a2c, c2t = graph.agent_to_cluster, graph.cluster_to_target
+    n_clusters, n_targets = graph.n_clusters, graph.n_targets
+    # one entry past the last cluster, 0: what a target with no cluster reads
+    sizes = np.bincount(a2c, minlength=n_clusters + 1)
+    counts = sizes.tolist()
     active_tids = {intercept_tid[j] for j in active}
-    # the clusters on each target in ascending order: one stable sort, cut
-    # at the target boundaries
-    by_target = np.argsort(c2t, kind="stable")
-    bounds = np.searchsorted(c2t[by_target], np.arange(graph.n_targets + 1)).tolist()
-    clusters_on = {t: by_target[bounds[t]:bounds[t + 1]] for t in range(graph.n_targets)}
-
+    lowest = np.full(n_targets, n_clusters)
+    np.minimum.at(lowest, c2t, np.arange(n_clusters))
+    n_on = np.bincount(c2t, minlength=n_targets).tolist()
     # every cluster on an invader's intercept chases the same point, so only
-    # per-invader chaser totals matter
-    chasers = {j: int(counts[clusters_on[intercept_tid[j]]].sum()) for j in active}
+    # per-target agent totals matter
+    agents_on = np.bincount(c2t, weights=sizes[:-1], minlength=n_targets).astype(np.int64).tolist()
+    lead = sizes[lowest].tolist()
+    lowest = lowest.tolist()
+    chasers = {j: agents_on[intercept_tid[j]] for j in active}
     quota = math.ceil(graph.n_agents / len(active))
     setup = state.t < 25
 
     dist = row_norms(state.base_pos[state.invader_target] - state.invader_pos)
     time_to_base = (dist / env_config.v_inv).tolist().__getitem__
 
-    def movable(t):  # the cluster op3/op4 would actually move off target t
-        return int(clusters_on[t][0]) if len(clusters_on[t]) else None
-
-    spare_tids = [
-        t for t in range(graph.n_targets)
-        if t not in active_tids and movable(t) is not None and counts[movable(t)] > 0
-    ]
+    spare_tids = [t for t in range(n_targets) if t not in active_tids and lead[t] > 0]
 
     src_t = dst_t = 0
     src_c = dst_c = 0
@@ -497,7 +496,7 @@ def scripted_operator_action(
         base = state.base_pos[state.invader_target[j]]
         candidates = []
         for t in spare_tids:
-            members = np.flatnonzero(graph.agent_to_cluster == movable(t))
+            members = (a2c == lowest[t]).nonzero()[0]
             gap = float(np.linalg.norm(state.agent_pos[members].mean(axis=0) - base))
             if gap < 32.0:
                 candidates.append((gap, t))
@@ -511,58 +510,52 @@ def scripted_operator_action(
         uncovered = [j for j in active if chasers[j] == 0]
         oversup = [
             j for j in active
-            if chasers[j] > quota and len(clusters_on[intercept_tid[j]]) >= 2
-            and counts[movable(intercept_tid[j])] > 0
+            if chasers[j] > quota and n_on[intercept_tid[j]] >= 2 and lead[intercept_tid[j]] > 0
         ]
         if uncovered:
             j_star = min(uncovered, key=time_to_base)
             donors = spare_tids + [intercept_tid[j] for j in oversup]
-            donors = [t for t in donors if counts[movable(t)] > 0]
             if donors:
-                src_t = max(donors, key=lambda t: counts[movable(t)])
+                src_t = max(donors, key=lead.__getitem__)
                 dst_t = intercept_tid[j_star]
         elif spare_tids:
             needy = [j for j in active if chasers[j] < quota] or active
             dst_t = intercept_tid[min(needy, key=time_to_base)]
-            src_t = max(spare_tids, key=lambda t: counts[movable(t)])
+            src_t = max(spare_tids, key=lead.__getitem__)
     elif spare_tids and defend_tid:
         # after setup: freed clusters garrison the most threatened alive base
-        garrison = {
-            b: int(counts[clusters_on[defend_tid[b]]].sum()) for b in defend_tid
-        }
         threats = {}
+        base_alive = state.base_alive.tolist()
         for j in active:
             b = int(state.invader_target[j])
-            if state.base_alive[b] and b in defend_tid:
+            if base_alive[b] and b in defend_tid:
                 threats[b] = min(threats.get(b, 1e9), time_to_base(j))
-        wanting = [b for b in threats if garrison[b] < env_config.k_threshold + 3]
+        wanting = [b for b in threats if agents_on[defend_tid[b]] < env_config.k_threshold + 3]
         if wanting:
-            b_star = min(wanting, key=lambda b: threats[b])
-            src_t = max(spare_tids, key=lambda t: counts[movable(t)])
+            b_star = min(wanting, key=threats.__getitem__)
+            src_t = max(spare_tids, key=lead.__getitem__)
             dst_t = defend_tid[b_star]
 
     # agent layer runs only while setting up; established chases are never
     # raided afterwards (a cross-arena tail chase at 0.2 closing speed loses)
     if setup:
         weakest = min(active, key=lambda j: (chasers[j], time_to_base(j)))
-        dst_candidates = clusters_on[intercept_tid[weakest]]
-        idle = [
-            k for k in range(graph.n_clusters)
-            if counts[k] > 0 and int(c2t[k]) not in active_tids
-        ]
+        targets_of = c2t.tolist()
+        idle = [k for k in range(n_clusters) if counts[k] > 0 and targets_of[k] not in active_tids]
         donor_cluster = None
         if idle:
-            donor_cluster = max(idle, key=lambda k: counts[k])
+            donor_cluster = max(idle, key=counts.__getitem__)
         else:
             over = [j for j in active if chasers[j] > quota and j != weakest]
             if over and chasers[weakest] < quota:
-                j_over = max(over, key=lambda j: chasers[j])
-                ks = [k for k in clusters_on[intercept_tid[j_over]] if counts[k] > 0]
-                donor_cluster = max(ks, key=lambda k: counts[k])
-        if donor_cluster is not None and len(dst_candidates):
+                j_over = max(over, key=chasers.__getitem__)
+                ks = [k for k in (c2t == intercept_tid[j_over]).nonzero()[0].tolist() if counts[k] > 0]
+                donor_cluster = max(ks, key=counts.__getitem__)
+        dst_candidates = (c2t == intercept_tid[weakest]).nonzero()[0].tolist()
+        if donor_cluster is not None and dst_candidates:
             nonempty = [k for k in dst_candidates if counts[k] > 0]
-            dst_c = int(max(nonempty, key=lambda k: counts[k]) if nonempty else dst_candidates[0])
-            src_c = int(donor_cluster)
+            dst_c = max(nonempty, key=counts.__getitem__) if nonempty else dst_candidates[0]
+            src_c = donor_cluster
             if src_c == dst_c:
                 src_c = dst_c = 0
     return OperatorAction(src_c, dst_c, src_t, dst_t)
@@ -572,17 +565,21 @@ def cmd_oracle(rc: RunConfig) -> dict:
     """Success rate of the scripted operator policy over eval_episodes.
 
     The scripted operator is the operator stage of ``training.rollout``, so
-    the episodes run in the same lockstep loop as the learned policy's. It
-    draws nothing from an episode's generator after ``reset``.
+    the episodes run in the same lockstep loop as the learned policy's: it
+    picks each episode's move on a row view of the graph stack, and the
+    moves are applied in one array pass. It draws nothing from an episode's
+    generator after ``reset``.
     """
     if not rc.coop_actions:
         raise ConfigError("the scripted oracle needs cooperative intercept targets")
     env_config = build_env_config(rc)
     graph0 = frozen_topology(rc, env_config, rc.seeds[0])
 
-    def operate(alive, graphs, states, stack):
-        for e in alive:
-            graphs[e], _ = apply_operator_action(graphs[e], scripted_operator_action(graphs[e], states[e], env_config))
+    def operate(alive, graph, states, stack):
+        moves = [
+            scripted_operator_action(graph.rows(row), states[e], env_config).as_tuple() for row, e in enumerate(alive)
+        ]
+        return apply_operator_actions(graph, moves), None
 
     rngs = episode_rngs(rc.seeds[0], rc.eval_episodes)
     # only the terminal step pays
@@ -628,10 +625,10 @@ def cmd_export_topology(
         return written
     rngs = episode_rngs(episode_seed, 1)
     operate = policy_operator(run.params, run.env_config, rngs, "argmax", 0.0)
-    for _, graphs, states, outcomes, _ in rollout(run.graph0, run.env_config, rngs, operate):
+    for _, graph, states, outcomes, _ in rollout(run.graph0, run.env_config, rngs, operate):
         # the graph that acted in this step is the one the next step starts from
         if not outcomes[0].done:
-            write(states[0].t, graphs[0])
+            write(states[0].t, graph.rows(0))
         if not wanted:
             break
     for t in sorted(wanted):

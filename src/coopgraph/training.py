@@ -4,11 +4,14 @@ Rollouts treat the operator quadruple as the learning agent: per environment
 step the operators rewire one agent edge and one cluster edge, the graph is
 resolved into primitive actions, and the simulator advances. ``rollout`` is
 the one episode loop: episodes start from one frozen initial topology and
-run in lockstep, and each step an operator stage rewires every alive graph
+run in lockstep, and their graphs travel as one ``stack_graphs`` stack.
+Each step an operator stage rewires every alive row of it
 (``policy_operator``, or the scripted oracle of ``runner.cmd_oracle``), one
-array pass translates them and each episode steps. The policy stage builds
-the node inputs in one pass and runs one batched forward on them; its
-moves and interference stay per episode, so each episode's generator is
+array pass translates them and each episode steps; finished episodes leave
+the stack through one boolean index. The policy stage builds the node
+inputs in one pass, runs one batched forward on them and applies every
+row's move in one array pass (``graph.apply_operator_actions``). Only its
+interference draws stay per episode, so each episode's generator is
 consumed in its own order. A small per-step probability replaces the
 learned operator action with a random fake one (interference); those steps
 are excluded from the policy surrogate but keep feeding the value targets.
@@ -39,8 +42,7 @@ from .env import EnvConfig, check_field_types, reset, stack_states, step, trajec
 from .graph import (
     CooperationGraph,
     GraphInvariantError,
-    OperatorAction,
-    apply_operator_action,
+    apply_operator_actions,
     from_json_dict,
     interfere,
     resolve_agent_actions,
@@ -135,27 +137,33 @@ def rollout(
 ):
     """Run one episode per generator in lockstep from the frozen start topology.
 
-    Each step stacks the alive states once and calls ``operate(alive,
-    graphs, states, stack)``, which rewires ``graphs[e]`` for every alive e
-    and returns the step's record; one ``resolve_agent_actions`` pass and one
-    ``step`` per alive episode follow. Episode e draws from rngs[e] only at
-    ``reset`` and in ``operate``. Yields ``(alive, graphs, states, outcomes,
-    record)`` after each step, with the graphs that acted, the post-step
-    states and one ``StepOutcome`` per alive episode.
+    The alive episodes' graphs travel as one ``stack_graphs`` stack, row i
+    being episode ``alive[i]``. Each step stacks the alive states once and
+    calls ``operate(alive, graph, states, stack)``, which returns the
+    rewired graph stack and the step's record; one
+    ``resolve_agent_actions`` pass over that stack and one ``step`` per
+    alive episode follow, and finished episodes leave the stack through one
+    boolean index. Episode e draws from rngs[e] only at ``reset`` and in
+    ``operate``. Yields ``(alive, graph, states, outcomes, record)`` after
+    each step, with the graph stack that acted, the post-step states (by
+    episode) and one ``StepOutcome`` per alive episode.
     """
     states = [reset(env_config, rng) for rng in rngs]
-    graphs: list[CooperationGraph] = [graph0] * len(rngs)
+    graph = stack_graphs([graph0] * len(rngs))
     alive = list(range(len(rngs)))
     while alive:
         stack = stack_states([states[e] for e in alive])
-        record = operate(alive, graphs, states, stack)
-        env_actions = resolve_agent_actions(stack_graphs([graphs[e] for e in alive]), stack, env_config)
+        graph, record = operate(alive, graph, states, stack)
+        env_actions = resolve_agent_actions(graph, stack, env_config)
         outcomes = []
         for row, e in enumerate(alive):
             states[e], outcome = step(states[e], env_actions[row], env_config)
             outcomes.append(outcome)
-        yield alive, graphs, states, outcomes, record
-        alive = [e for e, outcome in zip(alive, outcomes) if not outcome.done]
+        yield alive, graph, states, outcomes, record
+        running = [not outcome.done for outcome in outcomes]
+        alive = [e for e, keep in zip(alive, running) if keep]
+        if len(alive) < len(running):
+            graph = graph.rows(np.array(running))
 
 
 def policy_operator(
@@ -166,7 +174,8 @@ def policy_operator(
     p_interference: float,
 ):
     """The learned operator stage of ``rollout``: one batched policy forward,
-    then per episode the interference draw and the policy's or a fake move.
+    per episode the interference draw, then every row's move, the policy's
+    or a fake one, in one ``apply_operator_actions`` pass.
 
     Episode e consumes rngs[e] in a fixed order per step (four head samples
     in sample mode, the interference draw, any fake-action indices), so its
@@ -180,20 +189,18 @@ def policy_operator(
     with ad.no_grad():
         folded = fold(params)
 
-    def operate(alive, graphs, states, stack):
-        batch = node_batch(stack_graphs([graphs[e] for e in alive]), stack, env_config)
+    def operate(alive, graph, states, stack):
+        batch = node_batch(graph, stack, env_config)
         actions, log_probs, values = act_batch(batch, folded, [rngs[e] for e in alive], mode=mode)
         interfered = np.zeros(len(alive), dtype=bool)
         for row, e in enumerate(alive):
             # drawn even at p=0, so every mode consumes the same stream
             if rngs[e].random() < p_interference:
-                graphs[e], fake = interfere(graphs[e], rngs[e])
-                actions[row] = fake.as_tuple()
+                actions[row] = interfere(graph, rngs[e]).as_tuple()
                 log_probs[row] = 0.0
                 interfered[row] = True
-            else:
-                graphs[e], _ = apply_operator_action(graphs[e], OperatorAction(*actions[row]))
-        return dict(vars(batch), actions=actions, log_probs=log_probs, values=values, interfered=interfered)
+        record = dict(vars(batch), actions=actions, log_probs=log_probs, values=values, interfered=interfered)
+        return apply_operator_actions(graph, actions), record
     return operate
 
 
@@ -414,7 +421,9 @@ def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
     ``HEADER_KEYS`` key and every ``TRAINER_STATE_KEYS`` key in its trainer
     state, whose topology, env and train configs and normalizer decode,
     with no config key their types lack. The layout is not stored: it is
-    the one the topology and env config give at the header's ``hidden``.
+    the one the topology and env config give at the header's ``hidden``,
+    and the normalizer's mean and variance must be as wide as its
+    observations.
     Then one schema check: every tensor of ``init_params`` for that layout
     is there with its two Adam moments, all of its shape, and nothing else
     is. Every refusal is a ``ValueError`` naming the path. Tensors come back
@@ -451,6 +460,10 @@ def load_run_checkpoint(path: str | Path) -> RunCheckpoint:
         train_config = TrainConfig(**header["train_config"])
         normalizer = ObsNormalizer.from_state(header["normalizer"])
         layout = layout_for(graph0, env_config, hidden=header["hidden"])
+        for name in ("mean", "var"):
+            shape = getattr(normalizer, name).shape
+            if shape != (layout.d_obs,):
+                raise ValueError(f"normalizer {name} has shape {shape}, its layout needs ({layout.d_obs},)")
         schema = init_params(layout, np.random.default_rng(0)).tensors
     except KeyError as e:
         raise ValueError(f"{path}: checkpoint header lacks {e}") from None

@@ -16,6 +16,7 @@ from coopgraph.graph import (
     OperatorAction,
     TargetNode,
     apply_operator_action,
+    apply_operator_actions,
     build_targets,
     extend,
     from_json,
@@ -288,8 +289,9 @@ class _StubRng:
 
 def test_interfere_doubly_invalid_leaves_topology():
     g = small_graph()
-    g2, fake = interfere(g, _StubRng([0, 0, 1, 1]))
+    fake = interfere(g, _StubRng([0, 0, 1, 1]))
     assert fake == OperatorAction(0, 0, 1, 1)
+    g2, _ = apply_operator_action(g, fake)
     assert g2.agent_to_cluster.tolist() == g.agent_to_cluster.tolist()
     assert g2.cluster_to_target.tolist() == g.cluster_to_target.tolist()
 
@@ -298,7 +300,7 @@ def test_interfere_preserves_invariants():
     rng = np.random.default_rng(0)
     g = random_topology(rng, 9, 4, six_targets(5))
     for _ in range(500):
-        g, _ = interfere(g, rng)
+        g, _ = apply_operator_action(g, interfere(g, rng))
         validate(g)
 
 
@@ -397,6 +399,48 @@ def run_closure_suite(n_topologies: int, actions_per_topology: int, seed: int = 
 
 def test_closure_smoke():
     run_closure_suite(n_topologies=20, actions_per_topology=50)
+
+
+@pytest.mark.parametrize("fan_out", [1, 2])
+def test_batched_operator_pass_matches_per_graph(fan_out):
+    """``apply_operator_actions`` on a stack gives the edge maps of one
+    ``apply_operator_action`` call per row, and leaves its input as it was.
+    The rows mix a full source cluster and target with src == dst pairs, an
+    empty source cluster and a target with no cluster."""
+    rng = np.random.default_rng(fan_out)
+    for _ in range(50):
+        n_agents, n_k, n_t, B = int(rng.integers(1, 12)), int(rng.integers(1, 8)), int(rng.integers(2, 9)), 6
+        graphs = [random_topology(rng, n_agents, n_k, six_targets(n_t)) for _ in range(B)]
+        if fan_out > 1:
+            graphs = [extend(g, fan_out) for g in graphs]
+        actions = np.column_stack([
+            rng.integers(0, n_k, size=B), rng.integers(0, n_k, size=B),
+            rng.integers(0, n_t, size=B), rng.integers(0, n_t, size=B),
+        ])
+        # row 0 moves from an occupied source, row 1 pairs each node with itself
+        actions[0, 0], actions[0, 2] = graphs[0].agent_to_cluster[0], graphs[0].cluster_to_target[0]
+        actions[1, 1], actions[1, 3] = actions[1, 0], actions[1, 2]
+        stack = stack_graphs(graphs)
+        before = (stack.agent_to_cluster.copy(), stack.cluster_to_target.copy())
+        out = apply_operator_actions(stack, actions)
+        expect = stack_graphs([apply_operator_action(g, OperatorAction(*a))[0] for g, a in zip(graphs, actions)])
+        assert np.array_equal(out.agent_to_cluster, expect.agent_to_cluster)
+        assert np.array_equal(out.cluster_to_target, expect.cluster_to_target)
+        assert out.extension is stack.extension and out.targets is stack.targets
+        assert np.array_equal(stack.agent_to_cluster, before[0])
+        assert np.array_equal(stack.cluster_to_target, before[1])
+    # an empty source cluster (c2) and a target with no cluster (t2..t5)
+    g = CooperationGraph(3, six_targets(6), np.array([0, 0, 1]), np.array([0, 1, 0]))
+    out = apply_operator_actions(stack_graphs([g, g]), [[2, 0, 2, 0], [0, 2, 0, 3]])
+    assert out.agent_to_cluster.tolist() == [[0, 0, 1], [2, 0, 1]]
+    assert out.cluster_to_target.tolist() == [[0, 1, 0], [3, 1, 0]]
+
+
+def test_batched_operator_pass_rejects_out_of_range():
+    stack = stack_graphs([small_graph()] * 2)
+    for bad in ([0, 0, 0, 2], [0, 2, 0, 0], [-1, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            apply_operator_actions(stack, [[0, 1, 0, 1], bad])
 
 
 @settings(max_examples=200, deadline=None)

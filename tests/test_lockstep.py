@@ -5,7 +5,8 @@
 sum(episode lengths) times; ``cmd_export_topology`` steps only as far as
 its last wanted snapshot. The lockstep oracle must also play the same
 episodes as the scripted operator run one episode at a time, and every one
-of its ``env.step`` calls, in call order, must match a recorded digest.
+of its ``env.step`` calls, in call order, must match a recorded digest, and so
+must those of a sample-mode ``collect`` with fake moves.
 """
 
 import dataclasses
@@ -162,3 +163,19 @@ def test_oracle_steps_match_recorded_digest(step_digest, task, seed):
     rc = parse_run_config({"task": task, "n_clusters": ORACLE_CLUSTERS[task], "eval_episodes": 12, "seeds": [seed]})
     assert cmd_oracle(rc)["success"] == 1.0
     assert step_digest.hexdigest() == ORACLE_STEP_SHA256[(task, seed)]
+
+
+# recorded before ``rollout`` carried one stacked graph and the operator
+# moves became one array pass
+POLICY_STEP_SHA256 = "88e2e11b6a10c1f25fe52b7b2f7c18fa1ca5514c02a97bce30b8e7e1d3c51a80"
+
+
+def test_policy_steps_match_recorded_digest(step_digest):
+    """The learned operator's path, fake moves and episodes of different
+    lengths included, pinned per ``env.step`` call."""
+    env_config, graph, params = long_desk_nano()
+    cfg = TrainConfig(batch_episodes=5, p_interference=0.3)
+    batch = collect(graph, params, env_config, cfg, master_seed=1, episode_offset=0)
+    assert batch.interference_count > 0
+    assert len(set(batch.episode_lengths)) > 1
+    assert step_digest.hexdigest() == POLICY_STEP_SHA256

@@ -712,14 +712,20 @@ def _without(doc, key):
             "agent mapped to out-of-range cluster",
         ),
         (dict(swap={"header": np.array("{not json")}), "Expecting property name"),
+        (
+            dict(edit_header=lambda h: {**h, "normalizer": {**h["normalizer"], "var": h["normalizer"]["var"][:-1]}}),
+            "normalizer var has shape",
+        ),
     ],
-    ids=["hidden", "normalizer", "None", "trainer_state", "adam_t", "primitive_set", "topology", "json"],
+    ids=["hidden", "normalizer", "None", "trainer_state", "adam_t", "primitive_set", "topology", "json",
+         "normalizer_width"],
 )
 def test_checkpoint_rejects_malformed_header(tmp_path, rewrite, error):
     """A header that is no JSON object (``None``) or no JSON at all, that
     lacks a key the loader reads, here or in its trainer state or env
-    config, or whose topology breaks a graph invariant is refused with the
-    path and the cause."""
+    config, whose topology breaks a graph invariant or whose normalizer
+    does not fit the layout's observation width is refused with the path
+    and the cause."""
     cfg, graph, params, state = make_setup(seed=26)
     path = tmp_path / "bad.ckpt"
     trainer_for(tmp_path, cfg, graph, params).save(path)
